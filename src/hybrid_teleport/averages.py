@@ -296,12 +296,14 @@ def _success_weighted_moments(t: float) -> tuple[float, float, float]:
     """Averages of |a|^4, |b|^4, |a|^2|b|^2 against the s->p success weight.
 
     The weight is c1 |a|^2 + c2 |b|^2 with c1 = t^2, c2 = 2 - t^2; the log
-    closed forms degenerate at c1 = c2 (t = 1) and switch to a series there.
+    closed forms degenerate at c1 = c2 (t = 1) and lose digits to cancellation
+    near it, so |c1 - c2| < 4e-3 (r < 0.045) takes the series, exact to 1e-16
+    there.
     """
     c1 = t * t
     c2 = 2.0 - c1
     d = c1 - c2
-    if abs(d) < 1e-4:
+    if abs(d) < 4e-3:
         ratio = -d / c2
         a1 = a2 = a3 = 0.0
         power = 1.0

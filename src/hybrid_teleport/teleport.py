@@ -128,22 +128,6 @@ def bell_state_polarization(i: int) -> StateVector:
     return StateVector(layout_of(polarization_mode(), polarization_mode()), v.reshape(-1) / math.sqrt(2))
 
 
-def bell_state_coherent(i: int, beta: float, dim: int) -> StateVector:
-    """Bell-like state i of a coherent pair: |b,b> +/- |-b,-b>, |b,-b> +/- |-b,b>."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError("Bell index must be 1..4")
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
-    plus = coherent_ket(beta, dim).amplitudes
-    minus = coherent_ket(-beta, dim).amplitudes
-    s = 1.0 if i in (1, 3) else -1.0
-    if i in (1, 2):
-        v = np.kron(plus, plus) + s * np.kron(minus, minus)
-    else:
-        v = np.kron(plus, minus) + s * np.kron(minus, plus)
-    return StateVector(layout_of(fock_mode(dim), fock_mode(dim)), v).normalized()
-
-
 def _parity_masks(dim: int) -> dict[str, np.ndarray]:
     """Boolean masks over (n_first, n_second) for the parity readout outcomes."""
     if dim % 2 != 0:
@@ -159,25 +143,20 @@ def _parity_masks(dim: int) -> dict[str, np.ndarray]:
     }
 
 
-def parity_projectors(dim: int):
-    """The five projectors of the coherent Bell analyzer, as dense matrices.
-
-    Photons bunch into one output of the balanced beam splitter, so the
-    outcomes are (even >= 2 | odd) photons in one arm with vacuum in the
-    other, plus the no-click error outcome |00><00|. Pairwise orthogonal and
-    summing below the identity.
-    """
-    masks = _parity_masks(dim)
-    order = ["first_even", "first_odd", "second_even", "second_odd", "no_click"]
-    return tuple(np.diag(masks[k].reshape(-1).astype(complex)) for k in order)
-
-
 _PAULI3 = {
-    "identity": np.eye(3, dtype=complex),
     "pauli_z": np.diag([1.0, -1.0, 1.0]).astype(complex),
     "pauli_x": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex),
     "pauli_y": np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 1]], dtype=complex),
 }
+
+
+def _correction_unitary(name: str, dim: int) -> np.ndarray | None:
+    """Unitary on the kept mode named by a correction; None for identity and failures."""
+    if name == "parity_flip":
+        return parity_operator(dim)
+    if name == "phase_flip":
+        return np.diag([1.0, -1.0]).astype(complex)
+    return _PAULI3.get(name)
 
 
 def _ensemble(channel: DensityOperator, tol: float = 1e-13):
@@ -188,11 +167,6 @@ def _ensemble(channel: DensityOperator, tol: float = 1e-13):
     return w[sel], v[:, sel]
 
 
-def _branch_density(collapsed: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # collapsed[d, k] holds the k-th ensemble branch; returns sum_k w_k |v_k><v_k|
-    return (collapsed * weights) @ collapsed.conj().T
-
-
 def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
     prob = float(np.trace(mat).real)
     output = None
@@ -201,12 +175,52 @@ def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
     return TeleportOutcome(label, prob, output, correction, success)
 
 
+def _measure(channel: DensityOperator, measured_mode: int, input_amplitudes: np.ndarray,
+             readout, remainder: str | None = None) -> list[TeleportOutcome]:
+    """Measure the input jointly with one channel mode and correct the other.
+
+    Each readout entry is (label, rows, correction, success): ``rows`` maps the
+    joint (input, measured mode) amplitudes onto the detected outcome, and the
+    branch left on the kept mode is conjugated by the named correction. A
+    named ``remainder`` branch holds the kept mode's reduced state minus the
+    uncorrected branches, so the probabilities sum to one.
+    """
+    kept = 1 - measured_mode
+    layout = channel.layout.select([kept])
+    kept_dim = layout.dims[0]
+    w, vecs = _ensemble(channel)
+    # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
+    chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured_mode, 2), (0, 1))
+    chi = chi * np.sqrt(w)[:, None]
+    joint = np.multiply.outer(input_amplitudes, chi).reshape(-1, chi[0].size)
+    outcomes = []
+    detected = 0.0
+    for label, rows, correction, success in readout:
+        collapsed = (rows @ joint).reshape(-1, kept_dim)
+        mat = collapsed.T @ collapsed.conj()
+        detected = detected + mat
+        unitary = _correction_unitary(correction, kept_dim)
+        if unitary is not None:
+            mat = unitary @ mat @ unitary.conj().T
+        outcomes.append(_outcome(label, mat, layout, correction, success))
+    if remainder is not None:
+        rest = partial_trace(channel, {kept}).matrix - detected
+        outcomes.append(_outcome(remainder, rest, layout, "none", False))
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 
 
-def _default_pc_channel(params: ChannelParams, dim: int) -> DensityOperator:
+def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperator:
+    if dim is None:
+        dim = default_fock_dim(params.alpha)
     return evolve(hybrid_pc_initial(params.alpha, dim).density(), params.t)
+
+
+def _bell_bra(i: int) -> np.ndarray:
+    return bell_state_polarization(i).amplitudes.conj()
 
 
 def teleport_p_to_c(
@@ -222,39 +236,16 @@ def teleport_p_to_c(
     are implementable: identity and the coherent sign flip). The other two
     Bell outcomes and the loss-detected vacuum branch are failures.
     """
-    if dim is None:
-        dim = default_fock_dim(params.alpha)
     if channel is None:
         channel = _default_pc_channel(params, dim)
-    dim = channel.layout.dims[1]
-    w, vecs = _ensemble(channel)
-    chi = vecs.reshape(3, dim, -1)
-    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    flip = np.real(np.diag(parity_operator(dim)))
-
-    spec = [
-        (1, "bell_phi_plus", "identity", True),
-        (2, "bell_phi_minus", "none", False),
-        (3, "bell_psi_plus", "parity_flip", True),
-        (4, "bell_psi_minus", "none", False),
+    readout = [
+        ("bell_phi_plus", _bell_bra(1), "identity", True),
+        ("bell_phi_minus", _bell_bra(2), "none", False),
+        ("bell_psi_plus", _bell_bra(3), "parity_flip", True),
+        ("bell_psi_minus", _bell_bra(4), "none", False),
     ]
-    out_layout = layout_of(fock_mode(dim))
-    outcomes = []
-    mats = []
-    for i, label, corr, ok in spec:
-        bell = bell_state_polarization(i).amplitudes.reshape(3, 3)
-        coeff = ain @ bell.conj()  # contraction over the input polarization
-        collapsed = np.einsum("s,sdk->dk", coeff, chi)
-        mat = _branch_density(collapsed, w)
-        mats.append(mat)
-        if corr == "parity_flip":
-            mat = mat * np.outer(flip, flip)
-        outcomes.append(_outcome(label, mat, out_layout, corr, ok))
-
-    reduced_c = partial_trace(channel, {1}).matrix
-    loss_mat = reduced_c - sum(mats)
-    outcomes.append(_outcome("photon_loss", loss_mat, out_layout, "none", False))
-    return outcomes
+    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
+    return _measure(channel, 0, ain, readout, remainder="photon_loss")
 
 
 def teleport_c_to_p(
@@ -270,8 +261,6 @@ def teleport_c_to_p(
     four Bell-like outcomes, each fixed by a Pauli on the polarization side.
     Only the no-click outcome fails.
     """
-    if dim is None:
-        dim = default_fock_dim(params.alpha)
     if channel is None:
         channel = _default_pc_channel(params, dim)
     dim = channel.layout.dims[1]
@@ -281,14 +270,8 @@ def teleport_c_to_p(
     vin = inp.a * coherent_ket(beta, dim).amplitudes + inp.b * coherent_ket(-beta, dim).amplitudes
     vin = vin / np.linalg.norm(vin)
 
-    w, vecs = _ensemble(channel)
-    nk = vecs.shape[1]
-    chi = vecs.reshape(3, dim, nk)
-    # joint modes ordered (pol, input, channel); beam splitter mixes the last two
-    joint = np.einsum("i,sck->sick", vin, chi).reshape(3, dim * dim, nk)
+    # the beam splitter mixes (input, channel); each outcome keeps the rows of its parity mask
     bs = beam_splitter_50_50(dim)
-    mixed = np.einsum("xy,syk->sxk", bs, joint).reshape(3, dim, dim, nk)
-
     masks = _parity_masks(dim)
     spec = [
         ("first_even", "identity", True),
@@ -297,16 +280,8 @@ def teleport_c_to_p(
         ("second_odd", "pauli_y", True),
         ("no_click", "none", False),
     ]
-    out_layout = layout_of(polarization_mode())
-    outcomes = []
-    for label, corr, ok in spec:
-        sel = mixed[:, masks[label], :]  # (3, m, nk)
-        mat = np.einsum("smk,tmk,k->st", sel, sel.conj(), w)
-        if ok and corr != "identity":
-            c = _PAULI3[corr]
-            mat = c @ mat @ c.conj().T
-        outcomes.append(_outcome(label, mat, out_layout, corr, ok))
-    return outcomes
+    readout = [(label, bs[masks[label].reshape(-1)], corr, ok) for label, corr, ok in spec]
+    return _measure(channel, 1, vin, readout)
 
 
 def teleport_p_to_s(
@@ -322,34 +297,14 @@ def teleport_p_to_s(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    w, vecs = _ensemble(channel)
-    chi = vecs.reshape(3, 2, -1)
-    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    phase = np.array([1.0, -1.0])
-
-    spec = [
-        (1, "bell_phi_plus", "identity", True),
-        (2, "bell_phi_minus", "phase_flip", True),
-        (3, "bell_psi_plus", "none", False),
-        (4, "bell_psi_minus", "none", False),
+    readout = [
+        ("bell_phi_plus", _bell_bra(1), "identity", True),
+        ("bell_phi_minus", _bell_bra(2), "phase_flip", True),
+        ("bell_psi_plus", _bell_bra(3), "none", False),
+        ("bell_psi_minus", _bell_bra(4), "none", False),
     ]
-    out_layout = layout_of(qubit_mode())
-    outcomes = []
-    mats = []
-    for i, label, corr, ok in spec:
-        bell = bell_state_polarization(i).amplitudes.reshape(3, 3)
-        coeff = ain @ bell.conj()
-        collapsed = np.einsum("s,sdk->dk", coeff, chi)
-        mat = _branch_density(collapsed, w)
-        mats.append(mat)
-        if corr == "phase_flip":
-            mat = mat * np.outer(phase, phase)
-        outcomes.append(_outcome(label, mat, out_layout, corr, ok))
-
-    reduced_s = partial_trace(channel, {1}).matrix
-    loss_mat = reduced_s - sum(mats)
-    outcomes.append(_outcome("photon_loss", loss_mat, out_layout, "none", False))
-    return outcomes
+    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
+    return _measure(channel, 0, ain, readout, remainder="photon_loss")
 
 
 def teleport_s_to_p(
@@ -365,36 +320,13 @@ def teleport_s_to_p(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    w, vecs = _ensemble(channel)
-    chi = vecs.reshape(3, 2, -1)
-    vin = np.array([inp.a, inp.b], dtype=complex)
-
-    def single_photon_bell(sign: float) -> np.ndarray:
-        v = np.zeros((2, 2), dtype=complex)
-        v[1, 0] = 1.0
-        v[0, 1] = sign
-        return v / math.sqrt(2)
-
-    spec = [
-        ("bell_psi_plus", +1.0, "pauli_x", True),
-        ("bell_psi_minus", -1.0, "pauli_y", True),
+    # single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened
+    readout = [
+        ("bell_psi_plus", np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2), "pauli_x", True),
+        ("bell_psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2), "pauli_y", True),
     ]
-    out_layout = layout_of(polarization_mode())
-    outcomes = []
-    mats = []
-    for label, sign, corr, ok in spec:
-        bell = single_photon_bell(sign)
-        collapsed = np.einsum("id,i,sdk->sk", bell.conj(), vin, chi)
-        mat = _branch_density(collapsed, w)
-        mats.append(mat)
-        c = _PAULI3[corr]
-        mat = c @ mat @ c.conj().T
-        outcomes.append(_outcome(label, mat, out_layout, corr, ok))
-
-    reduced_p = partial_trace(channel, {0}).matrix
-    rest = reduced_p - sum(mats)
-    outcomes.append(_outcome("unresolved", rest, out_layout, "none", False))
-    return outcomes
+    vin = np.array([inp.a, inp.b], dtype=complex)
+    return _measure(channel, 1, vin, readout, remainder="unresolved")
 
 
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:

@@ -409,7 +409,7 @@ def run_battery(
 ) -> dict:
     """Run every check and audit; returns a JSON-serializable report."""
     spec = spec or QuadratureSpec()
-    started = time.time()
+    started = time.perf_counter()
     checks: list[dict] = []
     audits: list[dict] = []
 
@@ -433,7 +433,7 @@ def run_battery(
 
     return {
         "passed": all(ch["pass"] for ch in checks),
-        "elapsed_seconds": round(time.time() - started, 3),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
         "grid": {"r": list(r_grid), "alphas": list(alphas),
                  "oracle_alphas": list(oracle_alphas), "pipeline_r": list(pipeline_r),
                  "quadrature": [spec.n_theta, spec.n_phi]},

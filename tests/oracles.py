@@ -83,3 +83,42 @@ def coherent_amps(amplitude: float, dim: int) -> np.ndarray:
     for n in range(1, dim):
         c[n] = c[n - 1] * amplitude / np.sqrt(n)
     return c
+
+
+def bell_state_coherent(i: int, beta: float, dim: int) -> np.ndarray:
+    """Bell-like state i of a coherent pair, normalized, over (n1, n2) flattened.
+
+    1: |b,b> + |-b,-b>, 2: |b,b> - |-b,-b>, 3: |b,-b> + |-b,b>, 4: |b,-b> - |-b,b>.
+    """
+    if i not in (1, 2, 3, 4):
+        raise ValueError("Bell index must be 1..4")
+    if beta <= 0.0:
+        raise ValueError("beta must be > 0")
+    plus = coherent_amps(beta, dim)
+    minus = coherent_amps(-beta, dim)
+    sign = 1.0 if i in (1, 3) else -1.0
+    if i in (1, 2):
+        v = np.outer(plus, plus) + sign * np.outer(minus, minus)
+    else:
+        v = np.outer(plus, minus) + sign * np.outer(minus, plus)
+    v = v.reshape(-1).astype(complex)
+    return v / np.linalg.norm(v)
+
+
+def parity_projectors(dim: int) -> tuple[np.ndarray, ...]:
+    """The five projectors of the coherent Bell analyzer over (n1, n2), as diagonal matrices.
+
+    Photons bunch into one output of the balanced beam splitter, so the
+    outcomes are: even >= 2 photons in the first arm and vacuum in the
+    second, odd in the first and vacuum in the second, the same two for the
+    second arm, and the no-click outcome |00><00|.
+    """
+    if dim % 2 != 0:
+        raise ValueError("parity readout needs an even truncation dimension")
+    masks = np.zeros((5, dim, dim))
+    for n in range(1, dim):
+        odd = n % 2
+        masks[odd, n, 0] = 1.0
+        masks[2 + odd, 0, n] = 1.0
+    masks[4, 0, 0] = 1.0
+    return tuple(np.diag(m.reshape(-1).astype(complex)) for m in masks)

@@ -220,6 +220,22 @@ class TestAveragedFidelities:
         assert a3 == pytest.approx(
             oracles.segment_average(lambda p: p * (1 - p) / den(p)), abs=1e-12)
 
+    @pytest.mark.parametrize("r", [0.0071, 0.01, 0.02, 0.04])
+    def test_sp_moments_just_above_the_series_switch(self, r):
+        # the log closed forms cancel badly here; the series branch must take over
+        params = ch.ChannelParams.from_r(r, 1.0)
+        t = params.t
+        a1, a2, a3 = av._success_weighted_moments(t)
+        c1, c2 = t * t, 2 - t * t
+        den = lambda p: c1 * p + c2 * (1 - p)
+        assert a1 == pytest.approx(oracles.segment_average(lambda p: p**2 / den(p)), abs=1e-10)
+        assert a2 == pytest.approx(
+            oracles.segment_average(lambda p: (1 - p) ** 2 / den(p)), abs=1e-10)
+        assert a3 == pytest.approx(
+            oracles.segment_average(lambda p: p * (1 - p) / den(p)), abs=1e-10)
+        for postselected in (False, True):
+            assert 0.0 <= av.avg_fidelity(Direction.S_TO_P, params, postselected) <= 1.0
+
     @pytest.mark.parametrize("alpha", [0.1, 0.54, 1.0, 2.0, 10.0])
     def test_all_closed_forms_match_quadrature(self, alpha):
         for r in (0.0, 0.25, 0.5, 0.75, 0.95):
