@@ -61,15 +61,17 @@ def _nodes(n_theta: int, n_phi: int):
 def bloch_average(f, spec: QuadratureSpec | None = None) -> float:
     """Uniform average of f(theta, phi) over the Bloch sphere.
 
-    ``f`` must accept broadcast numpy arrays of angles. Deterministic for a
+    ``f`` must accept broadcast numpy arrays of angles: it gets the open grid
+    theta of shape (n_theta, 1) and phi of shape (1, n_phi), so functions of
+    one angle are evaluated once per node of that angle. Deterministic for a
     fixed spec (fixed node order, numpy pairwise summation).
     """
     spec = spec or QuadratureSpec()
     theta, w_theta, phi, w_phi = _nodes(spec.n_theta, spec.n_phi)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    vals = np.asarray(f(tt, pp), dtype=float)
-    if vals.shape != tt.shape:
-        vals = np.broadcast_to(vals, tt.shape)
+    shape = (spec.n_theta, spec.n_phi)
+    vals = np.asarray(f(theta[:, None], phi[None, :]), dtype=float)
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape)
     return float(np.einsum("i,ij,j->", w_theta, vals, w_phi))
 
 

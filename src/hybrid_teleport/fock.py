@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +23,7 @@ COHERENT_TAIL_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
+ENSEMBLE_TOL = 1e-13
 
 
 class TruncationError(ValueError):
@@ -144,17 +145,36 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Dense Hermitian PSD operator tagged with its layout."""
+    """Dense Hermitian PSD operator tagged with its layout.
+
+    The matrix is a private read-only copy, so values derived from it once,
+    such as :attr:`ensemble`, stay valid for the operator's lifetime.
+    """
 
     layout: ModeLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @cached_property
+    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral ensemble (weights, eigenvectors as columns) of the symmetrized matrix.
+
+        Weights at or below ``ENSEMBLE_TOL`` are dropped as numerically zero.
+        Diagonalized on first access and kept for the operator's lifetime.
+        """
+        w, v = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2)
+        sel = w > ENSEMBLE_TOL
+        weights, vectors = w[sel], v[:, sel]
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        return weights, vectors
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -334,18 +354,28 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def beam_splitter_50_50(dim: int) -> np.ndarray:
     """Balanced beam-splitter unitary on Fock(dim) x Fock(dim).
 
-    Exponentiates (pi/4)(a1^dag a2 - a1 a2^dag) via an eigendecomposition of
-    the Hermitian generator, so the result is unitary to roundoff. Coherent
-    inputs transform as |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>; in
+    Exponentiates the generator (pi/4)(a1^dag a2 - a1 a2^dag), truncated at
+    ``dim``, one photon-number sector at a time: the generator conserves
+    N = n1 + n2, so the unitary is block-diagonal (Campos, Saleh & Teich,
+    PRA 40, 1371, 1989). The states (n1, N - n1) inside the cut span a real
+    tridiagonal block with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)),
+    exponentiated through an eigendecomposition of its Hermitian form, so
+    the result is unitary to roundoff. Sectors with N < dim are the exact
+    beam splitter; the sectors above the cut miss the states beyond it and
+    equal the exponential of the truncated generator there. Coherent inputs
+    transform as |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>; in
     particular |b, b> -> |sqrt(2) b, 0> and |b, -b> -> |0, -sqrt(2) b>.
-    Exact on every photon-number sector below the truncation cut.
     """
     if dim < 2:
         raise ValueError("fock mode needs dim >= 2")
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    generator = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
-    w, v = np.linalg.eigh(1j * generator)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for total in range(2 * dim - 1):
+        n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+        generator = np.diag(off, k=-1) - np.diag(off, k=1)
+        w, v = np.linalg.eigh(1j * generator)
+        states = n1 * dim + (total - n1)
+        u[np.ix_(states, states)] = (v * np.exp(-1j * w)) @ v.conj().T
     u.setflags(write=False)
     return u
 

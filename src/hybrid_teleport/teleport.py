@@ -128,18 +128,20 @@ def bell_state_polarization(i: int) -> StateVector:
     return StateVector(layout_of(polarization_mode(), polarization_mode()), v.reshape(-1) / math.sqrt(2))
 
 
-def _parity_masks(dim: int) -> dict[str, np.ndarray]:
-    """Boolean masks over (n_first, n_second) for the parity readout outcomes."""
+def _parity_readout(bs: np.ndarray, dim: int) -> dict[str, np.ndarray]:
+    """Rows of the beam splitter each parity outcome keeps, over flattened (n_first, n_second).
+
+    Every outcome leaves at least one arm empty, so its rows are a strided
+    slice: read-only views of the cached unitary, never copies.
+    """
     if dim % 2 != 0:
         raise ValueError("parity readout needs an even truncation dimension")
-    n = np.arange(dim)
-    first, second = np.meshgrid(n, n, indexing="ij")
     return {
-        "first_even": (first >= 2) & (first % 2 == 0) & (second == 0),
-        "first_odd": (first % 2 == 1) & (second == 0),
-        "second_even": (first == 0) & (second >= 2) & (second % 2 == 0),
-        "second_odd": (first == 0) & (second % 2 == 1),
-        "no_click": (first == 0) & (second == 0),
+        "first_even": bs[2 * dim::2 * dim],  # n_first = 2, 4, ..., n_second = 0
+        "first_odd": bs[dim::2 * dim],  # n_first = 1, 3, ..., n_second = 0
+        "second_even": bs[2:dim:2],  # n_first = 0, n_second = 2, 4, ...
+        "second_odd": bs[1:dim:2],  # n_first = 0, n_second = 1, 3, ...
+        "no_click": bs[:1],
     }
 
 
@@ -157,14 +159,6 @@ def _correction_unitary(name: str, dim: int) -> np.ndarray | None:
     if name == "phase_flip":
         return np.diag([1.0, -1.0]).astype(complex)
     return _PAULI3.get(name)
-
-
-def _ensemble(channel: DensityOperator, tol: float = 1e-13):
-    """Spectral ensemble of a channel state; drops numerically zero weights."""
-    herm = (channel.matrix + channel.matrix.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    sel = w > tol
-    return w[sel], v[:, sel]
 
 
 def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
@@ -188,7 +182,7 @@ def _measure(channel: DensityOperator, measured_mode: int, input_amplitudes: np.
     kept = 1 - measured_mode
     layout = channel.layout.select([kept])
     kept_dim = layout.dims[0]
-    w, vecs = _ensemble(channel)
+    w, vecs = channel.ensemble
     # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
     chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured_mode, 2), (0, 1))
     chi = chi * np.sqrt(w)[:, None]
@@ -270,9 +264,8 @@ def teleport_c_to_p(
     vin = inp.a * coherent_ket(beta, dim).amplitudes + inp.b * coherent_ket(-beta, dim).amplitudes
     vin = vin / np.linalg.norm(vin)
 
-    # the beam splitter mixes (input, channel); each outcome keeps the rows of its parity mask
-    bs = beam_splitter_50_50(dim)
-    masks = _parity_masks(dim)
+    # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
+    rows = _parity_readout(beam_splitter_50_50(dim), dim)
     spec = [
         ("first_even", "identity", True),
         ("first_odd", "pauli_z", True),
@@ -280,7 +273,7 @@ def teleport_c_to_p(
         ("second_odd", "pauli_y", True),
         ("no_click", "none", False),
     ]
-    readout = [(label, bs[masks[label].reshape(-1)], corr, ok) for label, corr, ok in spec]
+    readout = [(label, rows[label], corr, ok) for label, corr, ok in spec]
     return _measure(channel, 1, vin, readout)
 
 

@@ -412,24 +412,20 @@ def run_battery(
     started = time.perf_counter()
     checks: list[dict] = []
     audits: list[dict] = []
-
-    checks.extend(_channel_checks(r_grid, oracle_alphas))
-
-    c, a = _negativity_checks(r_grid, oracle_alphas)
-    checks.extend(c)
-    audits.extend(a)
-
-    c, a = _pipeline_checks(pipeline_r, oracle_alphas, *angle_grid)
-    checks.extend(c)
-    audits.extend(a)
-
-    c, a = _moment_checks(spec)
-    checks.extend(c)
-    audits.extend(a)
-
-    c, a = _average_checks(r_grid, alphas, spec)
-    checks.extend(c)
-    audits.extend(a)
+    timings: dict[str, float] = {}
+    phases = (
+        ("channel", lambda: (_channel_checks(r_grid, oracle_alphas), [])),
+        ("negativity", lambda: _negativity_checks(r_grid, oracle_alphas)),
+        ("pipeline", lambda: _pipeline_checks(pipeline_r, oracle_alphas, *angle_grid)),
+        ("moment", lambda: _moment_checks(spec)),
+        ("average", lambda: _average_checks(r_grid, alphas, spec)),
+    )
+    for phase, run in phases:
+        phase_started = time.perf_counter()
+        c, a = run()
+        timings[phase] = round(time.perf_counter() - phase_started, 3)
+        checks.extend(c)
+        audits.extend(a)
 
     return {
         "passed": all(ch["pass"] for ch in checks),
@@ -439,6 +435,7 @@ def run_battery(
                  "quadrature": [spec.n_theta, spec.n_phi]},
         "checks": checks,
         "audits": audits,
+        "timings": timings,
     }
 
 
@@ -459,4 +456,5 @@ def format_report(report: dict) -> str:
     verdict = "ALL CHECKS PASSED" if report["passed"] else "CHECK FAILURES PRESENT"
     lines.append("")
     lines.append(f"{verdict} in {report['elapsed_seconds']} s")
+    lines.append("phase seconds: " + ", ".join(f"{k} {v}" for k, v in report["timings"].items()))
     return "\n".join(lines)

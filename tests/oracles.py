@@ -122,3 +122,11 @@ def parity_projectors(dim: int) -> tuple[np.ndarray, ...]:
         masks[2 + odd, 0, n] = 1.0
     masks[4, 0, 0] = 1.0
     return tuple(np.diag(m.reshape(-1).astype(complex)) for m in masks)
+
+
+def beam_splitter_dense(dim: int) -> np.ndarray:
+    """Balanced beam splitter from one dense eigendecomposition of the d^2 x d^2 generator."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    generator = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    w, v = np.linalg.eigh(1j * generator)
+    return (v * np.exp(-1j * w)) @ v.conj().T

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from hybrid_teleport import averages as av
 from hybrid_teleport import channels as ch
+from hybrid_teleport import teleport as tp
 from hybrid_teleport.teleport import Direction
 
 R_GRID = [round(0.05 * i, 2) for i in range(20)]
@@ -39,6 +40,26 @@ class TestQuadrature:
     def test_deterministic(self):
         f = lambda th, ph: np.cos(th) ** 2 / (1 + 0.3 * np.sin(th) * np.cos(ph))
         assert av.bloch_average(f) == av.bloch_average(f)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_open_grid_matches_the_meshgrid_bit_for_bit(self, direction):
+        spec = av.QuadratureSpec()
+        theta, w_theta, phi, w_phi = av._nodes(spec.n_theta, spec.n_phi)
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+
+        def meshgrid_average(f):
+            vals = np.broadcast_to(np.asarray(f(tt, pp), dtype=float), tt.shape)
+            return float(np.einsum("i,ij,j->", w_theta, vals, w_phi))
+
+        posts = (False, True) if direction in (Direction.C_TO_P, Direction.S_TO_P) else (False,)
+        for alpha in (0.1, 1.0, 10.0):
+            for r in R_GRID:
+                params = ch.ChannelParams.from_r(r, alpha)
+                for post in posts:
+                    for kernel in (tp.fidelity_kernel, tp.success_kernel):
+                        def f(th, ph):
+                            return kernel(direction, th, ph, params, post)
+                        assert av.bloch_average(f, spec) == meshgrid_average(f)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -189,8 +189,11 @@ class TestVerifyCommand:
         assert {"negativity_pc_variant_scale", "fourth_moment_variant_limit",
                 "cp_coherence_weight", "pc_success_modulation_constant",
                 "postselect_sp_fidelity_gap"} <= names
+        assert set(report["timings"]) == {"channel", "negativity", "pipeline", "moment", "average"}
+        assert all(v >= 0.0 for v in report["timings"].values())
         text = capsys.readouterr().out
         assert "ALL CHECKS PASSED" in text
+        assert "phase seconds: channel " in text
 
     def test_failing_checks_give_nonzero_exit(self, tmp_path):
         # a deliberately coarse quadrature cannot meet the 1e-8 agreement

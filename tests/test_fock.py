@@ -239,11 +239,62 @@ class TestBeamSplitter:
         total = np.diag(np.add.outer(n, n).reshape(-1).astype(complex))
         assert np.max(np.abs(u.conj().T @ total @ u - total)) < 1e-10
 
+    @pytest.mark.parametrize("dim", [4, 8, 18, 22])
+    def test_sector_build_matches_dense_exponentiation(self, dim):
+        u = fk.beam_splitter_50_50(dim)
+        ref = oracles.beam_splitter_dense(dim)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        # the sectors N >= dim lose states beyond the cut; they still match
+        n = np.arange(dim)
+        high = np.add.outer(n, n).reshape(-1) >= dim
+        block = np.ix_(high, high)
+        assert np.max(np.abs(u[block] - ref[block])) < 1e-12
+        assert np.max(np.abs(ref[block] - np.diag(np.diag(ref[block])))) > 0.1
+
+    def test_large_cut_is_unitary_and_conserves_photon_number(self):
+        # d = 60 is a 3600 x 3600 operator; built uncached, checked sector by sector
+        dim = 60
+        u = fk.beam_splitter_50_50.__wrapped__(dim)
+        n = np.arange(dim)
+        total = np.add.outer(n, n).reshape(-1)
+        for photons in range(2 * dim - 1):
+            inside = total == photons
+            rows = u[inside]
+            block = rows[:, inside]
+            assert np.max(np.abs(block @ block.conj().T - np.eye(block.shape[0]))) < 1e-12
+            assert np.max(np.abs(rows[:, ~inside])) == 0.0
+
     def test_parity_operator_flips_amplitude(self):
         par = fk.parity_operator(24)
         plus = fk.coherent_ket(0.9, 24).amplitudes
         minus = fk.coherent_ket(-0.9, 24).amplitudes
         assert np.max(np.abs(par @ plus - minus)) < 1e-14
+
+
+class TestDensityOperator:
+    def test_matrix_is_a_read_only_copy(self):
+        source = np.eye(2, dtype=complex) / 2
+        rho = fk.DensityOperator(fk.layout_of(fk.qubit_mode()), source)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+        source[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.5
+
+    def test_ensemble_reassembles_the_state(self):
+        v = random_state(6, 3)
+        rho = fk.DensityOperator(fk.layout_of(fk.fock_mode(6)),
+                                 0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(6) / 6)
+        w, vecs = rho.ensemble
+        assert rho.ensemble is rho.ensemble
+        assert np.max(np.abs((vecs * w) @ vecs.conj().T - rho.matrix)) < 1e-14
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_ensemble_drops_numerically_zero_weights(self):
+        rho = fk.basis_ket(fk.fock_mode(5), 2).density()
+        w, vecs = rho.ensemble
+        assert w.shape == (1,) and vecs.shape == (5, 1)
+        assert abs(vecs[2, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFidelity:

@@ -366,6 +366,38 @@ class TestClosedFormsAgainstPipeline:
                    - tp.per_input_fidelity(tp.Direction.C_TO_P, TILTED, params)) > 1e-3
 
 
+class TestChannelEnsemble:
+    def test_one_diagonalization_per_channel(self, monkeypatch):
+        params = ch.ChannelParams.from_r(0.5, 1.0)
+        dim = fk.default_fock_dim(1.0)
+        fk.beam_splitter_50_50(dim)  # cached before counting
+
+        def channel():
+            return ch.evolve(ch.hybrid_pc_initial(1.0, dim).density(), params.t)
+
+        pipelines = (tp.teleport_p_to_c, tp.teleport_c_to_p)
+        inputs = [tp.BlochInput(float(th), float(ph))
+                  for th, ph in zip(np.linspace(0.1, 3.0, 10), np.linspace(0.0, 6.0, 10))]
+        fresh = [run(inp, params, channel=channel()) for inp in inputs for run in pipelines]
+
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        shared = channel()
+        reused = [run(inp, params, channel=shared) for inp in inputs for run in pipelines]
+        assert len(calls) == 1
+        for a_run, b_run in zip(fresh, reused):
+            assert [(o.label, o.probability) for o in a_run] == \
+                [(o.label, o.probability) for o in b_run]
+            for a, b in zip(a_run, b_run):
+                assert np.array_equal(a.output.matrix, b.output.matrix)
+
+
 class TestInputsAndParsing:
     def test_bloch_normalization(self):
         inp = tp.BlochInput(0.7, 5.0)
