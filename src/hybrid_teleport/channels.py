@@ -68,23 +68,6 @@ class ChannelParams:
         return math.exp(-2.0 * (self.t * self.alpha) ** 2)
 
 
-@dataclass(frozen=True)
-class DecayFactors:
-    """The two scalar factors every downstream closed form depends on."""
-
-    coherence: float
-    overlap: float
-
-    @property
-    def product(self) -> float:
-        """coherence * overlap = exp(-2 alpha^2), independent of t."""
-        return self.coherence * self.overlap
-
-
-def decay_factors(params: ChannelParams) -> DecayFactors:
-    return DecayFactors(params.coherence_factor, params.basis_overlap)
-
-
 def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
     """Kraus family of single-mode photon loss with amplitude decay t.
 
@@ -115,20 +98,22 @@ def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
     return [k for k in ops if np.any(k)]
 
 
-def _embed(op: np.ndarray, dims: tuple[int, ...], mode: int) -> np.ndarray:
-    left = np.eye(math.prod(dims[:mode]))
-    right = np.eye(math.prod(dims[mode + 1:]))
-    return np.kron(np.kron(left, op), right)
-
-
 def evolve(rho: DensityOperator, t: float) -> DensityOperator:
-    """Apply photon loss with decay t to every mode of a density operator."""
-    mat = rho.matrix
+    """Apply photon loss with decay t to every mode of a density operator.
+
+    Each mode's Kraus family acts on that mode's ket and bra axes only, with
+    matmul broadcasting over the others, so no operator on the whole space
+    is ever formed.
+    """
     dims = rho.layout.dims
+    n = len(dims)
+    full = rho.matrix.reshape(dims + dims)
     for mode, kind in enumerate(rho.layout.modes):
-        kraus = [_embed(k, dims, mode) for k in damping_kraus(kind, t)]
-        mat = sum(k @ mat @ k.conj().T for k in kraus)
-    return DensityOperator(rho.layout, mat)
+        axes = (mode, n + mode)
+        x = np.moveaxis(full, axes, (-2, -1))
+        x = sum(k @ x @ k.conj().T for k in damping_kraus(kind, t))
+        full = np.moveaxis(x, (-2, -1), axes)
+    return DensityOperator(rho.layout, full.reshape(rho.matrix.shape))
 
 
 def hybrid_pc_initial(alpha: float, dim: int | None = None) -> StateVector:

@@ -33,7 +33,7 @@ from .averages import (
 )
 from .channels import ChannelParams, rho_pc_analytic
 from .entanglement import negativity_numeric, negativity_pc_closed, negativity_ps_analytic
-from .fock import default_fock_dim
+from .fock import COHERENT_TAIL_TOL, coherent_tail_mass, default_fock_dim
 from .teleport import (
     BlochInput,
     Direction,
@@ -150,6 +150,20 @@ def _resolve_engine(engine: str, alpha: float) -> str:
             f"(got alpha={alpha:g}); use --engine analytic"
         )
     return engine
+
+
+def _check_truncation(dim: int, alpha: float, direction: Direction) -> None:
+    """Reject a Fock cutoff the coherent-state oracle cannot use, before any work."""
+    if dim < 2:
+        raise SystemExit(f"--truncation must be at least 2, got {dim}")
+    if direction is Direction.C_TO_P and dim % 2:
+        raise SystemExit(f"--truncation must be even for c-to-p (parity readout), got {dim}")
+    tail = coherent_tail_mass(alpha, dim)
+    if tail > COHERENT_TAIL_TOL:
+        raise SystemExit(
+            f"--truncation {dim} is too small for alpha={alpha:g}: coherent tail mass "
+            f"{tail:.3e} exceeds {COHERENT_TAIL_TOL:g} (default cutoff {default_fock_dim(alpha)})"
+        )
 
 
 def _negativity_value(params: ChannelParams, engine: str, truncation: int | None) -> float:
@@ -346,6 +360,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     engine = cfg.engine if cfg.engine != "auto" else "analytic"
     if engine in ("oracle", "both") and params.alpha > ORACLE_ALPHA_MAX:
         raise SystemExit(f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g}")
+    fock_oracle = engine in ("oracle", "both") and direction in (Direction.P_TO_C, Direction.C_TO_P)
+    if fock_oracle and cfg.truncation is not None:
+        _check_truncation(cfg.truncation, params.alpha, direction)
 
     record = {
         "direction": direction.value,

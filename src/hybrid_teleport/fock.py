@@ -2,9 +2,9 @@
 
 States and operators are numpy arrays tagged with a :class:`ModeLayout` that
 records the tensor factors, so multi-mode reshapes (partial trace, partial
-transpose, mode permutation) stay explicit. Every value is immutable after
-construction and every operation is a pure function, so everything here is
-safe to evaluate concurrently.
+transpose) stay explicit. Every value is immutable after construction and
+every operation is a pure function, so everything here is safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -255,22 +255,6 @@ def coherent_ket(amplitude: float, dim: int) -> StateVector:
     return StateVector(layout_of(fock_mode(dim)), c / np.linalg.norm(c))
 
 
-def cat_ket(amplitude: float, sign: int, dim: int) -> StateVector:
-    """Normalized even (sign=+1) or odd (sign=-1) superposition of |±amplitude>."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if sign == -1 and amplitude == 0.0:
-        raise ValueError("odd superposition of |0> and |0> is the zero state")
-    plus = _coherent_amplitudes(amplitude, dim)
-    minus = _coherent_amplitudes(-amplitude, dim)
-    for c in (plus, minus):
-        tail = 1.0 - float(c @ c)
-        if tail > COHERENT_TAIL_TOL:
-            raise TruncationError(f"coherent tail mass {tail:.3e} at dim={dim}")
-    v = plus + sign * minus
-    return StateVector(layout_of(fock_mode(dim)), v.astype(complex)).normalized()
-
-
 def default_fock_dim(alpha: float) -> int:
     """Truncation rule: even cutoff with coherent tail < 1e-10 up to sqrt(2)*alpha."""
     d = max(16, math.ceil(2 * alpha * alpha + 8 * alpha + 12))
@@ -290,25 +274,6 @@ def tensor(a, b):
             np.kron(a.matrix, b.matrix),
         )
     raise TypeError("tensor requires two StateVectors or two DensityOperators")
-
-
-def permute_modes(obj, order):
-    """Reorder tensor factors; ``order[i]`` is the old index of new mode i."""
-    order = tuple(int(i) for i in order)
-    n = len(obj.layout)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = obj.layout.dims
-    new_layout = obj.layout.select(order)
-    if isinstance(obj, StateVector):
-        arr = obj.amplitudes.reshape(dims).transpose(order).reshape(-1)
-        return StateVector(new_layout, arr)
-    if isinstance(obj, DensityOperator):
-        full = obj.matrix.reshape(dims + dims)
-        axes = list(order) + [n + i for i in order]
-        d = obj.layout.total_dim
-        return DensityOperator(new_layout, full.transpose(axes).reshape(d, d))
-    raise TypeError("permute_modes requires a StateVector or DensityOperator")
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -350,32 +315,45 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
+def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """One photon-number sector of the balanced beam splitter on Fock(dim) x Fock(dim).
+
+    Returns ``(states, block)``: the flattened indices n1 * dim + n2 of the
+    states (n1, photons - n1) inside the cut, in ascending n1, and the
+    unitary block on them. The generator (pi/4)(a1^dag a2 - a1 a2^dag)
+    conserves N = n1 + n2 and is a real tridiagonal block on each sector,
+    with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)); it is exponentiated
+    through an eigendecomposition of its Hermitian form, so the block is
+    unitary to roundoff (Campos, Saleh & Teich, PRA 40, 1371, 1989).
+    Sectors with N < dim are exact; those above the cut miss the states
+    beyond it and equal the exponential of the truncated generator there.
+    """
+    if dim < 2:
+        raise ValueError("fock mode needs dim >= 2")
+    if not 0 <= photons <= 2 * dim - 2:
+        raise ValueError(f"photon number {photons} outside 0..{2 * dim - 2} for dim {dim}")
+    n1 = np.arange(max(0, photons - dim + 1), min(photons, dim - 1) + 1)
+    off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (photons - n1[:-1]))
+    generator = np.diag(off, k=-1) - np.diag(off, k=1)
+    w, v = np.linalg.eigh(1j * generator)
+    return n1 * dim + (photons - n1), (v * np.exp(-1j * w)) @ v.conj().T
+
+
 @lru_cache(maxsize=8)
 def beam_splitter_50_50(dim: int) -> np.ndarray:
-    """Balanced beam-splitter unitary on Fock(dim) x Fock(dim).
+    """Balanced beam-splitter unitary on Fock(dim) x Fock(dim), as a dense matrix.
 
-    Exponentiates the generator (pi/4)(a1^dag a2 - a1 a2^dag), truncated at
-    ``dim``, one photon-number sector at a time: the generator conserves
-    N = n1 + n2, so the unitary is block-diagonal (Campos, Saleh & Teich,
-    PRA 40, 1371, 1989). The states (n1, N - n1) inside the cut span a real
-    tridiagonal block with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)),
-    exponentiated through an eigendecomposition of its Hermitian form, so
-    the result is unitary to roundoff. Sectors with N < dim are the exact
-    beam splitter; the sectors above the cut miss the states beyond it and
-    equal the exponential of the truncated generator there. Coherent inputs
-    transform as |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>; in
-    particular |b, b> -> |sqrt(2) b, 0> and |b, -b> -> |0, -sqrt(2) b>.
+    Block-diagonal in the total photon number; each block is
+    :func:`beam_splitter_sector`. Coherent inputs transform as
+    |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>; in particular
+    |b, b> -> |sqrt(2) b, 0> and |b, -b> -> |0, -sqrt(2) b>.
     """
     if dim < 2:
         raise ValueError("fock mode needs dim >= 2")
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
     for total in range(2 * dim - 1):
-        n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-        off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
-        generator = np.diag(off, k=-1) - np.diag(off, k=1)
-        w, v = np.linalg.eigh(1j * generator)
-        states = n1 * dim + (total - n1)
-        u[np.ix_(states, states)] = (v * np.exp(-1j * w)) @ v.conj().T
+        states, block = beam_splitter_sector(dim, total)
+        u[np.ix_(states, states)] = block
     u.setflags(write=False)
     return u
 

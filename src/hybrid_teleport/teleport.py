@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .fock import (
     DensityOperator,
     StateVector,
     basis_ket,
-    beam_splitter_50_50,
+    beam_splitter_sector,
     coherent_ket,
     default_fock_dim,
     fidelity_pure,
@@ -128,21 +130,33 @@ def bell_state_polarization(i: int) -> StateVector:
     return StateVector(layout_of(polarization_mode(), polarization_mode()), v.reshape(-1) / math.sqrt(2))
 
 
-def _parity_readout(bs: np.ndarray, dim: int) -> dict[str, np.ndarray]:
-    """Rows of the beam splitter each parity outcome keeps, over flattened (n_first, n_second).
+@lru_cache(maxsize=8)
+def _parity_readout(dim: int) -> MappingProxyType:
+    """Beam-splitter rows each parity outcome keeps, over flattened (n_first, n_second).
 
-    Every outcome leaves at least one arm empty, so its rows are a strided
-    slice: read-only views of the cached unitary, never copies.
+    Every outcome leaves at least one arm empty, so it keeps rows (N, 0) or
+    (0, N) with N < dim. Those lie in the exact sectors of the beam splitter,
+    each row on its own sector only, so they are built from the sector blocks
+    into two read-only (dim, dim^2) arrays, never the dense unitary. The
+    outcome blocks are strided views of them.
     """
     if dim % 2 != 0:
         raise ValueError("parity readout needs an even truncation dimension")
-    return {
-        "first_even": bs[2 * dim::2 * dim],  # n_first = 2, 4, ..., n_second = 0
-        "first_odd": bs[dim::2 * dim],  # n_first = 1, 3, ..., n_second = 0
-        "second_even": bs[2:dim:2],  # n_first = 0, n_second = 2, 4, ...
-        "second_odd": bs[1:dim:2],  # n_first = 0, n_second = 1, 3, ...
-        "no_click": bs[:1],
-    }
+    first = np.zeros((dim, dim * dim), dtype=complex)  # rows (N, 0)
+    second = np.zeros((dim, dim * dim), dtype=complex)  # rows (0, N)
+    for photons in range(dim):
+        states, block = beam_splitter_sector(dim, photons)  # states in ascending n_first
+        first[photons, states] = block[-1]
+        second[photons, states] = block[0]
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return MappingProxyType({
+        "first_even": first[2::2],  # n_first = 2, 4, ..., n_second = 0
+        "first_odd": first[1::2],  # n_first = 1, 3, ..., n_second = 0
+        "second_even": second[2::2],  # n_first = 0, n_second = 2, 4, ...
+        "second_odd": second[1::2],  # n_first = 0, n_second = 1, 3, ...
+        "no_click": first[:1],
+    })
 
 
 _PAULI3 = {
@@ -265,7 +279,7 @@ def teleport_c_to_p(
     vin = vin / np.linalg.norm(vin)
 
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
-    rows = _parity_readout(beam_splitter_50_50(dim), dim)
+    rows = _parity_readout(dim)
     spec = [
         ("first_even", "identity", True),
         ("first_odd", "pauli_z", True),

@@ -1,15 +1,23 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately written from first principles (explicit index
-loops, quadratic formulas, SVD, dense quadrature, scipy integration) and never
-calls back into the code paths it validates.
+loops, quadratic formulas, SVD, dense quadrature, scipy integration, dense
+operators on the whole space) and never calls back into the code paths it
+validates. The helpers at the end are test-only conveniences on the library's
+state types that the library itself does not need.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc
+
+from hybrid_teleport import fock as fk
+from hybrid_teleport.channels import damping_kraus
 
 
 def poisson_tail(mean: float, k: int) -> float:
@@ -130,3 +138,78 @@ def beam_splitter_dense(dim: int) -> np.ndarray:
     generator = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
     w, v = np.linalg.eigh(1j * generator)
     return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def evolve_dense(rho, t: float):
+    """Photon loss on every mode, each Kraus operator embedded in the whole space with kron.
+
+    It takes the library's Kraus families, which have their own tests, and
+    checks only how ``channels.evolve`` applies them.
+    """
+    def embed(op, dims, mode):
+        left = np.eye(math.prod(dims[:mode]))
+        right = np.eye(math.prod(dims[mode + 1:]))
+        return np.kron(np.kron(left, op), right)
+
+    mat = rho.matrix
+    dims = rho.layout.dims
+    for mode, kind in enumerate(rho.layout.modes):
+        kraus = [embed(k, dims, mode) for k in damping_kraus(kind, t)]
+        mat = sum(k @ mat @ k.conj().T for k in kraus)
+    return fk.DensityOperator(rho.layout, mat)
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers on the library's types
+
+
+def cat_ket(amplitude: float, sign: int, dim: int):
+    """Normalized even (sign=+1) or odd (sign=-1) superposition of |±amplitude>."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if sign == -1 and amplitude == 0.0:
+        raise ValueError("odd superposition of |0> and |0> is the zero state")
+    plus = coherent_amps(amplitude, dim)
+    minus = coherent_amps(-amplitude, dim)
+    for c in (plus, minus):
+        tail = 1.0 - float(c @ c)
+        if tail > fk.COHERENT_TAIL_TOL:
+            raise fk.TruncationError(f"coherent tail mass {tail:.3e} at dim={dim}")
+    v = plus + sign * minus
+    return fk.StateVector(fk.layout_of(fk.fock_mode(dim)), v.astype(complex)).normalized()
+
+
+def permute_modes(obj, order):
+    """Reorder tensor factors; ``order[i]`` is the old index of new mode i."""
+    order = tuple(int(i) for i in order)
+    n = len(obj.layout)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
+    dims = obj.layout.dims
+    new_layout = obj.layout.select(order)
+    if isinstance(obj, fk.StateVector):
+        arr = obj.amplitudes.reshape(dims).transpose(order).reshape(-1)
+        return fk.StateVector(new_layout, arr)
+    if isinstance(obj, fk.DensityOperator):
+        full = obj.matrix.reshape(dims + dims)
+        axes = list(order) + [n + i for i in order]
+        d = obj.layout.total_dim
+        return fk.DensityOperator(new_layout, full.transpose(axes).reshape(d, d))
+    raise TypeError("permute_modes requires a StateVector or DensityOperator")
+
+
+@dataclass(frozen=True)
+class DecayFactors:
+    """The two scalar factors every downstream closed form depends on."""
+
+    coherence: float
+    overlap: float
+
+    @property
+    def product(self) -> float:
+        """coherence * overlap = exp(-2 alpha^2), independent of t."""
+        return self.coherence * self.overlap
+
+
+def decay_factors(params) -> DecayFactors:
+    return DecayFactors(params.coherence_factor, params.basis_overlap)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hybrid_teleport import channels as ch
+from hybrid_teleport import cli
 from hybrid_teleport import fock as fk
 
 
@@ -34,7 +36,7 @@ class TestChannelParams:
 
     @given(st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.0, max_value=3.0))
     def test_factor_product_is_t_independent(self, t, alpha):
-        f = ch.decay_factors(ch.ChannelParams(t=t, alpha=alpha))
+        f = oracles.decay_factors(ch.ChannelParams(t=t, alpha=alpha))
         assert abs(f.product - math.exp(-2.0 * alpha * alpha)) < 1e-14
         assert 0.0 < f.coherence <= 1.0
         assert 0.0 < f.overlap <= 1.0
@@ -108,6 +110,38 @@ class TestEvolve:
         twice = ch.evolve(ch.evolve(rho, t1), t2)
         once = ch.evolve(rho, t1 * t2)
         assert fk.trace_distance(twice, once) < 1e-10
+
+    @pytest.mark.parametrize("alpha, dim", [(0.5, 18), (1.0, 22), (2.0, 36)])
+    def test_pc_channel_matches_dense_embedding(self, alpha, dim):
+        assert fk.default_fock_dim(alpha) == dim
+        rho = ch.hybrid_pc_initial(alpha, dim).density()
+        for r in (0.0, 0.5, 0.93):
+            t = ch.ChannelParams.from_r(r, alpha).t
+            assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
+
+    def test_ps_channel_matches_dense_embedding_on_the_verify_grid(self):
+        rho = ch.hybrid_ps_initial().density()
+        for r in cli.SweepConfig().r_grid():
+            t = ch.ChannelParams.from_r(r, 1.0).t
+            assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
+
+    def test_fock_first_layout_matches_dense_embedding(self):
+        rho = oracles.permute_modes(ch.hybrid_pc_initial(1.0, 22).density(), (1, 0))
+        assert rho.layout.dims == (22, 3)
+        out = ch.evolve(rho, 0.8)
+        assert np.array_equal(out.matrix, oracles.evolve_dense(rho, 0.8).matrix)
+        # loss on different modes commutes; only the rounding of the order differs
+        swapped_back = oracles.permute_modes(out, (1, 0))
+        direct = ch.evolve(ch.hybrid_pc_initial(1.0, 22).density(), 0.8)
+        assert np.max(np.abs(swapped_back.matrix - direct.matrix)) < 1e-15
+
+    def test_middle_mode_of_three_matches_dense_embedding(self):
+        rng = np.random.default_rng(5)
+        layout = fk.layout_of(fk.qubit_mode(), fk.fock_mode(5), fk.polarization_mode())
+        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        m = m @ m.conj().T
+        rho = fk.DensityOperator(layout, m / np.trace(m).real)
+        assert np.array_equal(ch.evolve(rho, 0.7).matrix, oracles.evolve_dense(rho, 0.7).matrix)
 
     def test_ps_coherence_coefficient(self):
         # <H,0|rho|V,1> picks up t^2 from polarization and t from the qubit

