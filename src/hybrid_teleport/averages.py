@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import ChannelParams
-from .teleport import Direction, fidelity_kernel, success_kernel
+from .teleport import (Direction, _bloch_arrays, check_postselection, fidelity_kernel,
+                       success_kernel)
 
 _SERIES_RADIUS = 0.05
 _SERIES_TERMS = 14
@@ -88,9 +89,7 @@ def _series_coeff(kind: int, k: int) -> float:
         return 0.5 * k / (4 * k * k - 1)
     if kind == 3:
         return -1.0 / (2 * k + 1)
-    if kind == 4:
-        return (k - 1.0) / (4 * k * k - 1)
-    raise ValueError("moment kind must be 1..4")
+    return (k - 1.0) / (4 * k * k - 1)
 
 
 def _moment_series(kind: int, x: float) -> float:
@@ -131,91 +130,13 @@ def moment_integral(kind: int, x: float) -> float:
     return _moment_closed(kind, x)
 
 
-def moment_integral_variant4(x: float) -> float:
-    """Kind-4 closed-form variant with the wrong x -> 0 limit (-1/6, not 0).
-
-    Retained for the verification audit; the default kind-4 form replaces it.
-    """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must be in (0, 1), got {x!r}")
-    at = _artanh(x)
-    return (2 - x * x) * (2 * at) / (4 * x**3) - 1.0 / (x * x)
-
-
-def _artanh_cofactor(kind: int, x: float) -> float:
-    # h in the split m(x) = artanh(x) h(x) + p(x); h is regular at x = 1
-    if kind == 1:
-        return (3 * x * x - 1) / (8 * x**3)
-    if kind == 2:
-        return (1 + x * x) / (8 * x**3)
-    if kind == 3:
-        return -1.0 / (x * x)
-    return (3 - x * x) / (4 * x**3)
-
-
-def _regular_part(kind: int, x: float) -> float:
-    if kind == 1:
-        return 1.0 / (8 * x * x)
-    if kind == 2:
-        return -1.0 / (8 * x * x)
-    if kind == 3:
-        return 1.0 / x
-    return -3.0 / (4 * x * x)
-
-
-def g_functional(kind: int, params: ChannelParams) -> float:
-    """Difference of a basic moment at the two decay scales.
-
-    Evaluates moment_integral at x = coherence * overlap and at x = overlap
-    and returns their difference. Kept exactly in this form for the audit;
-    the default average assembly uses paired moments instead (see
-    `avg_fidelity_variant_pc` in the verify report).
-
-    Both arguments approach 1 as the amplitude vanishes and the individual
-    moments diverge, but their difference stays finite (limit
-    h(1) * log t); that regime is evaluated through a grouped form whose
-    endpoint gaps 1 - x come from expm1.
-    """
-    t, alpha = params.t, params.alpha
-    x = params.basis_overlap
-    y = params.coherence_factor * x
-    if x < 1.0 - 1e-6:
-        return moment_integral(kind, y) - moment_integral(kind, x)
-    gap_x = -math.expm1(-2.0 * (t * alpha) ** 2)  # 1 - x, exactly
-    gap_y = -math.expm1(-2.0 * alpha * alpha)     # 1 - y
-    at_x = float("inf") if gap_x == 0.0 else 0.5 * (math.log(2.0 - gap_x) - math.log(gap_x))
-    if y <= 0.5:
-        # widely separated scales: each moment is fine on its own stable path
-        m_x = at_x * _artanh_cofactor(kind, x) + _regular_part(kind, x)
-        return moment_integral(kind, y) - m_x
-    log_gap_ratio = math.log(t * t) if alpha == 0.0 else math.log(gap_x / gap_y)
-    d_artanh = 0.5 * (math.log1p(y) - math.log1p(x) + log_gap_ratio)
-    dh = _artanh_cofactor(kind, y) - _artanh_cofactor(kind, x)
-    first = 0.0 if dh == 0.0 else at_x * dh
-    return (first + _artanh_cofactor(kind, y) * d_artanh
-            + _regular_part(kind, y) - _regular_part(kind, x))
-
-
 # ---------------------------------------------------------------------------
 # paired moments <f_k / ((1 + x u)(1 + y u))> as divided differences
 
 
-def _x_closed(kind: int, z: float) -> float:
-    return z * _moment_closed(kind, z)
-
-
-def _x_series(kind: int, z: float) -> float:
-    z2 = z * z
-    total = 0.0
-    power = z  # z^(2k-1); kind 3 uses z^(2k)
-    for k in range(1, _SERIES_TERMS + 1):
-        total += _series_coeff(kind, k) * (power * z if kind == 3 else power)
-        power *= z2
-    return total
-
-
 def _x_eval(kind: int, z: float) -> float:
-    return _x_series(kind, z) if z < 0.03 else _x_closed(kind, z)
+    # X(z) = z m(z)
+    return z * (_moment_series(kind, z) if z < 0.03 else _moment_closed(kind, z))
 
 
 def _divdiff_artanh(x: float, y: float) -> float:
@@ -326,38 +247,19 @@ def _success_weighted_moments(t: float) -> tuple[float, float, float]:
 def avg_fidelity(direction: Direction, params: ChannelParams,
                  postselected: bool = False) -> float:
     """Closed-form Bloch average of the per-input teleportation fidelity."""
+    check_postselection(direction, postselected)
     t = params.t
     if direction is Direction.P_TO_C:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         return _pc_average(params)
     if direction is Direction.C_TO_P:
         q = params.coherence_factor
         return (2.0 + q) / 3.0 if postselected else t * t * (2.0 + q) / 3.0
     if direction is Direction.P_TO_S:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         return (t * t + 2.0 * t + 3.0) / 6.0
     a1, a2, a3 = _success_weighted_moments(t)
     if postselected:
         return t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3
     return t**4 * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3
-
-
-def avg_fidelity_variant_pc(params: ChannelParams) -> float:
-    """p->c average assembled through `g_functional` with a q/(q-1) prefactor.
-
-    Audit-only: this combination is not the partial-fraction identity for
-    1/((1+su)(1+q s u)) and disagrees with the quadrature by O(1); `verify`
-    measures the deviation. Undefined at q = 1 (r = 0).
-    """
-    s = params.basis_overlap
-    q = params.coherence_factor
-    if abs(1.0 - q) < 1e-12:
-        raise ValueError("variant assembly is singular at r = 0")
-    g = {k: g_functional(k, params) for k in (1, 2, 3, 4)}
-    return (q / (q - 1.0)) * (2.0 * g[1] + (2.0 * s * s + 2.0 * q) * g[2]
-                              + s * (1.0 + q) * g[3] + q * s * s * g[4])
 
 
 def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
@@ -387,27 +289,13 @@ def classical_limit(direction: Direction, params: ChannelParams) -> float:
     return 1.0 - 2.0 * (1.0 - s * s) * moment_integral(2, s)
 
 
-def classical_limit_variant(params: ChannelParams) -> float:
-    """Literal alternative expression for the p->c classical limit.
-
-    Audit-only: its small-overlap limit is not 2/3 (the bracketed polynomial
-    sits entirely outside the inverse-hyperbolic factor); kept so `verify`
-    can report the measured deviation against the quadrature.
-    """
-    s = params.basis_overlap
-    if not 0.0 < s < 1.0:
-        raise ValueError("variant needs overlap strictly inside (0, 1)")
-    return ((s + 3 * s**3 - (s**4 - 1.0)) / (4 * s**3)) * math.asinh(s / math.sqrt(1 - s * s))
-
-
 def classical_limit_quadrature(params: ChannelParams,
                                spec: QuadratureSpec | None = None) -> float:
     """Quadrature oracle of the classical strategy for p->c targets."""
     s = params.basis_overlap
 
     def per_input(theta, phi):
-        a = np.cos(theta / 2) * np.exp(1j * phi / 2)
-        b = np.sin(theta / 2) * np.exp(-1j * phi / 2)
+        a, b = _bloch_arrays(theta, phi)
         u = 2.0 * np.real(a * np.conj(b))
         num = np.abs(a) ** 2 * np.abs(a + b * s) ** 2 + np.abs(b) ** 2 * np.abs(a * s + b) ** 2
         return num / (1.0 + s * u)
@@ -437,19 +325,11 @@ def _overlap_success(s: float) -> float:
 def avg_success_probability(direction: Direction, params: ChannelParams,
                             postselected: bool = False) -> float:
     """Closed-form Bloch average of the per-input success probability."""
+    check_postselection(direction, postselected)
     t = params.t
-    if direction is Direction.P_TO_C:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
+    if not direction.onto_polarization:
         return t * t / 2.0
-    if direction is Direction.P_TO_S:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
-        return t * t / 2.0
-    if direction is Direction.C_TO_P:
-        base = _overlap_success(params.basis_overlap)
-    else:
-        base = 0.5
+    base = _overlap_success(params.basis_overlap) if direction is Direction.C_TO_P else 0.5
     return base * t * t / 2.0 if postselected else base
 
 

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +38,16 @@ from .teleport import (
     BlochInput,
     Direction,
     branch_probabilities_analytic,
+    check_postselection,
     per_input_fidelity,
     per_input_success_probability,
     pipeline_summary,
 )
 
 ORACLE_ALPHA_MAX = 2.0
+ENGINES = ("auto", "analytic", "oracle", "both")
 
-FIGURE_ALPHAS = {
-    "fig1": (0.5, 1.0, 2.0),
-    "fig2": (0.1, 1.0, 2.0, 10.0),
-    "fig3": (0.1, 1.0, 0.54, 10.0),
-    "fig5": (0.1, 1.0, 0.54, 10.0),
-}
+NEGATIVITY_ALPHAS = (0.5, 1.0, 2.0)  # fig1's amplitudes
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class SweepConfig:
             raise ValueError("r_steps must be >= 2")
         if self.alphas is not None and len(self.alphas) == 0:
             raise ValueError("alpha list must be nonempty")
-        if self.engine not in ("auto", "analytic", "oracle", "both"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     def r_grid(self) -> list[float]:
@@ -97,8 +94,27 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _parse_alphas(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+# options common to every subcommand, each both a flag (--r-min) and a config-file
+# key (r_min) read by the same parser: key -> (parser, further argparse settings)
+_COMMON_OPTIONS = {
+    "out": (str, {"help": "output path"}),
+    "engine": (str, {"choices": ENGINES}),
+    "r_min": (float, {}),
+    "r_max": (float, {}),
+    "r_steps": (int, {}),
+    "alpha": (_parse_alphas, {"help": "comma-separated amplitude list"}),
+    "truncation": (int, {"help": "Fock cutoff override"}),
+    "quad_theta": (int, {}),
+    "quad_phi": (int, {}),
+}
+
+
 def _parse_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+    values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,39 +122,21 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key not in _COMMON_OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = _COMMON_OPTIONS[key][0](val)
     return values
 
 
-def _parse_alphas(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
 def _build_config(args: argparse.Namespace) -> SweepConfig:
-    cfg = SweepConfig()
-    if getattr(args, "config", None):
-        raw = _parse_config_file(args.config)
-        known = {
-            "r_min": float, "r_max": float, "r_steps": int,
-            "alpha": _parse_alphas, "truncation": int,
-            "quad_theta": int, "quad_phi": int, "engine": str, "out": str,
-        }
-        updates = {}
-        for key, val in raw.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            target = "alphas" if key == "alpha" else key
-            updates[target] = known[key](val)
-        cfg = replace(cfg, **updates)
-    overrides = {}
-    for attr in ("r_min", "r_max", "r_steps", "truncation", "quad_theta", "quad_phi",
-                 "engine", "out"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[attr] = val
-    if isinstance(getattr(args, "alpha", None), str):
-        overrides["alphas"] = _parse_alphas(args.alpha)
-    return replace(cfg, **overrides)
+    """The config file's settings, if one is given, with the flags on top."""
+    given = _parse_config_file(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in _COMMON_OPTIONS
+                 if getattr(args, key) is not None)
+    if "alpha" in given:
+        given["alphas"] = given.pop("alpha")
+    return SweepConfig(**given)
 
 
 def _resolve_engine(engine: str, alpha: float) -> str:
@@ -152,11 +150,13 @@ def _resolve_engine(engine: str, alpha: float) -> str:
     return engine
 
 
-def _check_truncation(dim: int, alpha: float, direction: Direction) -> None:
+def _check_truncation(dim: int | None, alpha: float, even: bool = False) -> None:
     """Reject a Fock cutoff the coherent-state oracle cannot use, before any work."""
+    if dim is None:
+        return
     if dim < 2:
         raise SystemExit(f"--truncation must be at least 2, got {dim}")
-    if direction is Direction.C_TO_P and dim % 2:
+    if even and dim % 2:
         raise SystemExit(f"--truncation must be even for c-to-p (parity readout), got {dim}")
     tail = coherent_tail_mass(alpha, dim)
     if tail > COHERENT_TAIL_TOL:
@@ -181,108 +181,74 @@ def _alpha_tag(alpha: float) -> str:
 # figure command
 
 
+def _half_survival(r: float, alpha: float, run) -> float:
+    return (1 - r * r) / 2  # t^2/2, the p->c and p->s success probability at any amplitude
+
+
+_at = ChannelParams.from_r
+
+# Each figure: (default amplitudes, one CSV per amplitude?, columns). A column is
+# (header, value at (r, alpha, run)) with run = (engine, truncation); a header with
+# "{a}" repeats for each amplitude, any other is taken at the CSV's first amplitude.
+# The values look the library functions up by name when called.
+_FIGURES = {
+    "fig1": (NEGATIVITY_ALPHAS, False, (
+        ("N_ps", lambda r, a, run: negativity_ps_analytic(math.sqrt(1 - r * r))),
+        ("N_pc_a{a}", lambda r, a, run: _negativity_value(_at(r, a), *run)),
+    )),
+    "fig2": ((0.1, 1.0, 2.0, 10.0), True, (
+        ("F_p_to_c", lambda r, a, run: avg_fidelity(Direction.P_TO_C, _at(r, a))),
+        ("F_c_to_p", lambda r, a, run: avg_fidelity(Direction.C_TO_P, _at(r, a))),
+        ("F_cl_p_to_c", lambda r, a, run: classical_limit(Direction.P_TO_C, _at(r, a))),
+        ("F_cl_c_to_p", lambda r, a, run: classical_limit(Direction.C_TO_P, _at(r, a))),
+    )),
+    "fig3": ((0.1, 1.0, 0.54, 10.0), False, (
+        ("P_p_to_c", _half_survival),
+        ("P_c_to_p_a{a}",
+         lambda r, a, run: avg_success_probability(Direction.C_TO_P, _at(r, a))),
+    )),
+    "fig4": ((1.0,), False, (
+        ("F_p_to_s", lambda r, a, run: avg_fidelity(Direction.P_TO_S, _at(r, 1.0))),
+        ("F_s_to_p", lambda r, a, run: avg_fidelity(Direction.S_TO_P, _at(r, 1.0))),
+        ("P_p_to_s", lambda r, a, run: avg_success_probability(Direction.P_TO_S, _at(r, 1.0))),
+        ("P_s_to_p", lambda r, a, run: avg_success_probability(Direction.S_TO_P, _at(r, 1.0))),
+    )),
+    "fig5": ((0.1, 1.0, 0.54, 10.0), False, (
+        ("P_p_to_c", _half_survival),
+        ("P_post_c_to_p_a{a}", lambda r, a, run: avg_success_probability(
+            Direction.C_TO_P, _at(r, a), postselected=True)),
+        ("P_p_to_s", _half_survival),
+        ("P_post_s_to_p", lambda r, a, run: avg_success_probability(
+            Direction.S_TO_P, _at(r, 1.0), postselected=True)),
+    )),
+}
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     fig = args.id
     out = Path(cfg.out or f"{fig}.csv")
-    rs = cfg.r_grid()
-
-    if fig == "fig1":
-        alphas = cfg.alphas or FIGURE_ALPHAS["fig1"]
-        engines = {a: _resolve_engine(cfg.engine if cfg.engine != "both" else "auto", a)
-                   for a in alphas}
-        header = ["r", "N_ps"] + [f"N_pc_a{_alpha_tag(a)}" for a in alphas] + ["engine"]
-        tag = sorted(set(engines.values()))
-        rows = []
-        for r in rs:
-            row = [r, negativity_ps_analytic(math.sqrt(1 - r * r))]
-            for a in alphas:
-                row.append(_negativity_value(ChannelParams.from_r(r, a), engines[a],
-                                             cfg.truncation))
-            row.append(tag[0] if len(tag) == 1 else "mixed")
-            rows.append(row)
-        _write_csv(out, header, rows)
-        print(out)
-        return 0
-
-    if cfg.engine == "oracle":
+    defaults, panels, columns = _FIGURES[fig]
+    alphas = cfg.alphas or defaults
+    if fig != "fig1" and cfg.engine == "oracle":
         raise SystemExit(f"{fig} is produced from the closed forms; use --engine analytic/auto")
-
-    if fig == "fig2":
-        alphas = cfg.alphas or FIGURE_ALPHAS["fig2"]
-        header = ["r", "F_p_to_c", "F_c_to_p", "F_cl_p_to_c", "F_cl_c_to_p", "engine"]
-        written = []
-        for a in alphas:
-            rows = []
-            for r in rs:
-                params = ChannelParams.from_r(r, a)
-                rows.append([
-                    r,
-                    avg_fidelity(Direction.P_TO_C, params),
-                    avg_fidelity(Direction.C_TO_P, params),
-                    classical_limit(Direction.P_TO_C, params),
-                    classical_limit(Direction.C_TO_P, params),
-                    "analytic",
-                ])
-            panel = out.with_name(f"{out.stem}_alpha{_alpha_tag(a)}{out.suffix}")
-            _write_csv(panel, header, rows)
-            written.append(panel)
-        print("\n".join(str(p) for p in written))
-        return 0
-
-    if fig == "fig3":
-        alphas = cfg.alphas or FIGURE_ALPHAS["fig3"]
-        header = ["r", "P_p_to_c"] + [f"P_c_to_p_a{_alpha_tag(a)}" for a in alphas] + ["engine"]
-        rows = []
-        for r in rs:
-            row = [r, (1 - r * r) / 2]
-            for a in alphas:
-                row.append(avg_success_probability(Direction.C_TO_P, ChannelParams.from_r(r, a)))
-            row.append("analytic")
-            rows.append(row)
-        _write_csv(out, header, rows)
-        print(out)
-        return 0
-
-    if fig == "fig4":
-        header = ["r", "F_p_to_s", "F_s_to_p", "P_p_to_s", "P_s_to_p", "engine"]
-        rows = []
-        for r in rs:
-            params = ChannelParams.from_r(r, 1.0)
-            rows.append([
-                r,
-                avg_fidelity(Direction.P_TO_S, params),
-                avg_fidelity(Direction.S_TO_P, params),
-                avg_success_probability(Direction.P_TO_S, params),
-                avg_success_probability(Direction.S_TO_P, params),
-                "analytic",
-            ])
-        _write_csv(out, header, rows)
-        print(out)
-        return 0
-
-    if fig == "fig5":
-        alphas = cfg.alphas or FIGURE_ALPHAS["fig5"]
-        header = (["r", "P_p_to_c"]
-                  + [f"P_post_c_to_p_a{_alpha_tag(a)}" for a in alphas]
-                  + ["P_p_to_s", "P_post_s_to_p", "engine"])
-        rows = []
-        for r in rs:
-            t2 = 1 - r * r
-            row = [r, t2 / 2]
-            for a in alphas:
-                row.append(avg_success_probability(
-                    Direction.C_TO_P, ChannelParams.from_r(r, a), postselected=True))
-            params = ChannelParams.from_r(r, 1.0)
-            row.append(t2 / 2)
-            row.append(avg_success_probability(Direction.S_TO_P, params, postselected=True))
-            row.append("analytic")
-            rows.append(row)
-        _write_csv(out, header, rows)
-        print(out)
-        return 0
-
-    raise SystemExit(f"unknown figure id {fig!r}")
+    # negativity is the one figure the oracle reproduces
+    engine = ("auto" if cfg.engine == "both" else cfg.engine) if fig == "fig1" else "analytic"
+    engines = {a: _resolve_engine(engine, a) for a in alphas}
+    for a in alphas:
+        if engines[a] == "oracle":
+            _check_truncation(cfg.truncation, a)
+    tag = engines[alphas[0]] if len(set(engines.values())) == 1 else "mixed"
+    csvs = ([(out.with_name(f"{out.stem}_alpha{_alpha_tag(a)}{out.suffix}"), (a,))
+             for a in alphas] if panels else [(out, alphas)])
+    for path, amps in csvs:
+        cols = [(name.format(a=_alpha_tag(a)), value, a) for name, value in columns
+                for a in (amps if "{a}" in name else amps[:1])]
+        rows = [[r] + [value(r, a, (engines[a], cfg.truncation)) for _, value, a in cols]
+                + [tag] for r in cfg.r_grid()]
+        _write_csv(path, ["r"] + [name for name, _, _ in cols] + ["engine"], rows)
+    print("\n".join(str(path) for path, _ in csvs))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +257,23 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_negativity(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    alphas = cfg.alphas or FIGURE_ALPHAS["fig1"]
+    alphas = cfg.alphas or NEGATIVITY_ALPHAS
     out = Path(cfg.out or "negativity.csv")
+    if cfg.engine == "both":
+        engines = {a: ("analytic", "oracle") if a <= ORACLE_ALPHA_MAX else ("analytic",)
+                   for a in alphas}
+    else:
+        engines = {a: (_resolve_engine(cfg.engine, a),) for a in alphas}
+    for a in alphas:
+        if "oracle" in engines[a]:
+            _check_truncation(cfg.truncation, a)
     header = ["r", "channel", "alpha", "negativity", "engine"]
     rows = []
     for r in cfg.r_grid():
         rows.append([r, "ps", "", negativity_ps_analytic(math.sqrt(1 - r * r)), "analytic"])
         for a in alphas:
             params = ChannelParams.from_r(r, a)
-            if cfg.engine == "both":
-                engines = ("analytic", "oracle") if a <= ORACLE_ALPHA_MAX else ("analytic",)
-            else:
-                engines = (_resolve_engine(cfg.engine, a),)
-            for eng in engines:
+            for eng in engines[a]:
                 rows.append([r, "pc", a, _negativity_value(params, eng, cfg.truncation), eng])
     _write_csv(out, header, rows)
     print(out)
@@ -327,7 +297,7 @@ def cmd_average(args: argparse.Namespace) -> int:
             params = ChannelParams.from_r(r, a)
             for d in directions:
                 post_f = post_p = ""
-                if d in (Direction.C_TO_P, Direction.S_TO_P):
+                if d.onto_polarization:
                     post_f = avg_fidelity(d, params, postselected=True)
                     post_p = avg_success_probability(d, params, postselected=True)
                 rows.append([
@@ -356,13 +326,14 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         params = ChannelParams(t=args.t, alpha=alpha)
     else:
         params = ChannelParams.from_r(args.r if args.r is not None else 0.0, alpha)
+    if direction is Direction.C_TO_P and params.alpha == 0.0:
+        raise SystemExit("c-to-p needs alpha > 0: the two coherent basis states coincide at 0")
     inp = BlochInput(theta=args.theta, phi=args.phi)
     engine = cfg.engine if cfg.engine != "auto" else "analytic"
     if engine in ("oracle", "both") and params.alpha > ORACLE_ALPHA_MAX:
         raise SystemExit(f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g}")
-    fock_oracle = engine in ("oracle", "both") and direction in (Direction.P_TO_C, Direction.C_TO_P)
-    if fock_oracle and cfg.truncation is not None:
-        _check_truncation(cfg.truncation, params.alpha, direction)
+    if engine in ("oracle", "both") and direction in (Direction.P_TO_C, Direction.C_TO_P):
+        _check_truncation(cfg.truncation, params.alpha, even=direction is Direction.C_TO_P)
 
     record = {
         "direction": direction.value,
@@ -375,8 +346,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         "postselected": bool(args.postselected),
     }
     post = bool(args.postselected)
-    if post and direction not in (Direction.C_TO_P, Direction.S_TO_P):
-        raise SystemExit("postselection applies to teleportation onto polarization")
+    try:
+        check_postselection(direction, post)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if engine in ("analytic", "both"):
         record["analytic"] = {
             "fidelity": per_input_fidelity(direction, inp, params, postselected=post),
@@ -433,15 +406,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--engine", choices=["auto", "analytic", "oracle", "both"])
-    parser.add_argument("--r-min", dest="r_min", type=float)
-    parser.add_argument("--r-max", dest="r_max", type=float)
-    parser.add_argument("--r-steps", dest="r_steps", type=int)
-    parser.add_argument("--alpha", help="comma-separated amplitude list")
-    parser.add_argument("--truncation", type=int, help="Fock cutoff override")
-    parser.add_argument("--quad-theta", dest="quad_theta", type=int)
-    parser.add_argument("--quad-phi", dest="quad_phi", type=int)
+    for key, (parse, settings) in _COMMON_OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=parse, **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figure", help="CSV data behind one reference figure")
-    p_fig.add_argument("id", choices=["fig1", "fig2", "fig3", "fig4", "fig5"])
+    p_fig.add_argument("id", choices=list(_FIGURES))
     _add_common(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 

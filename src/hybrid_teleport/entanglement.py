@@ -41,22 +41,3 @@ def negativity_pc_closed(params: ChannelParams) -> float:
     excess = q * (2.0 + q - 4.0 * s * s)  # (1+q)^2 - 4 q s^2 - 1
     return 0.5 * t2 * (excess / (1.0 + math.sqrt(1.0 + excess)) + q)
 
-
-def negativity_pc_variant(params: ChannelParams) -> float:
-    """Closed-form variant that overstates the negativity by a constant scale.
-
-    Kept for the verification audit: it exceeds the numeric partial-transpose
-    value by a constant factor (measured 4.0 across the whole parameter grid;
-    see the `verify` report). Requires alpha > 0.
-    """
-    if params.alpha <= 0.0:
-        raise ValueError("variant form needs alpha > 0")
-    t2 = params.t * params.t
-    q = params.coherence_factor
-    s = params.basis_overlap
-    np2 = 1.0 / (2.0 + 2.0 * s)  # squared normalization of the even superposition
-    nm2 = 1.0 / (2.0 - 2.0 * s)  # squared normalization of the odd superposition
-    return (t2 / (2.0 * np2 * nm2)) * (
-        (q - 1.0) * (np2 + nm2)
-        + math.sqrt(16.0 * q * np2 * nm2 + (1.0 - q) ** 2 * (np2 + nm2) ** 2)
-    )

@@ -47,6 +47,10 @@ class Direction(Enum):
     P_TO_S = "p->s"
     S_TO_P = "s->p"
 
+    def __init__(self, value: str) -> None:
+        # the target is polarization, the only output postselection applies to
+        self.onto_polarization = value.endswith("->p")
+
     @classmethod
     def parse(cls, text: str) -> "Direction":
         key = text.strip().lower().replace("_", "-").replace("to", ">").replace("-", "")
@@ -54,6 +58,12 @@ class Direction(Enum):
         if key not in table:
             raise ValueError(f"unknown direction {text!r}; use one of p-to-c, c-to-p, p-to-s, s-to-p")
         return table[key]
+
+
+def check_postselection(direction: Direction, postselected: bool) -> None:
+    """Postselection filters on photon arrival at a polarization output, so only there."""
+    if postselected and not direction.onto_polarization:
+        raise ValueError("postselection applies to teleportation onto polarization")
 
 
 @dataclass(frozen=True)
@@ -376,7 +386,7 @@ def target_state(
         v = a * coherent_ket(params.t * params.alpha, dim).amplitudes \
             + b * coherent_ket(-params.t * params.alpha, dim).amplitudes
         return StateVector(layout_of(fock_mode(dim)), v).normalized()
-    if direction in (Direction.C_TO_P, Direction.S_TO_P):
+    if direction.onto_polarization:
         v = a * basis_ket(polarization_mode(), H_IDX).amplitudes \
             + b * basis_ket(polarization_mode(), V_IDX).amplitudes
         return StateVector(layout_of(polarization_mode()), v)
@@ -395,13 +405,12 @@ def _bloch_arrays(theta, phi):
 def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
                     postselected: bool = False):
     """Vectorized per-input fidelity; arrays of Bloch angles in, arrays out."""
+    check_postselection(direction, postselected)
     a, b = _bloch_arrays(theta, phi)
     p = np.abs(a) ** 2
     q2 = np.abs(b) ** 2
     t = params.t
     if direction is Direction.P_TO_C:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         s = params.basis_overlap
         qf = params.coherence_factor
         u = 2.0 * np.real(a * np.conj(b))
@@ -413,8 +422,6 @@ def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
         base = p * p + q2 * q2 + 2.0 * qf * p * q2
         return base if postselected else t * t * base
     if direction is Direction.P_TO_S:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         return p * p + t * t * q2 * q2 + (1.0 - t * t + 2.0 * t) * p * q2
     # S_TO_P
     denom = t * t * p + (2.0 - t * t) * q2
@@ -428,14 +435,13 @@ def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
 def success_kernel(direction: Direction, theta, phi, params: ChannelParams,
                    postselected: bool = False):
     """Vectorized per-input success probability."""
+    check_postselection(direction, postselected)
     a, b = _bloch_arrays(theta, phi)
     p = np.abs(a) ** 2
     q2 = np.abs(b) ** 2
     t = params.t
     post = t * t / 2.0
     if direction is Direction.P_TO_C:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         mod = params.coherence_factor * params.basis_overlap  # exp(-2 alpha^2)
         u = 2.0 * np.real(a * np.conj(b))
         return t * t * (1.0 + mod * u) / 2.0
@@ -445,8 +451,6 @@ def success_kernel(direction: Direction, theta, phi, params: ChannelParams,
         base = (1.0 - s) / (1.0 + s * u)
         return base * post if postselected else base
     if direction is Direction.P_TO_S:
-        if postselected:
-            raise ValueError("postselection applies to teleportation onto polarization")
         return np.broadcast_to(t * t / 2.0, p.shape).copy() if p.ndim else t * t / 2.0
     base = (t * t * p + (2.0 - t * t) * q2) / 2.0
     return base * post if postselected else base
@@ -461,30 +465,6 @@ def per_input_success_probability(direction: Direction, inp: BlochInput,
                                   params: ChannelParams,
                                   postselected: bool = False) -> float:
     return float(success_kernel(direction, inp.theta, inp.phi, params, postselected))
-
-
-def per_input_fidelity_variant(direction: Direction, inp: BlochInput,
-                               params: ChannelParams) -> float:
-    """Closed-form variants kept for the verification audit.
-
-    For p->c the coherence term carries swapped conjugations (agrees with the
-    default only for phi in {0, pi}); for c->p the coherence weight is half
-    of the value the pipeline produces. See the `verify` audit ledger.
-    """
-    a, b = inp.a, inp.b
-    p, q2 = abs(a) ** 2, abs(b) ** 2
-    t = params.t
-    if direction is Direction.P_TO_C:
-        s = params.basis_overlap
-        qf = params.coherence_factor
-        u = 2.0 * (a * b.conjugate()).real
-        num = (p * abs(a + b * s) ** 2 + q2 * abs(a * s + b) ** 2
-               + 2.0 * qf * (a * b.conjugate() * (a + b * s) * (a.conjugate() * s + b.conjugate())).real)
-        return float(num / ((1.0 + s * u) * (1.0 + qf * s * u)))
-    if direction is Direction.C_TO_P:
-        qf = params.coherence_factor
-        return float(t * t * (p * p + q2 * q2 + qf * p * q2))
-    raise ValueError("no audited variant for this direction")
 
 
 def branch_probabilities_analytic(direction: Direction, inp: BlochInput,
@@ -543,6 +523,7 @@ def pipeline_summary(
     postselected: bool = False,
 ) -> dict:
     """Run the numeric pipeline and reduce it to fidelity plus probabilities."""
+    check_postselection(direction, postselected)
     if direction is Direction.P_TO_C:
         outcomes = teleport_p_to_c(inp, params, dim=dim, channel=channel)
     elif direction is Direction.C_TO_P:
@@ -555,8 +536,6 @@ def pipeline_summary(
     prob = success_probability(outcomes)
     output = combined_success_output(outcomes)
     if postselected:
-        if direction not in (Direction.C_TO_P, Direction.S_TO_P):
-            raise ValueError("postselection applies to teleportation onto polarization")
         output, kept = postselect_polarization(output)
         prob = prob * kept * 0.5  # photon-arrival filter plus the gadget's Bell measurement
     tdim = output.layout.dims[0] if direction is Direction.P_TO_C else None

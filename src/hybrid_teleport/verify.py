@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import averages, entanglement, teleport
+from . import audits, averages, entanglement, teleport
 from .averages import QuadratureSpec
 from .channels import (
     ChannelParams,
@@ -104,7 +104,7 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
             if dev > worst_pc:
                 worst_pc, at_pc = dev, {"r": r, "alpha": alpha}
             if num > 1e-6:
-                ratios.append(entanglement.negativity_pc_variant(params) / num)
+                ratios.append(audits.negativity_pc_variant(params) / num)
     schmidt = abs(
         entanglement.negativity_numeric(rho_pc_analytic(ChannelParams(1.0, 1.0), 24))
         - math.sqrt(1.0 - math.exp(-4.0))
@@ -114,7 +114,7 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
         _check("negativity_pc_numeric_vs_closed", worst_pc, 1e-9, at_pc),
         _check("negativity_pc_schmidt_point", schmidt, 1e-9),
     ]
-    audits = [
+    ledger = [
         _audit(
             "negativity_pc_variant_scale",
             "closed-form variant over numeric negativity; a constant scale, "
@@ -123,7 +123,7 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
              "ratio_mean": float(np.mean(ratios))},
         )
     ]
-    return checks, audits
+    return checks, ledger
 
 
 def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[list[dict], list[dict]]:
@@ -134,8 +134,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
     worst_valid = 0.0
     worst_post = 0.0
     worst_vacuum = 0.0
-    variant_dev_pc = 0.0
-    variant_dev_cp = 0.0
+    variant_dev = {Direction.P_TO_C: 0.0, Direction.C_TO_P: 0.0}
     fitted_mod = []
     fitted_weight = []
 
@@ -168,7 +167,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
                                 max(0.0, -o.output.min_eigenvalue()),
                                 abs(o.output.trace() - 1.0),
                             )
-                    if d in (Direction.C_TO_P, Direction.S_TO_P):
+                    if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
                                                          postselected=True)
                         worst_post = max(
@@ -179,14 +178,10 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
                                 - teleport.per_input_success_probability(
                                     d, inp, params, postselected=True)),
                         )
-                    if d is Direction.P_TO_C:
-                        dev = abs(teleport.per_input_fidelity_variant(d, inp, params)
+                    if d in variant_dev:
+                        dev = abs(audits.per_input_fidelity_variant(d, inp, params)
                                   - summary["fidelity"])
-                        variant_dev_pc = max(variant_dev_pc, dev)
-                    if d is Direction.C_TO_P:
-                        dev = abs(teleport.per_input_fidelity_variant(d, inp, params)
-                                  - summary["fidelity"])
-                        variant_dev_cp = max(variant_dev_cp, dev)
+                        variant_dev[d] = max(variant_dev[d], dev)
 
             # vacuum removal and the success-modulation constant, once per (r, alpha)
             inp = BlochInput(math.pi / 2, 0.0)
@@ -219,7 +214,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
         _check("postselect_removes_vacuum", worst_vacuum, 1e-14),
     ]
     mod_residual = max(abs(m - qs) for _, m, qs in fitted_mod)
-    audits = [
+    ledger = [
         _audit(
             "pc_success_modulation_constant",
             "modulation of the p->c success probability around t^2/2, fitted from "
@@ -233,16 +228,16 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
             "weight of the coherence term in the c->p output fidelity, read off the "
             "pipeline; the weight-1 closed-form variant deviates by the measured amount",
             {"fitted_weight": float(np.mean(fitted_weight)),
-             "variant_max_deviation": variant_dev_cp},
+             "variant_max_deviation": variant_dev[Direction.C_TO_P]},
         ),
         _audit(
             "pc_per_input_conjugation",
             "p->c per-input fidelity variant with swapped conjugations in the "
             "coherence term; agrees with the pipeline only at phi in {0, pi}",
-            {"variant_max_deviation": variant_dev_pc},
+            {"variant_max_deviation": variant_dev[Direction.P_TO_C]},
         ),
     ]
-    return checks, audits
+    return checks, ledger
 
 
 def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
@@ -272,23 +267,23 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
     )
     variant_devs = {}
     for x in (1e-3, 0.1, 0.5):
-        measured = averages.moment_integral_variant4(x) - averages.moment_integral(4, x)
+        measured = audits.moment_integral_variant4(x) - averages.moment_integral(4, x)
         predicted = (1 - x * x) * math.atanh(x) / (4 * x**3) - 1.0 / (4 * x * x)
         variant_devs[x] = {"deviation": measured, "residual_vs_formula": abs(measured - predicted)}
     checks = [
         _check("moment_integrals_vs_quadrature", worst, 1e-8, at),
         _check("moment_series_closed_seam", seam, 1e-9),
     ]
-    audits = [
+    ledger = [
         _audit(
             "fourth_moment_variant_limit",
             "kind-4 closed-form variant approaches -1/6 instead of 0 at x -> 0; "
             "deviation equals (1-x^2) artanh(x)/(4x^3) - 1/(4x^2)",
-            {"value_at_1e-3": averages.moment_integral_variant4(1e-3),
+            {"value_at_1e-3": audits.moment_integral_variant4(1e-3),
              "deviations": {str(k): v for k, v in variant_devs.items()}},
         )
     ]
-    return checks, audits
+    return checks, ledger
 
 
 def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
@@ -303,19 +298,14 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
         for r in r_grid:
             params = ChannelParams.from_r(r, alpha)
             for d in Direction:
-                dev = abs(averages.avg_fidelity(d, params)
-                          - averages.avg_fidelity_quadrature(d, params, spec))
-                track(dev, {"what": f"F_{d.value}", "r": r, "alpha": alpha})
-                dev = abs(averages.avg_success_probability(d, params)
-                          - averages.avg_success_quadrature(d, params, spec))
-                track(dev, {"what": f"P_{d.value}", "r": r, "alpha": alpha})
-                if d in (Direction.C_TO_P, Direction.S_TO_P):
-                    dev = abs(averages.avg_fidelity(d, params, postselected=True)
-                              - averages.avg_fidelity_quadrature(d, params, spec, postselected=True))
-                    track(dev, {"what": f"F_post_{d.value}", "r": r, "alpha": alpha})
-                    dev = abs(averages.avg_success_probability(d, params, postselected=True)
-                              - averages.avg_success_quadrature(d, params, spec, postselected=True))
-                    track(dev, {"what": f"P_post_{d.value}", "r": r, "alpha": alpha})
+                for post in (False, True) if d.onto_polarization else (False,):
+                    tag = f"_post_{d.value}" if post else f"_{d.value}"
+                    dev = abs(averages.avg_fidelity(d, params, postselected=post)
+                              - averages.avg_fidelity_quadrature(d, params, spec, postselected=post))
+                    track(dev, {"what": "F" + tag, "r": r, "alpha": alpha})
+                    dev = abs(averages.avg_success_probability(d, params, postselected=post)
+                              - averages.avg_success_quadrature(d, params, spec, postselected=post))
+                    track(dev, {"what": "P" + tag, "r": r, "alpha": alpha})
             dev = abs(averages.classical_limit(Direction.P_TO_C, params)
                       - averages.classical_limit_quadrature(params, spec))
             track(dev, {"what": "F_cl_p->c", "r": r, "alpha": alpha})
@@ -362,9 +352,9 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
 
     # audited variants
     ref = ChannelParams.from_r(0.6, 1.0)
-    variant_avg = abs(averages.avg_fidelity_variant_pc(ref)
+    variant_avg = abs(audits.avg_fidelity_variant_pc(ref)
                       - averages.avg_fidelity_quadrature(Direction.P_TO_C, ref, spec))
-    variant_cl = abs(averages.classical_limit_variant(ref)
+    variant_cl = abs(audits.classical_limit_variant(ref)
                      - averages.classical_limit_quadrature(ref, spec))
     gap_fn = lambda r: abs(
         averages.avg_fidelity(Direction.P_TO_S, ChannelParams.from_r(r, 1.0))
@@ -373,7 +363,7 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
     gaps = [(r, gap_fn(r)) for r in np.linspace(0.01, 0.99, 99)]
     max_r, max_gap = max(gaps, key=lambda kv: kv[1])
     r_below = [r for r, g in gaps if g < 0.01]
-    audits = [
+    ledger = [
         _audit(
             "pc_average_assembly",
             "p->c average assembled through the single-scale moment differences "
@@ -396,7 +386,7 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
              "largest_r_with_gap_below_0.01": float(max(r_below)) if r_below else None},
         ),
     ]
-    return checks, audits
+    return checks, ledger
 
 
 def run_battery(
@@ -411,7 +401,7 @@ def run_battery(
     spec = spec or QuadratureSpec()
     started = time.perf_counter()
     checks: list[dict] = []
-    audits: list[dict] = []
+    ledger: list[dict] = []
     timings: dict[str, float] = {}
     phases = (
         ("channel", lambda: (_channel_checks(r_grid, oracle_alphas), [])),
@@ -425,7 +415,7 @@ def run_battery(
         c, a = run()
         timings[phase] = round(time.perf_counter() - phase_started, 3)
         checks.extend(c)
-        audits.extend(a)
+        ledger.extend(a)
 
     return {
         "passed": all(ch["pass"] for ch in checks),
@@ -434,7 +424,7 @@ def run_battery(
                  "oracle_alphas": list(oracle_alphas), "pipeline_r": list(pipeline_r),
                  "quadrature": [spec.n_theta, spec.n_phi]},
         "checks": checks,
-        "audits": audits,
+        "audits": ledger,
         "timings": timings,
     }
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hybrid_teleport import audits
 from hybrid_teleport import averages as av
 from hybrid_teleport import channels as ch
 from hybrid_teleport import teleport as tp
@@ -95,9 +96,9 @@ class TestMomentIntegrals:
 
     def test_variant_kind4_has_wrong_limit(self):
         # deviation approaches -1/6 at x -> 0 and follows the measured law
-        assert av.moment_integral_variant4(1e-3) == pytest.approx(-1 / 6, abs=1e-5)
+        assert audits.moment_integral_variant4(1e-3) == pytest.approx(-1 / 6, abs=1e-5)
         for x in (0.1, 0.5, 0.9):
-            dev = av.moment_integral_variant4(x) - av.moment_integral(4, x)
+            dev = audits.moment_integral_variant4(x) - av.moment_integral(4, x)
             law = (1 - x * x) * math.atanh(x) / (4 * x**3) - 1 / (4 * x * x)
             assert dev == pytest.approx(law, abs=1e-12)
 
@@ -160,7 +161,7 @@ class TestGFunctional:
     def test_vanishes_without_decoherence(self):
         params = ch.ChannelParams(t=1.0, alpha=1.0)
         for kind in (1, 2, 3, 4):
-            assert av.g_functional(kind, params) == 0.0
+            assert audits.g_functional(kind, params) == 0.0
 
     def test_reference_point(self):
         params = ch.ChannelParams(t=math.sqrt(0.5), alpha=1.0)
@@ -172,7 +173,7 @@ class TestGFunctional:
             - oracles.sphere_average(lambda th, ph: moment_kernel(3)(th, ph)
                                      / (1 + s * np.sin(th) * np.cos(ph)))
         )
-        assert av.g_functional(3, params) == pytest.approx(oracle, abs=1e-10)
+        assert audits.g_functional(3, params) == pytest.approx(oracle, abs=1e-10)
 
     def test_degenerate_basis_limit(self):
         # both moment arguments tend to 1; the difference stays finite with
@@ -181,9 +182,9 @@ class TestGFunctional:
         limits = {1: math.log(t) / 4, 2: math.log(t) / 4,
                   3: -math.log(t), 4: math.log(t) / 2}
         for kind, expect in limits.items():
-            assert av.g_functional(kind, ch.ChannelParams(t, 1e-8)) == \
+            assert audits.g_functional(kind, ch.ChannelParams(t, 1e-8)) == \
                 pytest.approx(expect, abs=1e-9)
-            assert av.g_functional(kind, ch.ChannelParams(t, 0.0)) == \
+            assert audits.g_functional(kind, ch.ChannelParams(t, 0.0)) == \
                 pytest.approx(expect, abs=1e-12)
 
     def test_accurate_on_both_sides_of_the_grouped_switch(self):
@@ -207,7 +208,7 @@ class TestGFunctional:
         cases += [(1e-6, 3.0), (1e-4, 2.0)]  # overlap ~ 1 with a far-off second scale
         for kind in (1, 2, 3, 4):
             for t, alpha in cases:
-                lib = av.g_functional(kind, ch.ChannelParams(t, alpha))
+                lib = audits.g_functional(kind, ch.ChannelParams(t, alpha))
                 ref = reference(kind, t, alpha)
                 assert min(abs(lib - ref), abs(lib - ref) / abs(ref)) < 1e-10
 
@@ -271,7 +272,7 @@ class TestAveragedFidelities:
     def test_pc_variant_assembly_is_off(self):
         params = ch.ChannelParams.from_r(0.6, 1.0)
         exact = av.avg_fidelity(Direction.P_TO_C, params)
-        assert abs(av.avg_fidelity_variant_pc(params) - exact) > 0.1
+        assert abs(audits.avg_fidelity_variant_pc(params) - exact) > 0.1
 
     def test_postselection_rejected_for_field_targets(self):
         params = ch.ChannelParams(t=0.8, alpha=1.0)
@@ -313,7 +314,7 @@ class TestClassicalLimit:
 
     def test_variant_expression_is_off(self):
         params = ch.ChannelParams.from_r(0.6, 1.0)
-        assert abs(av.classical_limit_variant(params)
+        assert abs(audits.classical_limit_variant(params)
                    - av.classical_limit(Direction.P_TO_C, params)) > 0.1
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,16 @@ class TestFigureCommand:
             run("figure", "fig1", "--alpha", "10", "--engine", "oracle",
                 "--out", str(tmp_path / "x.csv"))
 
+    def test_figures_match_pinned_digests(self, tmp_path):
+        # the figure CSVs are byte-identical to the digests the benchmark pins
+        pinned = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
+                             / "figure_digests.json").read_text())
+        for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+            assert run("figure", fig, "--out", str(tmp_path / f"{fig}.csv")) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.glob("*.csv")}
+        assert written == pinned
+
     def test_float_formatting_is_12_digits(self, tmp_path):
         out = tmp_path / "fig4.csv"
         run("figure", "fig4", "--out", str(out))
@@ -107,6 +119,42 @@ class TestSweepCommands:
         with pytest.raises(SystemExit):
             run("negativity", "--alpha", "10", "--engine", "oracle",
                 "--out", str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("command", [("negativity", "--engine", "oracle"),
+                                         ("negativity", "--engine", "both"),
+                                         ("figure", "fig1")],
+                             ids=["negativity-oracle", "negativity-both", "fig1"])
+    @pytest.mark.parametrize("truncation, message", [
+        ("10", "too small for alpha=1"), ("1", "at least 2"), ("0", "at least 2")])
+    def test_bad_negativity_truncation_fails_early(self, command, truncation, message,
+                                                   monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "negativity_ps_analytic", never)
+        monkeypatch.setattr(cli, "rho_pc_analytic", never)
+        out = tmp_path / "neg.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--alpha", "1", "--truncation", truncation, "--out", str(out))
+        text = str(exc.value.code)
+        assert message in text and "\n" not in text
+        assert not out.exists()
+
+    def test_negativity_truncation_checks_only_what_the_oracle_uses(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        # no parity rule: an odd cutoff serves the negativity oracle
+        assert run("negativity", "--engine", "oracle", "--alpha", "1", "--truncation", "35",
+                   "--r-steps", "3", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert run("negativity", "--engine", "analytic", "--alpha", "1", "--r-steps", "3",
+                   "--out", str(out)) == 0
+        _, closed = read_csv(out)
+        for row, ref in zip(rows, closed):
+            assert float(row[3]) == pytest.approx(float(ref[3]), abs=1e-9)
+        # amplitudes the closed forms serve ignore the cutoff
+        assert run("negativity", "--engine", "analytic", "--truncation", "1",
+                   "--out", str(out)) == 0
+        assert run("figure", "fig1", "--alpha", "10", "--truncation", "1", "--out", str(out)) == 0
 
     def test_average_sweep(self, tmp_path):
         out = tmp_path / "avg.csv"
@@ -193,6 +241,15 @@ class TestTeleportCommand:
             record = json.loads(capsys.readouterr().out)
             if "oracle" in record:
                 assert abs(record["oracle"]["fidelity"] - record["analytic"]["fidelity"]) < 1e-6
+
+    @pytest.mark.parametrize("engine", ["auto", "analytic", "oracle", "both"])
+    def test_c_to_p_without_amplitude_fails_early(self, engine):
+        # at alpha = 0 the coherent basis is degenerate and a|b> + b|-b> can vanish
+        with pytest.raises(SystemExit) as exc:
+            run("teleport", "--engine", engine, "--direction", "c-to-p", "--alpha", "0",
+                "--theta", str(math.pi / 2), "--phi", str(math.pi))
+        text = str(exc.value.code)
+        assert "alpha > 0" in text and "\n" not in text
 
     def test_postselected_record(self, capsys):
         assert run("teleport", "--direction", "s-to-p", "--theta", "1.0",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hybrid_teleport import audits
 from hybrid_teleport import channels as ch
 from hybrid_teleport import entanglement as ent
 from hybrid_teleport import fock as fk
@@ -70,14 +71,14 @@ class TestCoherentChannel:
     def test_variant_is_scaled_by_four(self, alpha):
         for r in (0.0, 0.3, 0.6, 0.9):
             params = ch.ChannelParams.from_r(r, alpha)
-            ratio = ent.negativity_pc_variant(params) / ent.negativity_pc_closed(params)
+            ratio = audits.negativity_pc_variant(params) / ent.negativity_pc_closed(params)
             assert ratio == pytest.approx(4.0, rel=1e-9)
 
     def test_vanishing_amplitude_limit(self):
         # negativity vanishes ~ 2 t alpha as the basis states merge
         params = ch.ChannelParams(t=0.9, alpha=1e-4)
         assert ent.negativity_pc_closed(params) < 2.0 * params.t * params.alpha
-        assert ent.negativity_pc_variant(params) < 8.0 * params.t * params.alpha
+        assert audits.negativity_pc_variant(params) < 8.0 * params.t * params.alpha
         num = ent.negativity_numeric(ch.rho_pc_analytic(params, 16))
         assert num == pytest.approx(ent.negativity_pc_closed(params), abs=1e-10)
 

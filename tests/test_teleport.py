@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hybrid_teleport import audits
 from hybrid_teleport import channels as ch
 from hybrid_teleport import fock as fk
 from hybrid_teleport import teleport as tp
@@ -429,12 +430,12 @@ class TestClosedFormsAgainstPipeline:
         params = ch.ChannelParams.from_r(0.5, 1.0)
         # swapped-conjugation variant agrees on the real-amplitude meridian only
         real_input = tp.BlochInput(1.1, 0.0)
-        assert tp.per_input_fidelity_variant(
+        assert audits.per_input_fidelity_variant(
             tp.Direction.P_TO_C, real_input, params) == pytest.approx(
             tp.per_input_fidelity(tp.Direction.P_TO_C, real_input, params), abs=1e-14)
-        assert abs(tp.per_input_fidelity_variant(tp.Direction.P_TO_C, TILTED, params)
+        assert abs(audits.per_input_fidelity_variant(tp.Direction.P_TO_C, TILTED, params)
                    - tp.per_input_fidelity(tp.Direction.P_TO_C, TILTED, params)) > 1e-3
-        assert abs(tp.per_input_fidelity_variant(tp.Direction.C_TO_P, TILTED, params)
+        assert abs(audits.per_input_fidelity_variant(tp.Direction.C_TO_P, TILTED, params)
                    - tp.per_input_fidelity(tp.Direction.C_TO_P, TILTED, params)) > 1e-3
 
 
