@@ -326,13 +326,13 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         params = ChannelParams(t=args.t, alpha=alpha)
     else:
         params = ChannelParams.from_r(args.r if args.r is not None else 0.0, alpha)
-    if direction is Direction.C_TO_P and params.alpha == 0.0:
-        raise SystemExit("c-to-p needs alpha > 0: the two coherent basis states coincide at 0")
+    if direction.coherent and params.alpha == 0.0:
+        raise SystemExit(f"{direction.value} needs alpha > 0: the two coherent basis states coincide at 0")
     inp = BlochInput(theta=args.theta, phi=args.phi)
     engine = cfg.engine if cfg.engine != "auto" else "analytic"
     if engine in ("oracle", "both") and params.alpha > ORACLE_ALPHA_MAX:
         raise SystemExit(f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g}")
-    if engine in ("oracle", "both") and direction in (Direction.P_TO_C, Direction.C_TO_P):
+    if engine in ("oracle", "both") and direction.coherent:
         _check_truncation(cfg.truncation, params.alpha, even=direction is Direction.C_TO_P)
 
     record = {

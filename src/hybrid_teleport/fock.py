@@ -200,12 +200,6 @@ class DensityOperator:
             raise ValueError(f"trace {self.trace()!r} != 1")
         return self
 
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace()
-        if tr < 1e-150:
-            raise ValueError("cannot normalize a zero-trace operator")
-        return DensityOperator(self.layout, self.matrix / tr)
-
 
 def basis_ket(kind: ModeKind, index: int) -> StateVector:
     """Single-mode computational basis vector |index>."""

@@ -1,12 +1,13 @@
 """Teleportation protocols between polarization and field-mode qubits.
 
-Four directions are implemented, each with a numeric pipeline (measurement
-projectors applied to the input state joined with the decohered channel) and
-closed-form per-input fidelity / success probability. Measurements are modeled
-at projector level: Bell-state vectors on a polarization pair, photon-number
-parity masks behind a balanced beam splitter on a coherent pair, and the two
-single-photon Bell states on a single-rail pair. Pipelines return the complete
-branch list, failure branches included, so probabilities always sum to one.
+Each of the four directions has a numeric pipeline and closed forms for the
+per-input fidelity and branch probabilities. One outcome table lists each
+direction's branches as (label, correction, success); both engines read it,
+and the success probability is the sum of the success branches. Pipelines
+read outcomes through rows: Bell bras on a polarization pair, the parity
+readout rows of a balanced beam splitter on a coherent pair, single-photon Bell
+bras on a single-rail pair. The remainder, the outcome without rows, makes the
+probabilities sum to one.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class Direction(Enum):
     def __init__(self, value: str) -> None:
         # the target is polarization, the only output postselection applies to
         self.onto_polarization = value.endswith("->p")
+        self.coherent = "c" in value  # runs on the polarization / coherent-state channel
 
     @classmethod
     def parse(cls, text: str) -> "Direction":
@@ -58,6 +60,37 @@ class Direction(Enum):
         if key not in table:
             raise ValueError(f"unknown direction {text!r}; use one of p-to-c, c-to-p, p-to-s, s-to-p")
         return table[key]
+
+
+# Each direction's measurement outcomes in branch order: (label, correction, success).
+_OUTCOMES = {
+    Direction.P_TO_C: (
+        ("bell_phi_plus", "identity", True),
+        ("bell_phi_minus", "none", False),
+        ("bell_psi_plus", "parity_flip", True),
+        ("bell_psi_minus", "none", False),
+        ("photon_loss", "none", False),
+    ),
+    Direction.C_TO_P: (
+        ("first_even", "identity", True),
+        ("first_odd", "pauli_z", True),
+        ("second_even", "pauli_x", True),
+        ("second_odd", "pauli_y", True),
+        ("no_click", "none", False),
+    ),
+    Direction.P_TO_S: (
+        ("bell_phi_plus", "identity", True),
+        ("bell_phi_minus", "phase_flip", True),
+        ("bell_psi_plus", "none", False),
+        ("bell_psi_minus", "none", False),
+        ("photon_loss", "none", False),
+    ),
+    Direction.S_TO_P: (
+        ("bell_psi_plus", "pauli_x", True),
+        ("bell_psi_minus", "pauli_y", True),
+        ("unresolved", "none", False),
+    ),
+}
 
 
 def check_postselection(direction: Direction, postselected: bool) -> None:
@@ -130,14 +163,20 @@ def bell_state_polarization(i: int) -> StateVector:
     if i not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
     v = np.zeros((3, 3), dtype=complex)
-    s = 1.0 if i in (1, 3) else -1.0
-    if i in (1, 2):
-        v[H_IDX, H_IDX] = 1.0
-        v[V_IDX, V_IDX] = s
-    else:
-        v[H_IDX, V_IDX] = 1.0
-        v[V_IDX, H_IDX] = s
+    first, second = ((H_IDX, H_IDX), (V_IDX, V_IDX)) if i < 3 else ((H_IDX, V_IDX), (V_IDX, H_IDX))
+    v[first] = 1.0
+    v[second] = 1.0 if i in (1, 3) else -1.0
     return StateVector(layout_of(polarization_mode(), polarization_mode()), v.reshape(-1) / math.sqrt(2))
+
+
+_BELL_BRAS = {label: bell_state_polarization(i).amplitudes.conj()
+              for i, label in enumerate(("bell_phi_plus", "bell_phi_minus",
+                                         "bell_psi_plus", "bell_psi_minus"), start=1)}
+# single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened
+_SINGLE_PHOTON_BRAS = {
+    "bell_psi_plus": np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2),
+    "bell_psi_minus": np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2),
+}
 
 
 @lru_cache(maxsize=8)
@@ -169,20 +208,14 @@ def _parity_readout(dim: int) -> MappingProxyType:
     })
 
 
-_PAULI3 = {
+# correction unitaries on the kept mode; "parity_flip" is built per cutoff, and
+# "identity" and the failures' "none" leave the branch as it is
+_UNITARIES = {
+    "phase_flip": np.diag([1.0, -1.0]).astype(complex),
     "pauli_z": np.diag([1.0, -1.0, 1.0]).astype(complex),
     "pauli_x": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex),
     "pauli_y": np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 1]], dtype=complex),
 }
-
-
-def _correction_unitary(name: str, dim: int) -> np.ndarray | None:
-    """Unitary on the kept mode named by a correction; None for identity and failures."""
-    if name == "parity_flip":
-        return parity_operator(dim)
-    if name == "phase_flip":
-        return np.diag([1.0, -1.0]).astype(complex)
-    return _PAULI3.get(name)
 
 
 def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
@@ -194,14 +227,14 @@ def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
 
 
 def _measure(channel: DensityOperator, measured_mode: int, input_amplitudes: np.ndarray,
-             readout, remainder: str | None = None) -> list[TeleportOutcome]:
+             rows, outcomes) -> list[TeleportOutcome]:
     """Measure the input jointly with one channel mode and correct the other.
 
-    Each readout entry is (label, rows, correction, success): ``rows`` maps the
-    joint (input, measured mode) amplitudes onto the detected outcome, and the
-    branch left on the kept mode is conjugated by the named correction. A
-    named ``remainder`` branch holds the kept mode's reduced state minus the
-    uncorrected branches, so the probabilities sum to one.
+    ``rows`` maps an outcome label of the table ``outcomes`` to the rows that
+    take the joint (input, measured mode) amplitudes onto it; the branch left
+    on the kept mode is conjugated by the named correction. The outcome without
+    rows, listed last, is the kept mode's reduced state minus the detected
+    branches before correction.
     """
     kept = 1 - measured_mode
     layout = channel.layout.select([kept])
@@ -211,20 +244,22 @@ def _measure(channel: DensityOperator, measured_mode: int, input_amplitudes: np.
     chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured_mode, 2), (0, 1))
     chi = chi * np.sqrt(w)[:, None]
     joint = np.multiply.outer(input_amplitudes, chi).reshape(-1, chi[0].size)
-    outcomes = []
+    branches = []
     detected = 0.0
-    for label, rows, correction, success in readout:
-        collapsed = (rows @ joint).reshape(-1, kept_dim)
-        mat = collapsed.T @ collapsed.conj()
-        detected = detected + mat
-        unitary = _correction_unitary(correction, kept_dim)
+    for label, correction, success in outcomes:
+        if label in rows:
+            collapsed = (rows[label] @ joint).reshape(-1, kept_dim)
+            mat = collapsed.T @ collapsed.conj()
+            detected = detected + mat
+        else:
+            mat = partial_trace(channel, {kept}).matrix - detected
+        unitary = _UNITARIES.get(correction)
+        if correction == "parity_flip":
+            unitary = parity_operator(kept_dim)
         if unitary is not None:
             mat = unitary @ mat @ unitary.conj().T
-        outcomes.append(_outcome(label, mat, layout, correction, success))
-    if remainder is not None:
-        rest = partial_trace(channel, {kept}).matrix - detected
-        outcomes.append(_outcome(remainder, rest, layout, "none", False))
-    return outcomes
+        branches.append(_outcome(label, mat, layout, correction, success))
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +270,6 @@ def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperat
     if dim is None:
         dim = default_fock_dim(params.alpha)
     return evolve(hybrid_pc_initial(params.alpha, dim).density(), params.t)
-
-
-def _bell_bra(i: int) -> np.ndarray:
-    return bell_state_polarization(i).amplitudes.conj()
 
 
 def teleport_p_to_c(
@@ -256,14 +287,8 @@ def teleport_p_to_c(
     """
     if channel is None:
         channel = _default_pc_channel(params, dim)
-    readout = [
-        ("bell_phi_plus", _bell_bra(1), "identity", True),
-        ("bell_phi_minus", _bell_bra(2), "none", False),
-        ("bell_psi_plus", _bell_bra(3), "parity_flip", True),
-        ("bell_psi_minus", _bell_bra(4), "none", False),
-    ]
     ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, 0, ain, readout, remainder="photon_loss")
+    return _measure(channel, 0, ain, _BELL_BRAS, _OUTCOMES[Direction.P_TO_C])
 
 
 def teleport_c_to_p(
@@ -289,16 +314,7 @@ def teleport_c_to_p(
     vin = vin / np.linalg.norm(vin)
 
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
-    rows = _parity_readout(dim)
-    spec = [
-        ("first_even", "identity", True),
-        ("first_odd", "pauli_z", True),
-        ("second_even", "pauli_x", True),
-        ("second_odd", "pauli_y", True),
-        ("no_click", "none", False),
-    ]
-    readout = [(label, rows[label], corr, ok) for label, corr, ok in spec]
-    return _measure(channel, 1, vin, readout)
+    return _measure(channel, 1, vin, _parity_readout(dim), _OUTCOMES[Direction.C_TO_P])
 
 
 def teleport_p_to_s(
@@ -314,14 +330,8 @@ def teleport_p_to_s(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    readout = [
-        ("bell_phi_plus", _bell_bra(1), "identity", True),
-        ("bell_phi_minus", _bell_bra(2), "phase_flip", True),
-        ("bell_psi_plus", _bell_bra(3), "none", False),
-        ("bell_psi_minus", _bell_bra(4), "none", False),
-    ]
     ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, 0, ain, readout, remainder="photon_loss")
+    return _measure(channel, 0, ain, _BELL_BRAS, _OUTCOMES[Direction.P_TO_S])
 
 
 def teleport_s_to_p(
@@ -337,13 +347,8 @@ def teleport_s_to_p(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    # single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened
-    readout = [
-        ("bell_psi_plus", np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2), "pauli_x", True),
-        ("bell_psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2), "pauli_y", True),
-    ]
     vin = np.array([inp.a, inp.b], dtype=complex)
-    return _measure(channel, 1, vin, readout, remainder="unresolved")
+    return _measure(channel, 1, vin, _SINGLE_PHOTON_BRAS, _OUTCOMES[Direction.S_TO_P])
 
 
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:
@@ -432,28 +437,40 @@ def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
     return num / denom
 
 
+def _branch_probabilities(direction: Direction, a, b, params: ChannelParams) -> tuple:
+    """Closed-form probabilities of ``_OUTCOMES[direction]`` in order; scalars or arrays."""
+    u = 2.0 * (a * b.conjugate()).real
+    t2 = params.t ** 2
+    if direction is Direction.P_TO_C:
+        mod = params.coherence_factor * params.basis_overlap
+        plus = t2 * (1.0 + mod * u) / 4.0
+        minus = t2 * (1.0 - mod * u) / 4.0
+        return plus, minus, plus, minus, 1.0 - t2
+    if direction is Direction.C_TO_P:
+        # 1 - s through expm1 and 1 + u = |a + b|^2 keep the odd-cat input (u -> -1) exact
+        s = params.basis_overlap
+        gap = -math.expm1(-2.0 * (params.t * params.alpha) ** 2)
+        no_click = s * abs(a + b) ** 2
+        norm = no_click + gap  # 1 + s u
+        even = gap * gap / (4.0 * norm)
+        odd = gap * (1.0 + s) / (4.0 * norm)
+        return even, odd, even, odd, no_click / norm
+    if direction is Direction.P_TO_S:
+        return (t2 / 4.0,) * 4 + (1.0 - t2,)
+    half = (t2 * abs(a) ** 2 + (2.0 - t2) * abs(b) ** 2) / 4.0
+    return half, half, 1.0 - 2.0 * half
+
+
 def success_kernel(direction: Direction, theta, phi, params: ChannelParams,
                    postselected: bool = False):
-    """Vectorized per-input success probability."""
+    """Vectorized per-input success probability: the sum of the success branches."""
     check_postselection(direction, postselected)
     a, b = _bloch_arrays(theta, phi)
-    p = np.abs(a) ** 2
-    q2 = np.abs(b) ** 2
-    t = params.t
-    post = t * t / 2.0
-    if direction is Direction.P_TO_C:
-        mod = params.coherence_factor * params.basis_overlap  # exp(-2 alpha^2)
-        u = 2.0 * np.real(a * np.conj(b))
-        return t * t * (1.0 + mod * u) / 2.0
-    if direction is Direction.C_TO_P:
-        s = params.basis_overlap
-        u = 2.0 * np.real(a * np.conj(b))
-        base = (1.0 - s) / (1.0 + s * u)
-        return base * post if postselected else base
-    if direction is Direction.P_TO_S:
-        return np.broadcast_to(t * t / 2.0, p.shape).copy() if p.ndim else t * t / 2.0
-    base = (t * t * p + (2.0 - t * t) * q2) / 2.0
-    return base * post if postselected else base
+    probs = _branch_probabilities(direction, a, b, params)
+    total = sum(prob for prob, (_, _, success) in zip(probs, _OUTCOMES[direction]) if success)
+    if postselected:
+        total = total * (params.t * params.t / 2.0)
+    return np.broadcast_to(total, a.shape).copy()
 
 
 def per_input_fidelity(direction: Direction, inp: BlochInput, params: ChannelParams,
@@ -470,48 +487,9 @@ def per_input_success_probability(direction: Direction, inp: BlochInput,
 def branch_probabilities_analytic(direction: Direction, inp: BlochInput,
                                   params: ChannelParams) -> list[dict]:
     """Closed-form probabilities of every measurement branch (success and failure)."""
-    a, b = inp.a, inp.b
-    u = 2.0 * (a * b.conjugate()).real
-    t2 = params.t ** 2
-    if direction is Direction.P_TO_C:
-        mod = params.coherence_factor * params.basis_overlap
-        plus = t2 * (1.0 + mod * u) / 4.0
-        minus = t2 * (1.0 - mod * u) / 4.0
-        return [
-            {"label": "bell_phi_plus", "probability": plus, "correction": "identity", "success": True},
-            {"label": "bell_phi_minus", "probability": minus, "correction": "none", "success": False},
-            {"label": "bell_psi_plus", "probability": plus, "correction": "parity_flip", "success": True},
-            {"label": "bell_psi_minus", "probability": minus, "correction": "none", "success": False},
-            {"label": "photon_loss", "probability": 1.0 - t2, "correction": "none", "success": False},
-        ]
-    if direction is Direction.C_TO_P:
-        s = params.basis_overlap
-        norm = 1.0 + s * u
-        even = (1.0 - s) ** 2 / (4.0 * norm)
-        odd = (1.0 - s * s) / (4.0 * norm)
-        return [
-            {"label": "first_even", "probability": even, "correction": "identity", "success": True},
-            {"label": "first_odd", "probability": odd, "correction": "pauli_z", "success": True},
-            {"label": "second_even", "probability": even, "correction": "pauli_x", "success": True},
-            {"label": "second_odd", "probability": odd, "correction": "pauli_y", "success": True},
-            {"label": "no_click", "probability": s * (1.0 + u) / norm, "correction": "none", "success": False},
-        ]
-    if direction is Direction.P_TO_S:
-        quarter = t2 / 4.0
-        return [
-            {"label": "bell_phi_plus", "probability": quarter, "correction": "identity", "success": True},
-            {"label": "bell_phi_minus", "probability": quarter, "correction": "phase_flip", "success": True},
-            {"label": "bell_psi_plus", "probability": quarter, "correction": "none", "success": False},
-            {"label": "bell_psi_minus", "probability": quarter, "correction": "none", "success": False},
-            {"label": "photon_loss", "probability": 1.0 - t2, "correction": "none", "success": False},
-        ]
-    p, q2 = abs(a) ** 2, abs(b) ** 2
-    half = (t2 * p + (2.0 - t2) * q2) / 4.0
-    return [
-        {"label": "bell_psi_plus", "probability": half, "correction": "pauli_x", "success": True},
-        {"label": "bell_psi_minus", "probability": half, "correction": "pauli_y", "success": True},
-        {"label": "unresolved", "probability": 1.0 - 2.0 * half, "correction": "none", "success": False},
-    ]
+    probs = _branch_probabilities(direction, inp.a, inp.b, params)
+    return [{"label": label, "probability": prob, "correction": correction, "success": success}
+            for prob, (label, correction, success) in zip(probs, _OUTCOMES[direction])]
 
 
 def pipeline_summary(
@@ -522,16 +500,14 @@ def pipeline_summary(
     channel: DensityOperator | None = None,
     postselected: bool = False,
 ) -> dict:
-    """Run the numeric pipeline and reduce it to fidelity plus probabilities."""
+    """Run the pipeline, looked up at call time, and reduce it to fidelity plus probabilities."""
     check_postselection(direction, postselected)
-    if direction is Direction.P_TO_C:
-        outcomes = teleport_p_to_c(inp, params, dim=dim, channel=channel)
-    elif direction is Direction.C_TO_P:
-        outcomes = teleport_c_to_p(inp, params, dim=dim, channel=channel)
-    elif direction is Direction.P_TO_S:
-        outcomes = teleport_p_to_s(inp, params, channel=channel)
+    if direction.coherent:
+        run = teleport_p_to_c if direction is Direction.P_TO_C else teleport_c_to_p
+        outcomes = run(inp, params, dim=dim, channel=channel)
     else:
-        outcomes = teleport_s_to_p(inp, params, channel=channel)
+        run = teleport_p_to_s if direction is Direction.P_TO_S else teleport_s_to_p
+        outcomes = run(inp, params, channel=channel)
 
     prob = success_probability(outcomes)
     output = combined_success_output(outcomes)

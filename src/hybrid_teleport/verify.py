@@ -147,7 +147,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
             for theta, phi in angles:
                 inp = BlochInput(theta, phi)
                 for d in Direction:
-                    chan = chan_pc if d in (Direction.P_TO_C, Direction.C_TO_P) else chan_ps
+                    chan = chan_pc if d.coherent else chan_ps
                     summary = teleport.pipeline_summary(d, inp, params, channel=chan)
                     dev_f = abs(summary["fidelity"] - teleport.per_input_fidelity(d, inp, params))
                     dev_p = abs(summary["success_probability"]

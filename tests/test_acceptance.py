@@ -123,7 +123,7 @@ def test_criterion_3_closed_forms_vs_quadrature_and_pipeline():
                 for phi in phis:
                     inp = tp.BlochInput(float(theta), float(phi))
                     for d in Direction:
-                        chan = chan_pc if d in (Direction.P_TO_C, Direction.C_TO_P) else chan_ps
+                        chan = chan_pc if d.coherent else chan_ps
                         s = tp.pipeline_summary(d, inp, params, channel=chan)
                         worst_pipe = max(worst_pipe, abs(
                             s["fidelity"] - tp.per_input_fidelity(d, inp, params)))

@@ -242,11 +242,17 @@ class TestTeleportCommand:
             if "oracle" in record:
                 assert abs(record["oracle"]["fidelity"] - record["analytic"]["fidelity"]) < 1e-6
 
-    @pytest.mark.parametrize("engine", ["auto", "analytic", "oracle", "both"])
-    def test_c_to_p_without_amplitude_fails_early(self, engine):
-        # at alpha = 0 the coherent basis is degenerate and a|b> + b|-b> can vanish
+    # c-to-p keeps the bare engine ids; p-to-c cases carry the direction in theirs
+    @pytest.mark.parametrize("direction, engine", [
+        pytest.param(direction, engine, id=prefix + engine)
+        for direction, prefix in (("c-to-p", ""), ("p-to-c", "p-to-c-"))
+        for engine in ("auto", "analytic", "oracle", "both")
+    ])
+    def test_c_to_p_without_amplitude_fails_early(self, direction, engine):
+        # at alpha = 0 the coherent basis is degenerate: a|b> + b|-b> can vanish (c->p)
+        # and the p->c target has no single limit at the odd-cat input
         with pytest.raises(SystemExit) as exc:
-            run("teleport", "--engine", engine, "--direction", "c-to-p", "--alpha", "0",
+            run("teleport", "--engine", engine, "--direction", direction, "--alpha", "0",
                 "--theta", str(math.pi / 2), "--phi", str(math.pi))
         text = str(exc.value.code)
         assert "alpha > 0" in text and "\n" not in text

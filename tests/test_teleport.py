@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hybrid_teleport import audits
@@ -379,7 +381,7 @@ class TestClosedFormsAgainstPipeline:
         dim = fk.default_fock_dim(1.0)
         chan_pc = ch.evolve(ch.hybrid_pc_initial(1.0, dim).density(), 1.0)
         chan_ps = ch.evolve(ch.hybrid_ps_initial().density(), 1.0)
-        chan = chan_pc if direction in (tp.Direction.P_TO_C, tp.Direction.C_TO_P) else chan_ps
+        chan = chan_pc if direction.coherent else chan_ps
         for theta in thetas:
             for phi in phis:
                 inp = tp.BlochInput(float(theta), float(phi))
@@ -437,6 +439,52 @@ class TestClosedFormsAgainstPipeline:
                    - tp.per_input_fidelity(tp.Direction.P_TO_C, TILTED, params)) > 1e-3
         assert abs(audits.per_input_fidelity_variant(tp.Direction.C_TO_P, TILTED, params)
                    - tp.per_input_fidelity(tp.Direction.C_TO_P, TILTED, params)) > 1e-3
+
+
+class TestClosedFormBranches:
+    @pytest.mark.parametrize("theta, phi, alpha, r", [
+        (math.pi / 2, math.pi, 1e-3, 0.999),  # odd-cat input (u -> -1) at s -> 1
+        (math.pi / 2, math.pi, 0.01, 0.9),
+        (0.4, 0.0, 0.1, 0.999),
+        (2.9, 4.5, 1.0, 0.5),
+    ])
+    def test_c_to_p_against_high_precision(self, theta, phi, alpha, r):
+        import mpmath as mp
+        inp = tp.BlochInput(theta, phi)
+        params = ch.ChannelParams.from_r(r, alpha)
+        branches = tp.branch_probabilities_analytic(tp.Direction.C_TO_P, inp, params)
+        success = tp.per_input_success_probability(tp.Direction.C_TO_P, inp, params)
+        with mp.workdps(50):
+            a = mp.cos(mp.mpf(theta) / 2) * mp.expj(mp.mpf(phi) / 2)
+            b = mp.sin(mp.mpf(theta) / 2) * mp.expj(-mp.mpf(phi) / 2)
+            u = 2 * mp.re(a * mp.conj(b))
+            s = mp.exp(-2 * (mp.mpf(params.t) * mp.mpf(params.alpha)) ** 2)
+            norm = 1 + s * u
+            even, odd = (1 - s) ** 2 / (4 * norm), (1 - s * s) / (4 * norm)
+            expect = [even, odd, even, odd, s * (1 + u) / norm]
+            assert max(abs(d["probability"] - e) for d, e in zip(branches, expect)) < 1e-15
+            assert abs(success - 2 * (even + odd)) < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(tp.Direction)),
+       st.floats(min_value=0.0, max_value=math.pi),
+       st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+       st.floats(min_value=1e-3, max_value=10.0),
+       st.floats(min_value=0.0, max_value=0.999))
+@example(tp.Direction.C_TO_P, math.pi / 2, math.pi, 1e-3, 0.999)
+def test_closed_form_branches_are_probabilities(direction, theta, phi, alpha, r):
+    inp = tp.BlochInput(theta, phi)
+    params = ch.ChannelParams.from_r(r, alpha)
+    branches = tp.branch_probabilities_analytic(direction, inp, params)
+    probs = [d["probability"] for d in branches]
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
+    assert abs(sum(probs) - 1.0) < 1e-12
+    wins = sum(d["probability"] for d in branches if d["success"])
+    assert abs(wins - tp.per_input_success_probability(direction, inp, params)) < 1e-15
+    if direction.onto_polarization:
+        post = tp.per_input_success_probability(direction, inp, params, postselected=True)
+        assert abs(wins * params.t ** 2 / 2.0 - post) < 1e-15
 
 
 class TestChannelEnsemble:
