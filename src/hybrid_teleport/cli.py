@@ -71,8 +71,12 @@ class SweepConfig:
             raise ValueError("r_steps must be >= 2")
         if self.alphas is not None and len(self.alphas) == 0:
             raise ValueError("alpha list must be nonempty")
+        for a in self.alphas or ():
+            if not (math.isfinite(a) and a >= 0.0):
+                raise ValueError(f"alpha must be finite and >= 0, got {a!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        self.quad()  # rejects a quadrature grid too small to use
 
     def r_grid(self) -> list[float]:
         return [float(x) for x in np.linspace(self.r_min, self.r_max, self.r_steps)]
@@ -131,12 +135,15 @@ def _parse_config_file(path: str) -> dict:
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
     """The config file's settings, if one is given, with the flags on top."""
-    given = _parse_config_file(args.config) if args.config else {}
-    given.update((key, getattr(args, key)) for key in _COMMON_OPTIONS
-                 if getattr(args, key) is not None)
-    if "alpha" in given:
-        given["alphas"] = given.pop("alpha")
-    return SweepConfig(**given)
+    try:
+        given = _parse_config_file(args.config) if args.config else {}
+        given.update((key, getattr(args, key)) for key in _COMMON_OPTIONS
+                     if getattr(args, key) is not None)
+        if "alpha" in given:
+            given["alphas"] = given.pop("alpha")
+        return SweepConfig(**given)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _resolve_engine(engine: str, alpha: float) -> str:
@@ -285,8 +292,11 @@ def cmd_average(args: argparse.Namespace) -> int:
     if cfg.engine in ("oracle", "both"):
         raise SystemExit("averages are closed-form only; the oracle cross-check lives in `verify`")
     alphas = cfg.alphas or (1.0,)
-    directions = ([Direction.parse(args.direction)] if args.direction != "all"
-                  else list(Direction))
+    try:
+        directions = ([Direction.parse(args.direction)] if args.direction != "all"
+                      else list(Direction))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     out = Path(cfg.out or "average.csv")
     header = ["r", "alpha", "direction", "avg_fidelity", "avg_success_probability",
               "classical_limit", "avg_fidelity_postselected",
@@ -318,17 +328,22 @@ def cmd_average(args: argparse.Namespace) -> int:
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    direction = Direction.parse(args.direction)
     alpha = cfg.alphas[0] if cfg.alphas else 1.0
     if args.t is not None and args.r is not None:
         raise SystemExit("give either --t or --r, not both")
-    if args.t is not None:
-        params = ChannelParams(t=args.t, alpha=alpha)
-    else:
-        params = ChannelParams.from_r(args.r if args.r is not None else 0.0, alpha)
+    post = bool(args.postselected)
+    try:
+        direction = Direction.parse(args.direction)
+        if args.t is not None:
+            params = ChannelParams(t=args.t, alpha=alpha)
+        else:
+            params = ChannelParams.from_r(args.r if args.r is not None else 0.0, alpha)
+        inp = BlochInput(theta=args.theta, phi=args.phi)
+        check_postselection(direction, post)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if direction.coherent and params.alpha == 0.0:
         raise SystemExit(f"{direction.value} needs alpha > 0: the two coherent basis states coincide at 0")
-    inp = BlochInput(theta=args.theta, phi=args.phi)
     engine = cfg.engine if cfg.engine != "auto" else "analytic"
     if engine in ("oracle", "both") and params.alpha > ORACLE_ALPHA_MAX:
         raise SystemExit(f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g}")
@@ -343,13 +358,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         "r": params.r,
         "alpha": params.alpha,
         "engine": engine,
-        "postselected": bool(args.postselected),
+        "postselected": post,
     }
-    post = bool(args.postselected)
-    try:
-        check_postselection(direction, post)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
     if engine in ("analytic", "both"):
         record["analytic"] = {
             "fidelity": per_input_fidelity(direction, inp, params, postselected=post),

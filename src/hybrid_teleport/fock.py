@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 # Basis order of the lossy polarization mode.
 H_IDX, V_IDX, VAC_IDX = 0, 1, 2
@@ -210,6 +209,20 @@ def basis_ket(kind: ModeKind, index: int) -> StateVector:
     return StateVector(layout_of(kind), v)
 
 
+@lru_cache(maxsize=8)
+def _half_log_factorials(dim: int) -> np.ndarray:
+    """Read-only log(sqrt(n!)) for n < dim.
+
+    scipy is imported here, on the first coherent amplitude, so commands that
+    never build a coherent state do not pay for importing it.
+    """
+    from scipy.special import gammaln
+
+    table = 0.5 * gammaln(np.arange(dim) + 1)
+    table.setflags(write=False)
+    return table
+
+
 def _coherent_amplitudes(amplitude: float, dim: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_n = e^{-a^2/2} a^n / sqrt(n!)."""
     n = np.arange(dim)
@@ -217,7 +230,7 @@ def _coherent_amplitudes(amplitude: float, dim: int) -> np.ndarray:
         c = np.zeros(dim)
         c[0] = 1.0
         return c
-    log_c = -0.5 * amplitude * amplitude + n * np.log(abs(amplitude)) - 0.5 * gammaln(n + 1)
+    log_c = -0.5 * amplitude * amplitude + n * np.log(abs(amplitude)) - _half_log_factorials(dim)
     c = np.exp(log_c)
     if amplitude < 0.0:
         c[1::2] *= -1.0

@@ -58,6 +58,20 @@ def _angle_grid(n_theta: int, n_phi: int):
     return [(float(t), float(p)) for t in thetas for p in phis]
 
 
+def _density_defect(stack: np.ndarray) -> float:
+    """Largest Hermiticity, negative-eigenvalue or trace defect over a stack of density matrices.
+
+    The same three measures as :meth:`DensityOperator.validate`, each taken
+    once over the whole stack.
+    """
+    adjoint = stack.conj().transpose(0, 2, 1)
+    return max(
+        float(np.abs(stack - adjoint).max()),
+        float(-np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0].min()),
+        float(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0).max()),
+    )
+
+
 def _channel_checks(r_grid, oracle_alphas) -> list[dict]:
     worst_pc, at_pc = 0.0, None
     worst_ps, at_ps = 0.0, None
@@ -159,14 +173,9 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
                         worst_p[d] = (dev_p, where)
                     total = sum(o.probability for o in summary["outcomes"])
                     worst_sum = max(worst_sum, abs(total - 1.0))
-                    for o in summary["outcomes"]:
-                        if o.output is not None and o.probability > 1e-12:
-                            worst_valid = max(
-                                worst_valid,
-                                o.output.hermiticity_defect(),
-                                max(0.0, -o.output.min_eigenvalue()),
-                                abs(o.output.trace() - 1.0),
-                            )
+                    kept = [o.output.matrix for o in summary["outcomes"]
+                            if o.output is not None and o.probability > 1e-12]
+                    worst_valid = max(worst_valid, _density_defect(np.stack(kept)))
                     if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
                                                          postselected=True)

@@ -185,8 +185,27 @@ class TestSweepCommands:
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             run("negativity", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert str(exc.value) == "unknown config key 'nonsense'"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("negativity", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
+        (("figure", "fig1", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
+        (("average", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
+        (("average", "--alpha", "nan"), "alpha must be finite and >= 0, got nan"),
+        (("negativity", "--alpha", "inf"), "alpha must be finite and >= 0, got inf"),
+        (("average", "--r-max", "1"), "need 0 <= r_min <= r_max < 1"),
+        (("figure", "fig2", "--r-steps", "0"), "r_steps must be >= 2"),
+        (("negativity", "--r-steps", "0"), "r_steps must be >= 2"),
+        (("verify", "--quick", "--quad-theta", "0"), "need at least 2 nodes per direction"),
+        (("average", "--direction", "q-to-z"),
+         "unknown direction 'q-to-z'; use one of p-to-c, c-to-p, p-to-s, s-to-p"),
+    ])
+    def test_bad_input_exits_with_message(self, argv, message, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "x.out"))
+        assert str(exc.value) == message
 
 
 class TestTeleportCommand:
@@ -213,6 +232,18 @@ class TestTeleportCommand:
     def test_invalid_direction_is_usage_error(self):
         with pytest.raises((SystemExit, ValueError)):
             run("teleport", "--direction", "q-to-z", "--theta", "1", "--phi", "0")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--theta", "5"), "theta must be in [0, pi], got 5.0"),
+        (("--theta", "1", "--r", "1.0"), "r must be in [0, 1), got 1.0"),
+        (("--theta", "1", "--t", "0"), "t must be in (0, 1], got 0.0"),
+        (("--theta", "1", "--postselected"),
+         "postselection applies to teleportation onto polarization"),
+    ])
+    def test_bad_input_exits_with_message(self, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            run("teleport", "--direction", "p-to-s", "--phi", "0", *flags)
+        assert str(exc.value) == message
 
     def test_exclusive_t_and_r(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,46 @@ class TestCoherent:
             assert dim % 2 == 0 and dim >= 16
             # headroom for the beam-splitter output amplitude sqrt(2) * alpha
             assert fk.coherent_tail_mass(math.sqrt(2.0) * alpha, dim) < 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 16, 36, 292])
+    @pytest.mark.parametrize("alpha", [1e-3, -1e-3, 0.54, -0.54, 2.0, -2.0, 10.0, -10.0])
+    def test_amplitudes_bit_identical_to_direct_gammaln(self, alpha, dim):
+        from scipy.special import gammaln
+
+        n = np.arange(dim)
+        ref = np.exp(-0.5 * alpha * alpha + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1))
+        if alpha < 0.0:
+            ref[1::2] *= -1.0
+        assert np.array_equal(fk._coherent_amplitudes(alpha, dim), ref)
+
+    def test_half_log_factorials_read_only(self):
+        table = fk._half_log_factorials(16)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_scipy_loads_only_with_a_coherent_amplitude(self, tmp_path):
+        # commands that never build a coherent state must not import scipy
+        code = "\n".join([
+            "import sys",
+            "from hybrid_teleport import cli",
+            "runs = [['figure', 'fig2', '--out', 'fig2.csv'],",
+            "        ['average', '--direction', 'all', '--out', 'avg.csv']]",
+            "runs += [['teleport', '--engine', 'both', '--direction', d, '--theta', '1',",
+            "          '--phi', '2', '--r', '0.3'] for d in ('p-to-s', 's-to-p')]",
+            "for argv in runs:",
+            "    cli.main(argv)",
+            "    assert 'scipy' not in sys.modules, argv",
+            "from hybrid_teleport import fock",
+            "fock.coherent_ket(1.0, 22)",
+            "assert 'scipy.special' in sys.modules",
+        ])
+        src = Path(fk.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCat:
