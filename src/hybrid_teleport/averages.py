@@ -92,12 +92,16 @@ def _series_coeff(kind: int, k: int) -> float:
     return (k - 1.0) / (4 * k * k - 1)
 
 
+# the _SERIES_TERMS coefficients of each kind, k = 1.._SERIES_TERMS
+_SERIES_COEFFS = {kind: tuple(_series_coeff(kind, k) for k in range(1, _SERIES_TERMS + 1))
+                  for kind in (1, 2, 3, 4)}
+
+
 def _moment_series(kind: int, x: float) -> float:
     x2 = x * x
     total = 0.0
     power = 1.0  # x^(2(k-1)) for kinds 1,2,4; for kind 3 an extra factor x
-    for k in range(1, _SERIES_TERMS + 1):
-        c = _series_coeff(kind, k)
+    for c in _SERIES_COEFFS[kind]:
         total += c * (power * x if kind == 3 else power)
         power *= x2
     return total
@@ -169,14 +173,16 @@ def _divdiff_algebra(kind: int, x: float, y: float) -> float:
 def _divdiff_series(kind: int, x: float, y: float) -> float:
     # divided difference of the X series; all terms share one sign, so the
     # symmetric power sums accumulate without cancellation
+    xp = [x**i for i in range(2 * _SERIES_TERMS)]
+    yp = [y**i for i in range(2 * _SERIES_TERMS)]
     total = 0.0
-    for k in range(1, _SERIES_TERMS + 1):
+    for k, c in enumerate(_SERIES_COEFFS[kind], start=1):
         m = 2 * k if kind == 3 else 2 * k - 1
         # sum_{i<m} x^i y^(m-1-i)
         psum = 0.0
         for i in range(m):
-            psum += x**i * y ** (m - 1 - i)
-        total += _series_coeff(kind, k) * psum
+            psum += xp[i] * yp[m - 1 - i]
+        total += c * psum
     return total
 
 
@@ -207,7 +213,9 @@ def pair_moment(kind: int, x: float, y: float) -> float:
 def _pc_average(params: ChannelParams) -> float:
     s = params.basis_overlap
     if s >= 1.0:
-        raise ValueError("teleporting onto a degenerate coherent basis; needs alpha > 0")
+        # degenerate coherent basis (alpha = 0): the per-input kernel is
+        # |a + b|^2 (1 + q u) / ((1 + u)(1 + q u)) = 1 for every input
+        return 1.0
     q = params.coherence_factor
     y = q * s
     pm = {k: pair_moment(k, s, y) for k in (1, 2, 3, 4)}

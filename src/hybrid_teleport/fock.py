@@ -209,16 +209,38 @@ def basis_ket(kind: ModeKind, index: int) -> StateVector:
     return StateVector(layout_of(kind), v)
 
 
+# Cephes lgam: log(sqrt(2 pi)) and the Stirling correction coefficients.
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+
+
+def _log_factorial(n: int) -> float:
+    # the integer-argument path of Cephes lgam at x = n + 1, with the same
+    # operations in the same order
+    x = n + 1.0
+    if x < 13.0:
+        return math.log(float(math.factorial(n)))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
 @lru_cache(maxsize=8)
 def _half_log_factorials(dim: int) -> np.ndarray:
     """Read-only log(sqrt(n!)) for n < dim.
 
-    scipy is imported here, on the first coherent amplitude, so commands that
-    never build a coherent state do not pay for importing it.
+    Bit for bit equal to ``0.5 * scipy.special.gammaln(np.arange(dim) + 1)``,
+    because ``_log_factorial`` ports Cephes ``lgam``, without importing scipy.
     """
-    from scipy.special import gammaln
-
-    table = 0.5 * gammaln(np.arange(dim) + 1)
+    table = 0.5 * np.array([_log_factorial(n) for n in range(dim)])
     table.setflags(write=False)
     return table
 

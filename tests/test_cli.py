@@ -165,6 +165,17 @@ class TestSweepCommands:
         assert all(row[2] == "c->p" for row in rows)
         assert all(row[-1] == "analytic" for row in rows)
 
+    @pytest.mark.parametrize("argv, name, column", [
+        (("average", "--direction", "p-to-c"), "x.csv", "avg_fidelity"),
+        (("figure", "fig2"), "x_alpha0.csv", "F_p_to_c"),
+    ])
+    def test_p_to_c_average_at_alpha_zero_is_its_limit(self, argv, name, column, tmp_path):
+        # the coherent basis is degenerate at alpha = 0 and every input arrives intact
+        assert run(*argv, "--alpha", "0", "--r-steps", "5", "--out", str(tmp_path / "x.csv")) == 0
+        header, rows = read_csv(tmp_path / name)
+        assert len(rows) == 5
+        assert all(float(row[header.index(column)]) == 1.0 for row in rows)
+
     def test_average_rejects_oracle(self, tmp_path):
         with pytest.raises(SystemExit):
             run("average", "--engine", "oracle", "--out", str(tmp_path / "x.csv"))
