@@ -69,8 +69,8 @@ def g_functional(kind: int, params: ChannelParams) -> float:
 
     Evaluates moment_integral at x = coherence * overlap and at x = overlap
     and returns their difference, the building block of
-    `avg_fidelity_variant_pc`; the library's average uses paired moments
-    instead.
+    `avg_fidelity_variant_pc`; the library's average weights the moment at
+    the coherent scale by the coherence factor instead.
 
     Both arguments approach 1 as the amplitude vanishes and the individual
     moments diverge, but their difference stays finite (limit

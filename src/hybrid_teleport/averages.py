@@ -2,13 +2,11 @@
 
 The closed forms reduce to four basic moments of the input distribution,
 m_k(x) = <f_k / (1 + x u)> with u = sin(theta) cos(phi) and
-f in {|a|^4, |a|^2 |b|^2, u, a^2 b*^2 + a*^2 b^2}, evaluated at the two decay
-scales, plus the paired moments <f / ((1 + x u)(1 + y u))>. The paired moments
-are divided differences of X(z) = z * m(z) and are computed with exact
-divided-difference algebra (stable at any separation, including x = y) or a
-power series when both arguments are small. Wherever a closed form and the
-quadrature disagree beyond tolerance, the quadrature wins; `verify` enforces
-this.
+f in {|a|^4, |a|^2 |b|^2, u, a^2 b*^2 + a*^2 b^2}. The p->c average needs only
+m_2: its infidelity splits by partial fractions into m_2 at the two decay
+scales, so it is the classical limit plus a coherence term. Wherever a closed
+form and the quadrature disagree beyond tolerance, the quadrature wins;
+`verify` enforces this.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .channels import ChannelParams
 from .teleport import (Direction, _bloch_arrays, check_postselection, fidelity_kernel,
                        success_kernel)
 
-_SERIES_RADIUS = 0.05
 _SERIES_TERMS = 14
 _MOMENT_SERIES_CUT = 1e-3  # moment_integral switches to its series below this
 
@@ -134,76 +131,9 @@ def moment_integral(kind: int, x: float) -> float:
     return _moment_closed(kind, x)
 
 
-# ---------------------------------------------------------------------------
-# paired moments <f_k / ((1 + x u)(1 + y u))> as divided differences
-
-
-def _x_eval(kind: int, z: float) -> float:
-    # X(z) = z m(z)
-    return z * (_moment_series(kind, z) if z < 0.03 else _moment_closed(kind, z))
-
-
-def _divdiff_artanh(x: float, y: float) -> float:
-    # (artanh x - artanh y)/(x - y), exact at x == y
-    w = (x - y) / (1.0 - x * y)
-    if abs(w) < 1e-4:
-        ratio = 1.0 + w * w / 3.0 + w**4 / 5.0
-    else:
-        ratio = math.atanh(w) / w
-    return ratio / (1.0 - x * y)
-
-
-def _divdiff_algebra(kind: int, x: float, y: float) -> float:
-    # exact product-rule decomposition over {artanh, 1/z, 1/z^2}
-    at_x = _artanh(x)
-    d_at = _divdiff_artanh(x, y)
-    d_inv = -1.0 / (x * y)
-    d_inv2 = -(x + y) / (x * x * y * y)
-    d_at_inv2 = at_x * d_inv2 + d_at / (y * y)
-    if kind == 1:
-        return 0.125 * d_inv + 0.375 * d_at - 0.125 * d_at_inv2
-    if kind == 2:
-        return -0.125 * d_inv + 0.125 * d_at + 0.125 * d_at_inv2
-    if kind == 3:
-        d_at_inv = at_x * d_inv + d_at / y
-        return -d_at_inv
-    return 0.75 * d_at_inv2 - 0.25 * d_at - 0.75 * d_inv
-
-
-def _divdiff_series(kind: int, x: float, y: float) -> float:
-    # divided difference of the X series; all terms share one sign, so the
-    # symmetric power sums accumulate without cancellation
-    xp = [x**i for i in range(2 * _SERIES_TERMS)]
-    yp = [y**i for i in range(2 * _SERIES_TERMS)]
-    total = 0.0
-    for k, c in enumerate(_SERIES_COEFFS[kind], start=1):
-        m = 2 * k if kind == 3 else 2 * k - 1
-        # sum_{i<m} x^i y^(m-1-i)
-        psum = 0.0
-        for i in range(m):
-            psum += xp[i] * yp[m - 1 - i]
-        total += c * psum
-    return total
-
-
-def pair_moment(kind: int, x: float, y: float) -> float:
-    """<f_kind / ((1 + x u)(1 + y u))> for 0 <= x, y < 1.
-
-    Equal to the divided difference [X(x) - X(y)]/(x - y) of X(z) = z m(z);
-    the implementation is exact at x == y.
-    """
-    if kind not in (1, 2, 3, 4):
-        raise ValueError("moment kind must be 1..4")
-    for v in (x, y):
-        if not 0.0 <= v < 1.0:
-            raise ValueError(f"arguments must be in [0, 1), got {v!r}")
-    hi, lo = max(x, y), min(x, y)
-    if hi <= _SERIES_RADIUS:
-        return _divdiff_series(kind, x, y)
-    if lo >= 0.5 * _SERIES_RADIUS:
-        return _divdiff_algebra(kind, x, y)
-    # mixed scales: the gap is at least _SERIES_RADIUS/2, direct quotient is safe
-    return (_x_eval(kind, x) - _x_eval(kind, y)) / (x - y)
+def _pc_moment(x: float) -> float:
+    # m_2(x) = <|a|^2 |b|^2 / (1 + x u)>; below 0.03 the series is exact to rounding
+    return _moment_series(2, x) if x < 0.03 else _moment_closed(2, x)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +141,14 @@ def pair_moment(kind: int, x: float, y: float) -> float:
 
 
 def _pc_average(params: ChannelParams) -> float:
+    # 1 - F = 2 (1 - s^2)(1 - q) |a|^2 |b|^2 / ((1 + s u)(1 + q s u)); partial
+    # fractions in u leave one moment at two scales, and 1 - s^2 = gap (1 + s)
     s = params.basis_overlap
     if s >= 1.0:
-        # degenerate coherent basis (alpha = 0): the per-input kernel is
-        # |a + b|^2 (1 + q u) / ((1 + u)(1 + q u)) = 1 for every input
+        # degenerate coherent basis (alpha = 0): the infidelity vanishes
         return 1.0
     q = params.coherence_factor
-    y = q * s
-    pm = {k: pair_moment(k, s, y) for k in (1, 2, 3, 4)}
-    return (2.0 * pm[1] + (2.0 * s * s + 2.0 * q) * pm[2]
-            + s * (1.0 + q) * pm[3] + q * s * s * pm[4])
+    return 1.0 - 2.0 * params.basis_gap * (1.0 + s) * (_pc_moment(s) - q * _pc_moment(q * s))
 
 
 def _success_weighted_moments(t: float) -> tuple[float, float, float]:
@@ -292,7 +220,7 @@ def classical_limit(direction: Direction, params: ChannelParams) -> float:
     if direction is not Direction.P_TO_C:
         return 2.0 / 3.0
     s = params.basis_overlap
-    if s >= 1.0 - 1e-12:
+    if s >= 1.0:
         return 1.0
     return 1.0 - 2.0 * (1.0 - s * s) * moment_integral(2, s)
 

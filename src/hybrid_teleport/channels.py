@@ -67,6 +67,16 @@ class ChannelParams:
         """Overlap of the decayed basis states <t a|-t a> = exp(-2 t^2 alpha^2)."""
         return math.exp(-2.0 * (self.t * self.alpha) ** 2)
 
+    @property
+    def basis_gap(self) -> float:
+        """1 - basis_overlap through expm1, exact as alpha -> 0."""
+        return -math.expm1(-2.0 * (self.t * self.alpha) ** 2)
+
+    @property
+    def coherence_gap(self) -> float:
+        """1 - coherence_factor through expm1, exact as alpha -> 0."""
+        return -math.expm1(-2.0 * self.alpha**2 * (1.0 - self.t**2))
+
 
 def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
     """Kraus family of single-mode photon loss with amplitude decay t.

@@ -416,12 +416,14 @@ def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
     q2 = np.abs(b) ** 2
     t = params.t
     if direction is Direction.P_TO_C:
+        # 1 - F = 2 (1 - s^2)(1 - q)|a|^2|b|^2 / ((1 + s u)(1 + q s u)) with
+        # 1 + u = |a + b|^2 and the gaps through expm1: every term is nonnegative,
+        # so the odd-cat input (u -> -1) stays exact as alpha -> 0
         s = params.basis_overlap
-        qf = params.coherence_factor
-        u = 2.0 * np.real(a * np.conj(b))
-        num = (p * np.abs(a + b * s) ** 2 + q2 * np.abs(a * s + b) ** 2
-               + 2.0 * qf * np.real(a * np.conj(b) * (np.conj(a) + np.conj(b) * s) * (a * s + b)))
-        return num / ((1.0 + s * u) * (1.0 + qf * s * u))
+        gap_s, gap_q = params.basis_gap, params.coherence_gap
+        w = np.abs(a + b) ** 2
+        norm = (gap_s + s * w) * (gap_s + s * gap_q + params.coherence_factor * s * w)
+        return 1.0 - 2.0 * gap_s * (1.0 + s) * gap_q * p * q2 / norm
     if direction is Direction.C_TO_P:
         qf = params.coherence_factor
         base = p * p + q2 * q2 + 2.0 * qf * p * q2
@@ -449,7 +451,7 @@ def _branch_probabilities(direction: Direction, a, b, params: ChannelParams) -> 
     if direction is Direction.C_TO_P:
         # 1 - s through expm1 and 1 + u = |a + b|^2 keep the odd-cat input (u -> -1) exact
         s = params.basis_overlap
-        gap = -math.expm1(-2.0 * (params.t * params.alpha) ** 2)
+        gap = params.basis_gap
         no_click = s * abs(a + b) ** 2
         norm = no_click + gap  # 1 + s u
         even = gap * gap / (4.0 * norm)

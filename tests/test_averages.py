@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -109,52 +109,62 @@ class TestMomentIntegrals:
             av.moment_integral(1, 1.0)
 
 
-class TestPairMoments:
-    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
-    @pytest.mark.parametrize("xy", [(0.4, 0.1), (0.7, 0.7), (0.95, 0.001),
-                                    (0.02, 0.01), (0.3, 0.2999), (1e-6, 1e-7)])
-    def test_against_independent_quadrature(self, kind, xy):
-        x, y = xy
-        oracle = oracles.sphere_average(
-            lambda th, ph: moment_kernel(kind)(th, ph)
-            / ((1 + x * np.sin(th) * np.cos(ph)) * (1 + y * np.sin(th) * np.cos(ph))),
-            n_theta=300, n_phi=600)
-        assert av.pair_moment(kind, x, y) == pytest.approx(oracle, abs=1e-9)
+def pc_fidelity(a, b, s, q):
+    """The definitional p->c fidelity, for numpy arrays or mpmath numbers."""
+    u = 2 * (a * b.conjugate()).real
+    num = (abs(a) ** 2 * abs(a + b * s) ** 2 + abs(b) ** 2 * abs(a * s + b) ** 2
+           + 2 * q * (a * b.conjugate() * (a.conjugate() + b.conjugate() * s) * (a * s + b)).real)
+    return num / ((1 + s * u) * (1 + q * s * u))
 
-    def test_symmetric_in_arguments(self):
-        for kind in (1, 2, 3, 4):
-            assert av.pair_moment(kind, 0.6, 0.2) == pytest.approx(
-                av.pair_moment(kind, 0.2, 0.6), abs=1e-13)
 
-    def test_coincident_arguments_are_exact(self):
-        # equality x == y hits the derivative limit and must not blow up
-        for kind in (1, 2, 3, 4):
-            same = av.pair_moment(kind, 0.5, 0.5)
-            near = av.pair_moment(kind, 0.5, 0.5 - 1e-9)
-            assert same == pytest.approx(near, abs=1e-7)
+def pc_average_reference(params, coherent=True, dps=40):
+    """The averaged p->c fidelity at dps digits; coherent=False is the classical strategy.
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=4),
-           st.floats(min_value=-80.0, max_value=-0.01),
-           st.floats(min_value=-80.0, max_value=-0.01))
-    def test_high_precision_reference(self, kind, log_x, log_y):
-        # divided differences against scaled-precision arbitrary arithmetic,
-        # across eighty orders of magnitude and both branch regimes
+    Averaging the numerator of ``pc_fidelity`` over the azimuth about the x
+    axis leaves (A + B u + C u^2) / ((1 + s u)(1 + q s u)) with u uniform on
+    [-1, 1].
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        t, alpha = mp.mpf(params.t), mp.mpf(params.alpha)
+        s = mp.exp(-2 * (t * alpha) ** 2)
+        q = mp.exp(-2 * alpha**2 * (1 - t * t)) if coherent else mp.mpf(0)
+        A = (3 + s * s + q - q * s * s) / 4
+        B = s * (1 + q)
+        C = (s * s + q + 3 * q * s * s - 1) / 4
+        f = lambda u: (A + B * u + C * u * u) / ((1 + s * u) * (1 + q * s * u))
+        return float(mp.quad(f, [-1, 0, 1]) / 2)
+
+
+class TestPCClosedFormsAtTheDegenerateEdge:
+    def test_average_against_high_precision(self):
+        params = ch.ChannelParams.from_r(0.5, 0.54)
+        s, q = params.basis_overlap, params.coherence_factor
+        sphere = oracles.sphere_average(lambda th, ph: pc_fidelity(
+            np.cos(th / 2) * np.exp(0.5j * ph), np.sin(th / 2) * np.exp(-0.5j * ph), s, q))
+        assert pc_average_reference(params) == pytest.approx(sphere, abs=1e-10)
+        for alpha in (1e-8, 1e-6, 1e-3, 0.01, 0.54, 2.2, 10.0):
+            for r in (0.0, 0.5, 0.8, 0.999999):
+                params = ch.ChannelParams.from_r(r, alpha)
+                lib = av.avg_fidelity(Direction.P_TO_C, params)
+                assert abs(lib - pc_average_reference(params)) < 1e-13, (alpha, r)
+
+    def test_odd_cat_kernel_against_high_precision(self):
+        # theta = pi/2, phi = pi is u = -1, where both denominator factors
+        # shrink with the basis gap
         import mpmath as mp
-        x, y = 10.0**log_x, 10.0**log_y
-        mp.mp.dps = 60 + int(2.5 * abs(min(log_x, log_y)))
-        vals = []
-        for z in (mp.mpf(x), mp.mpf(y)):
-            at = mp.atanh(z)
-            m = {1: (z + (3 * z**2 - 1) * at) / (8 * z**3),
-                 2: (-z + (1 + z**2) * at) / (8 * z**3),
-                 3: 1 / z - at / z**2,
-                 4: (3 - z**2) * at / (4 * z**3) - mp.mpf(3) / (4 * z**2)}[kind]
-            vals.append(z * m)
-        ref = float((vals[0] - vals[1]) / (mp.mpf(x) - mp.mpf(y))) if x != y \
-            else av.pair_moment(kind, x, y)
-        lib = av.pair_moment(kind, x, y)
-        assert min(abs(lib - ref), abs(lib - ref) / max(1e-30, abs(ref))) < 1e-11
+        theta, phi = math.pi / 2, math.pi
+        for alpha in (1e-7, 1e-6, 1e-3, 0.5, 2.0):
+            params = ch.ChannelParams.from_r(0.5, alpha)
+            lib = tp.per_input_fidelity(Direction.P_TO_C, tp.BlochInput(theta, phi), params)
+            with mp.workdps(60):
+                t, am = mp.mpf(params.t), mp.mpf(alpha)
+                s = mp.exp(-2 * (t * am) ** 2)
+                q = mp.exp(-2 * am**2 * (1 - t * t))
+                a = mp.cos(mp.mpf(theta) / 2) * mp.expj(mp.mpf(phi) / 2)
+                b = mp.sin(mp.mpf(theta) / 2) * mp.expj(-mp.mpf(phi) / 2)
+                ref = float(pc_fidelity(a, b, s, q))
+            assert abs(lib - ref) < 1e-15, alpha
 
 
 class TestGFunctional:
@@ -297,6 +307,13 @@ class TestClassicalLimit:
         params = ch.ChannelParams(t=1.0, alpha=0.0)
         assert av.classical_limit(Direction.P_TO_C, params) == 1.0
 
+    def test_near_the_merging_basis_against_high_precision(self):
+        # 1 - F_cl is of order 1e-12 here, not yet rounded away
+        for alpha in (1e-7, 6e-7):
+            params = ch.ChannelParams.from_r(0.5, alpha)
+            ref = pc_average_reference(params, coherent=False)
+            assert abs(av.classical_limit(Direction.P_TO_C, params) - ref) < 1e-14, alpha
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     def test_matches_quadrature_of_classical_strategy(self, alpha):
         for r in (0.0, 0.4, 0.8):
@@ -424,10 +441,15 @@ def test_closed_forms_are_continuous_in_r():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=0.05, max_value=0.999), st.floats(min_value=0.05, max_value=3.0))
-def test_averages_respect_bounds(t, alpha):
-    params = ch.ChannelParams(t=t, alpha=alpha)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.floats(min_value=0.0, max_value=10.0))
+@example(0.5, 1e-8)
+def test_averages_respect_bounds(r, alpha):
+    params = ch.ChannelParams.from_r(r, alpha)
     for d in Direction:
-        assert 0.0 <= av.avg_fidelity(d, params) <= 1.0 + 1e-12
-        assert 0.0 <= av.avg_success_probability(d, params) <= 1.0 + 1e-12
-    assert 0.0 <= av.classical_limit(Direction.P_TO_C, params) <= 1.0 + 1e-12
+        values = [av.avg_fidelity(d, params), av.avg_success_probability(d, params),
+                  av.classical_limit(d, params)]
+        if d.onto_polarization:
+            values += [av.avg_fidelity(d, params, postselected=True),
+                       av.avg_success_probability(d, params, postselected=True)]
+        assert all(0.0 <= v <= 1.0 for v in values), (d, values)

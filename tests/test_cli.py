@@ -176,6 +176,15 @@ class TestSweepCommands:
         assert len(rows) == 5
         assert all(float(row[header.index(column)]) == 1.0 for row in rows)
 
+    def test_p_to_c_average_near_alpha_zero_is_a_fidelity(self, tmp_path):
+        # the basis gap 1 - s is 1.5e-16 here; the average must still read its limit
+        out = tmp_path / "x.csv"
+        assert run("average", "--direction", "p-to-c", "--alpha", "1e-8", "--r-min", "0.5",
+                   "--r-max", "0.5", "--r-steps", "2", "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(float(row[header.index("avg_fidelity")]) == 1.0 for row in rows)
+
     def test_average_rejects_oracle(self, tmp_path):
         with pytest.raises(SystemExit):
             run("average", "--engine", "oracle", "--out", str(tmp_path / "x.csv"))

@@ -1,4 +1,4 @@
-"""The library imports only the stdlib and its declared runtime dependencies."""
+"""The library and its tests import only the stdlib and their declared dependencies."""
 
 import ast
 import re
@@ -13,6 +13,9 @@ tomllib = pytest.importorskip("tomllib")
 
 PACKAGE = Path(hybrid_teleport.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
+# the package under test and the test suite's own modules
+LOCAL = {"hybrid_teleport", "oracles", "conftest"}
 
 
 def imported_top_level(path: Path) -> set[str]:
@@ -25,10 +28,18 @@ def imported_top_level(path: Path) -> set[str]:
     return names
 
 
-def runtime_dependencies() -> set[str]:
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
+def requirement_names(requirements) -> set[str]:
     return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
-            for req in project["dependencies"]}
+            for req in requirements}
+
+
+def runtime_dependencies() -> set[str]:
+    return requirement_names(tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"])
+
+
+def declared_for_tests() -> set[str]:
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    return runtime_dependencies() | requirement_names(project["optional-dependencies"]["test"])
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -40,3 +51,10 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 def test_scipy_is_test_only():
     assert "scipy" not in runtime_dependencies()
+
+
+def test_every_third_party_import_in_the_tests_is_declared():
+    declared = declared_for_tests()
+    for path in sorted(TESTS.glob("*.py")):
+        third_party = imported_top_level(path) - set(sys.stdlib_module_names) - LOCAL
+        assert third_party <= declared, (path.name, sorted(third_party - declared))

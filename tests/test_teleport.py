@@ -470,12 +470,17 @@ class TestClosedFormBranches:
 @given(st.sampled_from(list(tp.Direction)),
        st.floats(min_value=0.0, max_value=math.pi),
        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
-       st.floats(min_value=1e-3, max_value=10.0),
+       st.floats(min_value=1e-8, max_value=10.0),
        st.floats(min_value=0.0, max_value=0.999))
 @example(tp.Direction.C_TO_P, math.pi / 2, math.pi, 1e-3, 0.999)
+@example(tp.Direction.P_TO_C, math.pi / 2, math.pi, 1e-7, 0.5)
 def test_closed_form_branches_are_probabilities(direction, theta, phi, alpha, r):
     inp = tp.BlochInput(theta, phi)
     params = ch.ChannelParams.from_r(r, alpha)
+    assert 0.0 <= tp.per_input_fidelity(direction, inp, params) <= 1.0 + 1e-12
+    if direction.onto_polarization:
+        assert 0.0 <= tp.per_input_fidelity(direction, inp, params, postselected=True) \
+            <= 1.0 + 1e-12
     branches = tp.branch_probabilities_analytic(direction, inp, params)
     probs = [d["probability"] for d in branches]
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
