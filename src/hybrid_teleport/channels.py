@@ -108,12 +108,31 @@ def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
     return [k for k in ops if np.any(k)]
 
 
+def _diagonal_run(op: np.ndarray) -> tuple[slice, slice, np.ndarray]:
+    """Row run, column run and values of an operator whose nonzeros are one diagonal run.
+
+    Raises ValueError for any other operator, so a Kraus family without this
+    structure fails loudly instead of being mis-applied.
+    """
+    rows, cols = np.nonzero(op)
+    if rows.size == 0 or np.any(cols - rows != cols[0] - rows[0]) \
+            or rows[-1] - rows[0] != rows.size - 1:
+        raise ValueError("loss operator is not one contiguous diagonal run")
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1), op[rows, cols]
+
+
 def evolve(rho: DensityOperator, t: float) -> DensityOperator:
     """Apply photon loss with decay t to every mode of a density operator.
 
-    Each mode's Kraus family acts on that mode's ket and bra axes only, with
-    matmul broadcasting over the others, so no operator on the whole space
-    is ever formed.
+    Every operator of :func:`damping_kraus` is one contiguous run on one
+    diagonal: K = sum_i v_i |r_i><c_i| with consecutive rows r and columns c.
+    So K x K^dag is the slice x[c, c] scaled by v on the ket side and by v*
+    on the bra side, written into rows and columns r. Each mode's family is
+    applied that way to that mode's ket and bra axes, broadcast over the
+    other modes, and accumulated in Kraus order. That is O(d^3) per Fock(d)
+    mode instead of the O(d^4) of the products K x K^dag, and bit for bit
+    equal to them: they round the same products and add only exact zeros
+    besides.
     """
     dims = rho.layout.dims
     n = len(dims)
@@ -121,8 +140,11 @@ def evolve(rho: DensityOperator, t: float) -> DensityOperator:
     for mode, kind in enumerate(rho.layout.modes):
         axes = (mode, n + mode)
         x = np.moveaxis(full, axes, (-2, -1))
-        x = sum(k @ x @ k.conj().T for k in damping_kraus(kind, t))
-        full = np.moveaxis(x, (-2, -1), axes)
+        out = np.zeros_like(x)
+        for op in damping_kraus(kind, t):
+            rows, cols, v = _diagonal_run(op)
+            out[..., rows, rows] += (v[:, None] * x[..., cols, cols]) * v.conj()
+        full = np.moveaxis(out, (-2, -1), axes)
     return DensityOperator(rho.layout, full.reshape(rho.matrix.shape))
 
 

@@ -19,9 +19,6 @@ import numpy as np
 H_IDX, V_IDX, VAC_IDX = 0, 1, 2
 
 COHERENT_TAIL_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_TOL = 1e-10
-TRACE_TOL = 1e-10
 ENSEMBLE_TOL = 1e-13
 
 
@@ -142,12 +139,13 @@ class StateVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Dense Hermitian PSD operator tagged with its layout.
 
     The matrix is a private read-only copy, so values derived from it once,
-    such as :attr:`ensemble`, stay valid for the operator's lifetime.
+    such as :attr:`ensemble`, stay valid for the operator's lifetime. Operators
+    compare and hash by identity, so such values can be keyed by operator.
     """
 
     layout: ModeLayout
@@ -177,27 +175,6 @@ class DensityOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
-
-    def validate(self, normalized: bool = True) -> "DensityOperator":
-        """Check Hermiticity, positivity and (optionally) unit trace; return self."""
-        herm = self.hermiticity_defect()
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
-        lo = self.min_eigenvalue()
-        if lo < -EIGENVALUE_TOL:
-            raise ValueError(f"not PSD: min eigenvalue = {lo:.3e}")
-        if normalized and abs(self.trace() - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {self.trace()!r} != 1")
-        return self
 
 
 def basis_ket(kind: ModeKind, index: int) -> StateVector:

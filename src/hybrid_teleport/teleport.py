@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -226,33 +227,64 @@ def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
     return TeleportOutcome(label, prob, output, correction, success)
 
 
-def _measure(channel: DensityOperator, measured_mode: int, input_amplitudes: np.ndarray,
-             rows, outcomes) -> list[TeleportOutcome]:
+# each channel's readout maps, dropped with the channel; threads that race on a
+# channel build equal maps, and either is kept
+_READOUT_MAPS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _readout_maps(channel: DensityOperator, direction: Direction) -> tuple[dict, DensityOperator]:
+    """A direction's readout contracted with the channel once, then kept for its lifetime.
+
+    Returns ``(maps, marginal)``. ``maps[label]`` is the label's rows over
+    (input, measured mode) contracted over the measured mode with the channel's
+    ensemble vectors, each scaled by sqrt(weight): a (d_in, rows * branch *
+    kept) matrix, so one input's unnormalized branch amplitudes are one
+    product with it. ``marginal`` is the kept mode's reduced state.
+    """
+    per_channel = _READOUT_MAPS.setdefault(channel, {})
+    if direction not in per_channel:
+        # the channel mode measured jointly with the input, and that readout's rows
+        if direction is Direction.C_TO_P:
+            measured, rows = 1, _parity_readout(channel.layout.dims[1])
+        elif direction is Direction.S_TO_P:
+            measured, rows = 1, _SINGLE_PHOTON_BRAS
+        else:
+            measured, rows = 0, _BELL_BRAS
+        w, vecs = channel.ensemble
+        # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
+        chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
+        chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
+        maps = {}
+        for label, block in rows.items():
+            block = block.reshape(-1, block.shape[-1] // len(chi), len(chi)) @ chi
+            maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
+            maps[label].setflags(write=False)
+        per_channel[direction] = maps, partial_trace(channel, {1 - measured})
+    return per_channel[direction]
+
+
+def _measure(channel: DensityOperator, direction: Direction,
+             input_amplitudes: np.ndarray) -> list[TeleportOutcome]:
     """Measure the input jointly with one channel mode and correct the other.
 
-    ``rows`` maps an outcome label of the table ``outcomes`` to the rows that
-    take the joint (input, measured mode) amplitudes onto it; the branch left
-    on the kept mode is conjugated by the named correction. The outcome without
-    rows, listed last, is the kept mode's reduced state minus the detected
-    branches before correction.
+    Each outcome of ``_OUTCOMES[direction]`` with readout rows collapses the
+    input through the channel's readout map; the branch left on the kept mode
+    is conjugated by the named correction. The outcome without rows, listed
+    last, is the kept mode's reduced state minus the detected branches before
+    correction.
     """
-    kept = 1 - measured_mode
-    layout = channel.layout.select([kept])
+    maps, marginal = _readout_maps(channel, direction)
+    layout = marginal.layout
     kept_dim = layout.dims[0]
-    w, vecs = channel.ensemble
-    # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
-    chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured_mode, 2), (0, 1))
-    chi = chi * np.sqrt(w)[:, None]
-    joint = np.multiply.outer(input_amplitudes, chi).reshape(-1, chi[0].size)
     branches = []
     detected = 0.0
-    for label, correction, success in outcomes:
-        if label in rows:
-            collapsed = (rows[label] @ joint).reshape(-1, kept_dim)
+    for label, correction, success in _OUTCOMES[direction]:
+        if label in maps:
+            collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
             mat = collapsed.T @ collapsed.conj()
             detected = detected + mat
         else:
-            mat = partial_trace(channel, {kept}).matrix - detected
+            mat = marginal.matrix - detected
         unitary = _UNITARIES.get(correction)
         if correction == "parity_flip":
             unitary = parity_operator(kept_dim)
@@ -288,7 +320,7 @@ def teleport_p_to_c(
     if channel is None:
         channel = _default_pc_channel(params, dim)
     ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, 0, ain, _BELL_BRAS, _OUTCOMES[Direction.P_TO_C])
+    return _measure(channel, Direction.P_TO_C, ain)
 
 
 def teleport_c_to_p(
@@ -314,7 +346,7 @@ def teleport_c_to_p(
     vin = vin / np.linalg.norm(vin)
 
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
-    return _measure(channel, 1, vin, _parity_readout(dim), _OUTCOMES[Direction.C_TO_P])
+    return _measure(channel, Direction.C_TO_P, vin)
 
 
 def teleport_p_to_s(
@@ -331,7 +363,7 @@ def teleport_p_to_s(
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
     ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, 0, ain, _BELL_BRAS, _OUTCOMES[Direction.P_TO_S])
+    return _measure(channel, Direction.P_TO_S, ain)
 
 
 def teleport_s_to_p(
@@ -348,7 +380,7 @@ def teleport_s_to_p(
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
     vin = np.array([inp.a, inp.b], dtype=complex)
-    return _measure(channel, 1, vin, _SINGLE_PHOTON_BRAS, _OUTCOMES[Direction.S_TO_P])
+    return _measure(channel, Direction.S_TO_P, vin)
 
 
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:

@@ -61,8 +61,9 @@ def _angle_grid(n_theta: int, n_phi: int):
 def _density_defect(stack: np.ndarray) -> float:
     """Largest Hermiticity, negative-eigenvalue or trace defect over a stack of density matrices.
 
-    The same three measures as :meth:`DensityOperator.validate`, each taken
-    once over the whole stack.
+    Each of the three is taken once over the whole stack: the largest
+    |M - M^dag| entry, minus the smallest eigenvalue of the Hermitian part,
+    and the largest |tr M - 1|.
     """
     adjoint = stack.conj().transpose(0, 2, 1)
     return max(

@@ -154,13 +154,43 @@ def evolve_dense(rho, t: float):
     mat = rho.matrix
     dims = rho.layout.dims
     for mode, kind in enumerate(rho.layout.modes):
-        kraus = [embed(k, dims, mode) for k in damping_kraus(kind, t)]
+        kraus = (embed(k, dims, mode) for k in damping_kraus(kind, t))
         mat = sum(k @ mat @ k.conj().T for k in kraus)
     return fk.DensityOperator(rho.layout, mat)
 
 
 # ---------------------------------------------------------------------------
 # test-only helpers on the library's types
+
+
+HERMITICITY_TOL = 1e-12
+EIGENVALUE_TOL = 1e-10
+TRACE_TOL = 1e-10
+
+
+def purity(rho) -> float:
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def hermiticity_defect(rho) -> float:
+    return float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
+
+
+def min_eigenvalue(rho) -> float:
+    return float(np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2)[0])
+
+
+def validate(rho, normalized: bool = True):
+    """Check Hermiticity, positivity and (optionally) unit trace; return rho."""
+    herm = hermiticity_defect(rho)
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
+    lo = min_eigenvalue(rho)
+    if lo < -EIGENVALUE_TOL:
+        raise ValueError(f"not PSD: min eigenvalue = {lo:.3e}")
+    if normalized and abs(rho.trace() - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {rho.trace()!r} != 1")
+    return rho
 
 
 def cat_ket(amplitude: float, sign: int, dim: int):

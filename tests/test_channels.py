@@ -79,6 +79,17 @@ class TestKraus:
         target = fk.coherent_ket(t * 1.0, dim).density()
         assert fk.trace_distance(out, target) < 1e-10
 
+    @pytest.mark.parametrize("kind", [fk.polarization_mode(), fk.qubit_mode(), fk.fock_mode(18),
+                                      fk.fock_mode(36), fk.fock_mode(102)])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 0.93, 0.999999])
+    def test_every_operator_is_one_contiguous_diagonal_run(self, kind, r):
+        # the structure evolve applies them by; at r -> 1 the ladder's tail underflows
+        for k in ch.damping_kraus(kind, ch.ChannelParams.from_r(r, 1.0).t):
+            rows, cols = np.nonzero(k)
+            assert rows.size > 0
+            assert np.all(cols - rows == cols[0] - rows[0])
+            assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             ch.damping_kraus(fk.fock_mode(4), 0.0)
@@ -100,8 +111,8 @@ class TestEvolve:
         rho = fk.DensityOperator(fk.layout_of(fk.polarization_mode(), fk.qubit_mode()), m)
         out = ch.evolve(rho, 0.6)
         assert out.trace() == pytest.approx(1.0, abs=1e-11)
-        assert out.min_eigenvalue() > -1e-12
-        out.validate()
+        assert oracles.min_eigenvalue(out) > -1e-12
+        oracles.validate(out)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.2, max_value=1.0), st.floats(min_value=0.2, max_value=1.0))
@@ -143,6 +154,32 @@ class TestEvolve:
         rho = fk.DensityOperator(layout, m / np.trace(m).real)
         assert np.array_equal(ch.evolve(rho, 0.7).matrix, oracles.evolve_dense(rho, 0.7).matrix)
 
+    @pytest.mark.parametrize("r", [0.999999, 0.0])
+    def test_matches_dense_embedding_where_the_runs_shrink(self, r):
+        # r = 0.999999: eta ~ 2e-12 and the ladder coefficients underflow;
+        # r = 0 (t = 1): the family collapses to the identity
+        t = ch.ChannelParams.from_r(r, 1.0).t
+        for rho in (ch.hybrid_pc_initial(1.0, 22).density(), ch.hybrid_ps_initial().density()):
+            out = ch.evolve(rho, t)
+            assert np.array_equal(out.matrix, oracles.evolve_dense(rho, t).matrix)
+            if t == 1.0:
+                assert np.array_equal(out.matrix, rho.matrix)
+
+    def test_matches_dense_embedding_at_alpha_5(self):
+        assert fk.default_fock_dim(5.0) == 102
+        rho = ch.hybrid_pc_initial(5.0, 102).density()
+        t = ch.ChannelParams.from_r(0.5, 5.0).t
+        assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
+
+    @pytest.mark.parametrize("op", [
+        np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),  # off one diagonal
+        np.diag([1.0, 0.0, 1.0]),  # one diagonal, not one run
+    ])
+    def test_rejects_a_loss_operator_that_is_not_one_run(self, op, monkeypatch):
+        monkeypatch.setattr(ch, "damping_kraus", lambda kind, t: [op.astype(complex)])
+        with pytest.raises(ValueError, match="diagonal run"):
+            ch.evolve(ch.hybrid_ps_initial().density(), 0.5)
+
     def test_ps_coherence_coefficient(self):
         # <H,0|rho|V,1> picks up t^2 from polarization and t from the qubit
         t = 0.85
@@ -155,7 +192,7 @@ class TestInitialStates:
         psi = ch.hybrid_pc_initial(0.0, 16)
         rho = psi.density()
         pol = fk.partial_trace(rho, {0})
-        assert pol.purity() == pytest.approx(1.0, abs=1e-12)
+        assert oracles.purity(pol) == pytest.approx(1.0, abs=1e-12)
         expect = np.zeros(3, dtype=complex)
         expect[fk.H_IDX] = expect[fk.V_IDX] = 1 / math.sqrt(2)
         assert abs(abs(np.vdot(expect, psi.amplitudes.reshape(3, 16)[:, 0])) - 1.0) < 1e-12
@@ -186,7 +223,7 @@ class TestInitialStates:
 class TestClosedFormChannels:
     def test_pc_pure_at_no_loss(self):
         rho = ch.rho_pc_analytic(ch.ChannelParams(t=1.0, alpha=1.0), 22)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_pc_vacuum_population(self, alpha):
@@ -208,7 +245,7 @@ class TestClosedFormChannels:
 
     def test_ps_pure_at_no_loss(self):
         rho = ch.rho_ps_analytic(ch.ChannelParams(t=1.0, alpha=1.0))
-        assert rho.purity() == pytest.approx(1.0, abs=1e-14)
+        assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_ps_flip_error_population(self):
         t = 0.9
@@ -228,5 +265,5 @@ class TestClosedFormChannels:
     def test_channels_are_valid_density_operators(self):
         for r in (0.0, 0.5, 0.9):
             params = ch.ChannelParams.from_r(r, 1.0)
-            ch.rho_pc_analytic(params, 22).validate()
-            ch.rho_ps_analytic(params).validate()
+            oracles.validate(ch.rho_pc_analytic(params, 22))
+            oracles.validate(ch.rho_ps_analytic(params))

@@ -173,7 +173,7 @@ class TestPartialTrace:
         b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 5))
         rho = fk.tensor(a, b).density()
         red = fk.partial_trace(rho, {0})
-        assert red.purity() == pytest.approx(1.0, abs=1e-12)
+        assert oracles.purity(red) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(red.matrix - a.density().matrix)) < 1e-12
 
     def test_bell_pair_reduces_maximally_mixed(self):
@@ -343,6 +343,13 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
+    def test_compares_and_hashes_by_identity(self):
+        rho = fk.basis_ket(fk.qubit_mode(), 1).density()
+        twin = fk.DensityOperator(rho.layout, rho.matrix)
+        assert np.array_equal(rho.matrix, twin.matrix)
+        assert rho == rho and rho != twin
+        assert hash(rho) != hash(twin) and len({rho, twin, rho}) == 2
+
     def test_ensemble_drops_numerically_zero_weights(self):
         rho = fk.basis_ket(fk.fock_mode(5), 2).density()
         w, vecs = rho.ensemble
@@ -380,9 +387,9 @@ def test_density_operators_validate(seed):
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     psi = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.polarization_mode()), v / np.linalg.norm(v))
     rho = psi.density()
-    rho.validate()
+    oracles.validate(rho)
     for keep in ({0}, {1}):
-        fk.partial_trace(rho, keep).validate()
+        oracles.validate(fk.partial_trace(rho, keep))
 
 
 @settings(max_examples=25, deadline=None)

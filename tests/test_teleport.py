@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -332,7 +334,7 @@ class TestPostselection:
         projected, kept = tp.postselect_polarization(out)
         assert kept == pytest.approx(params.t**2, abs=1e-10)
         assert projected.matrix[fk.VAC_IDX, fk.VAC_IDX].real < 1e-14
-        projected.validate()
+        oracles.validate(projected)
 
     def test_vacuum_free_state_unchanged(self):
         psi = fk.basis_ket(fk.polarization_mode(), fk.H_IDX)
@@ -522,6 +524,60 @@ class TestChannelEnsemble:
                 [(o.label, o.probability) for o in b_run]
             for a, b in zip(a_run, b_run):
                 assert np.array_equal(a.output.matrix, b.output.matrix)
+
+
+class TestReadoutMaps:
+    PARAMS = ch.ChannelParams.from_r(0.6, 1.5)
+
+    def channel(self):
+        return ch.evolve(ch.hybrid_pc_initial(1.5, fk.default_fock_dim(1.5)).density(),
+                         self.PARAMS.t)
+
+    @staticmethod
+    def same_bits(a_run, b_run):
+        assert [(o.label, o.probability) for o in a_run] == \
+            [(o.label, o.probability) for o in b_run]
+        for a, b in zip(a_run, b_run):
+            assert np.array_equal(a.output.matrix, b.output.matrix)
+
+    def test_repeated_call_gives_the_same_bits(self):
+        channel = self.channel()
+        first = tp.teleport_c_to_p(TILTED, self.PARAMS, channel=channel)
+        assert channel in tp._READOUT_MAPS
+        self.same_bits(first, tp.teleport_c_to_p(TILTED, self.PARAMS, channel=channel))
+
+    def test_fresh_copy_gives_the_bits_of_the_warm_channel(self):
+        warm = self.channel()
+        tp.teleport_c_to_p(EQUATOR, self.PARAMS, channel=warm)
+        copy = fk.DensityOperator(warm.layout, warm.matrix)
+        assert copy not in tp._READOUT_MAPS
+        self.same_bits(tp.teleport_c_to_p(TILTED, self.PARAMS, channel=warm),
+                       tp.teleport_c_to_p(TILTED, self.PARAMS, channel=copy))
+
+    def test_directions_on_one_channel_keep_their_own_maps(self):
+        # p->c reads mode 0 through Bell bras, c->p mode 1 through parity rows
+        for order in ((tp.Direction.P_TO_C, tp.Direction.C_TO_P),
+                      (tp.Direction.C_TO_P, tp.Direction.P_TO_C)):
+            channel = self.channel()
+            for d in order:
+                for inp in (TILTED, EQUATOR):
+                    summary = tp.pipeline_summary(d, inp, self.PARAMS, channel=channel)
+                    assert abs(summary["fidelity"]
+                               - tp.per_input_fidelity(d, inp, self.PARAMS)) < 1e-12
+                    assert abs(summary["success_probability"]
+                               - tp.per_input_success_probability(d, inp, self.PARAMS)) < 1e-12
+            maps = tp._READOUT_MAPS[channel]
+            assert set(maps) == set(order)
+            assert set(maps[tp.Direction.P_TO_C][0]) == set(tp._BELL_BRAS)
+            assert set(maps[tp.Direction.C_TO_P][0]) == set(tp._parity_readout(channel.layout.dims[1]))
+
+    def test_maps_do_not_keep_their_channel_alive(self):
+        channel = self.channel()
+        tp.teleport_c_to_p(TILTED, self.PARAMS, channel=channel)
+        alive = weakref.ref(channel)
+        del channel
+        gc.collect()
+        assert alive() is None
 
 
 class TestInputsAndParsing:
