@@ -79,11 +79,11 @@ class ModeLayout:
         if not self.modes:
             raise ValueError("layout needs at least one mode")
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(m.dim for m in self.modes)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
@@ -103,9 +103,12 @@ def _check_same_layout(a, b) -> None:
         raise LayoutError(f"layout mismatch: {a.layout} vs {b.layout}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state: complex amplitude vector tagged with its layout."""
+    """Pure state: complex amplitude vector tagged with its layout.
+
+    States compare and hash by identity, as :class:`DensityOperator` does.
+    """
 
     layout: ModeLayout
     amplitudes: np.ndarray

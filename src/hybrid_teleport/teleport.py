@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -29,7 +30,6 @@ from .fock import (
     VAC_IDX,
     DensityOperator,
     StateVector,
-    basis_ket,
     beam_splitter_sector,
     coherent_ket,
     default_fock_dim,
@@ -219,12 +219,36 @@ _UNITARIES = {
 }
 
 
-def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
-    prob = float(np.trace(mat).real)
-    output = None
-    if prob > 1e-15:
-        output = DensityOperator(layout, mat / prob)
-    return TeleportOutcome(label, prob, output, correction, success)
+def _corrections(direction: Direction, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each outcome's correction U as ``(gather, phases)`` over a stack of branch matrices.
+
+    Every correction permutes the kept basis up to phases, U[i, order[i]] = u_i,
+    so (U M U^dag)[i, j] = u_i conj(u_j) M[order[i], order[j]]: for a stack M
+    of shape (outcomes, dim, dim), ``np.take(M, gather) * phases`` is each
+    branch conjugated by its own correction, exactly.
+    """
+    unitaries = np.stack([parity_operator(dim) if correction == "parity_flip"
+                          else _UNITARIES.get(correction, np.eye(dim, dtype=complex))
+                          for _, correction, _ in _OUTCOMES[direction]])
+    outcome, row, order = np.nonzero(unitaries)  # one nonzero per row, in row order
+    u = unitaries[outcome, row, order].reshape(-1, dim)
+    order = order.reshape(-1, dim)
+    gather = (np.arange(len(order))[:, None, None] * dim * dim
+              + order[:, :, None] * dim + order[:, None, :])
+    phases = u[:, :, None] * u.conj()[:, None, :]
+    gather.setflags(write=False)
+    phases.setflags(write=False)
+    return gather, phases
+
+
+class _Readout(NamedTuple):
+    """One direction's readout on one channel; see ``_readout_maps``."""
+
+    labels: tuple[str, ...]
+    stacked: np.ndarray
+    gather: np.ndarray
+    phases: np.ndarray
+    marginal: DensityOperator
 
 
 # each channel's readout maps, dropped with the channel; threads that race on a
@@ -232,17 +256,20 @@ def _outcome(label, mat, layout, correction, success) -> TeleportOutcome:
 _READOUT_MAPS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _readout_maps(channel: DensityOperator, direction: Direction) -> tuple[dict, DensityOperator]:
+def _readout_maps(channel: DensityOperator, direction: Direction) -> _Readout:
     """A direction's readout contracted with the channel once, then kept for its lifetime.
 
-    Returns ``(maps, marginal)``. ``maps[label]`` is the label's rows over
-    (input, measured mode) contracted over the measured mode with the channel's
-    ensemble vectors, each scaled by sqrt(weight): a (d_in, rows * branch *
-    kept) matrix, so one input's unnormalized branch amplitudes are one
-    product with it. ``marginal`` is the kept mode's reduced state.
+    ``labels`` are the outcomes with readout rows, in ``_OUTCOMES`` order.
+    ``stacked`` holds each label's rows over (input, measured mode), contracted
+    over the measured mode with the channel's ensemble vectors, each scaled by
+    sqrt(weight), and zero-padded to the longest label: a (d_in, labels *
+    rows * branch * kept) matrix, so one input's unnormalized branch
+    amplitudes for every label are one product with it. ``gather`` and
+    ``phases`` apply every outcome's correction (see ``_corrections``).
+    ``marginal`` is the kept mode's reduced state.
     """
-    per_channel = _READOUT_MAPS.setdefault(channel, {})
-    if direction not in per_channel:
+    readout = _READOUT_MAPS.get(channel, {}).get(direction)
+    if readout is None:
         # the channel mode measured jointly with the input, and that readout's rows
         if direction is Direction.C_TO_P:
             measured, rows = 1, _parity_readout(channel.layout.dims[1])
@@ -254,48 +281,60 @@ def _readout_maps(channel: DensityOperator, direction: Direction) -> tuple[dict,
         # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
         chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
         chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
-        maps = {}
-        for label, block in rows.items():
-            block = block.reshape(-1, block.shape[-1] // len(chi), len(chi)) @ chi
-            maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
-            maps[label].setflags(write=False)
-        per_channel[direction] = maps, partial_trace(channel, {1 - measured})
-    return per_channel[direction]
+        labels = tuple(label for label, _, _ in _OUTCOMES[direction] if label in rows)
+        blocks = [rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi))
+                  for label in labels]
+        d_in = blocks[0].shape[1]
+        stacked = np.zeros((d_in, len(blocks), max(map(len, blocks)), chi.shape[1]), dtype=complex)
+        for i, block in enumerate(blocks):
+            stacked[:, i, :len(block)] = np.moveaxis(block @ chi, 1, 0)
+        stacked = stacked.reshape(d_in, -1)
+        stacked.setflags(write=False)
+        readout = _Readout(labels, stacked,
+                           *_corrections(direction, channel.layout.dims[1 - measured]),
+                           partial_trace(channel, {1 - measured}))
+        _READOUT_MAPS.setdefault(channel, {})[direction] = readout
+    return readout
 
 
 def _measure(channel: DensityOperator, direction: Direction,
              input_amplitudes: np.ndarray) -> list[TeleportOutcome]:
     """Measure the input jointly with one channel mode and correct the other.
 
-    Each outcome of ``_OUTCOMES[direction]`` with readout rows collapses the
-    input through the channel's readout map; the branch left on the kept mode
-    is conjugated by the named correction. The outcome without rows, listed
-    last, is the kept mode's reduced state minus the detected branches before
-    correction.
+    Every outcome of ``_OUTCOMES[direction]`` with readout rows collapses the
+    input through one product with the channel's stacked readout map; the
+    branch left on the kept mode is conjugated by the named correction. The
+    outcome without rows, listed last, is the kept mode's reduced state minus
+    the detected branches before correction. Branches of probability at most
+    1e-15 carry no output.
     """
-    maps, marginal = _readout_maps(channel, direction)
-    layout = marginal.layout
-    kept_dim = layout.dims[0]
-    branches = []
-    detected = 0.0
-    for label, correction, success in _OUTCOMES[direction]:
-        if label in maps:
-            collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
-            mat = collapsed.T @ collapsed.conj()
-            detected = detected + mat
-        else:
-            mat = marginal.matrix - detected
-        unitary = _UNITARIES.get(correction)
-        if correction == "parity_flip":
-            unitary = parity_operator(kept_dim)
-        if unitary is not None:
-            mat = unitary @ mat @ unitary.conj().T
-        branches.append(_outcome(label, mat, layout, correction, success))
-    return branches
+    readout = _readout_maps(channel, direction)
+    layout = readout.marginal.layout
+    collapsed = (input_amplitudes @ readout.stacked).reshape(len(readout.labels), -1,
+                                                             layout.dims[0])
+    mats = collapsed.transpose(0, 2, 1) @ collapsed.conj()
+    if len(mats) < len(readout.phases):  # the outcome without rows
+        mats = np.concatenate([mats, (readout.marginal.matrix - mats.sum(axis=0))[None]])
+    mats = np.take(mats, readout.gather) * readout.phases
+    probs = np.einsum("lii->l", mats).real
+    resolved = probs > 1e-15
+    outputs = mats / np.where(resolved, probs, np.inf)[:, None, None]
+    return [TeleportOutcome(label, prob, DensityOperator(layout, out) if ok else None,
+                            correction, success)
+            for (label, correction, success), prob, out, ok
+            in zip(_OUTCOMES[direction], probs.tolist(), outputs, resolved.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # pipelines
+
+
+@lru_cache(maxsize=16)
+def _decayed_basis(beta: float, dim: int) -> np.ndarray:
+    """Read-only amplitudes of the decayed basis |beta> and |-beta> on Fock(dim), as two rows."""
+    basis = np.stack([coherent_ket(beta, dim).amplitudes, coherent_ket(-beta, dim).amplitudes])
+    basis.setflags(write=False)
+    return basis
 
 
 def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperator:
@@ -342,7 +381,8 @@ def teleport_c_to_p(
     beta = params.t * params.alpha
     if beta <= 0.0:
         raise ValueError("c->p needs alpha > 0")
-    vin = inp.a * coherent_ket(beta, dim).amplitudes + inp.b * coherent_ket(-beta, dim).amplitudes
+    plus, minus = _decayed_basis(beta, dim)
+    vin = inp.a * plus + inp.b * minus
     vin = vin / np.linalg.norm(vin)
 
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
@@ -404,6 +444,9 @@ def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, floa
 # ---------------------------------------------------------------------------
 # targets and closed-form per-input quantities
 
+_POLARIZATION = layout_of(polarization_mode())
+_QUBIT = layout_of(qubit_mode())
+
 
 def target_state(
     direction: Direction,
@@ -420,15 +463,13 @@ def target_state(
     if direction is Direction.P_TO_C:
         if dim is None:
             dim = default_fock_dim(params.alpha)
-        v = a * coherent_ket(params.t * params.alpha, dim).amplitudes \
-            + b * coherent_ket(-params.t * params.alpha, dim).amplitudes
-        return StateVector(layout_of(fock_mode(dim)), v).normalized()
+        plus, minus = _decayed_basis(params.t * params.alpha, dim)
+        return StateVector(layout_of(fock_mode(dim)), a * plus + b * minus).normalized()
     if direction.onto_polarization:
-        v = a * basis_ket(polarization_mode(), H_IDX).amplitudes \
-            + b * basis_ket(polarization_mode(), V_IDX).amplitudes
-        return StateVector(layout_of(polarization_mode()), v)
-    v = a * basis_ket(qubit_mode(), 0).amplitudes + b * basis_ket(qubit_mode(), 1).amplitudes
-    return StateVector(layout_of(qubit_mode()), v)
+        v = np.zeros(3, dtype=complex)
+        v[H_IDX], v[V_IDX] = a, b
+        return StateVector(_POLARIZATION, v)
+    return StateVector(_QUBIT, np.array([a, b]))
 
 
 def _bloch_arrays(theta, phi):

@@ -143,6 +143,7 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
 
 def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[list[dict], list[dict]]:
     angles = _angle_grid(n_theta, n_phi)
+    thetas, phis = (np.array(column) for column in zip(*angles))
     worst_f = {d: (0.0, None) for d in Direction}
     worst_p = {d: (0.0, None) for d in Direction}
     worst_sum = 0.0
@@ -159,14 +160,21 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
             params = ChannelParams.from_r(r, alpha)
             chan_pc = evolve(hybrid_pc_initial(alpha, dim).density(), params.t)
             chan_ps = evolve(hybrid_ps_initial().density(), params.t)
-            for theta, phi in angles:
+            # closed-form fidelity and success probability over the whole angle grid,
+            # keyed by (direction, postselected)
+            closed = {
+                (d, post): (teleport.fidelity_kernel(d, thetas, phis, params, post).tolist(),
+                            teleport.success_kernel(d, thetas, phis, params, post).tolist())
+                for d in Direction for post in ((False, True) if d.onto_polarization else (False,))
+            }
+            for i, (theta, phi) in enumerate(angles):
                 inp = BlochInput(theta, phi)
                 for d in Direction:
                     chan = chan_pc if d.coherent else chan_ps
                     summary = teleport.pipeline_summary(d, inp, params, channel=chan)
-                    dev_f = abs(summary["fidelity"] - teleport.per_input_fidelity(d, inp, params))
-                    dev_p = abs(summary["success_probability"]
-                                - teleport.per_input_success_probability(d, inp, params))
+                    f_closed, p_closed = closed[d, False]
+                    dev_f = abs(summary["fidelity"] - f_closed[i])
+                    dev_p = abs(summary["success_probability"] - p_closed[i])
                     where = {"r": r, "alpha": alpha, "theta": theta, "phi": phi, "direction": d.value}
                     if dev_f > worst_f[d][0]:
                         worst_f[d] = (dev_f, where)
@@ -180,14 +188,10 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta=6, n_phi=8) -> tuple[lis
                     if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
                                                          postselected=True)
-                        worst_post = max(
-                            worst_post,
-                            abs(post["fidelity"]
-                                - teleport.per_input_fidelity(d, inp, params, postselected=True)),
-                            abs(post["success_probability"]
-                                - teleport.per_input_success_probability(
-                                    d, inp, params, postselected=True)),
-                        )
+                        f_closed, p_closed = closed[d, True]
+                        worst_post = max(worst_post,
+                                         abs(post["fidelity"] - f_closed[i]),
+                                         abs(post["success_probability"] - p_closed[i]))
                     if d in variant_dev:
                         dev = abs(audits.per_input_fidelity_variant(d, inp, params)
                                   - summary["fidelity"])

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from hybrid_teleport import fock as fk
+from hybrid_teleport import teleport as tp
 from hybrid_teleport.channels import damping_kraus
 
 
@@ -157,6 +158,50 @@ def evolve_dense(rho, t: float):
         kraus = (embed(k, dims, mode) for k in damping_kraus(kind, t))
         mat = sum(k @ mat @ k.conj().T for k in kraus)
     return fk.DensityOperator(rho.layout, mat)
+
+
+def measure_per_label(channel, direction, input_amplitudes):
+    """``teleport._measure`` one outcome at a time, with no cache and dense corrections.
+
+    Each label's rows over (input, measured mode) are contracted with the
+    channel's ensemble vectors into their own map, the input collapses through
+    it, and the branch is conjugated by the correction's dense unitary. The
+    outcome without rows is the kept mode's reduced state minus the detected
+    branches before correction. It takes the library's readout rows, outcome
+    table and correction unitaries, which have their own tests, and checks
+    only how ``_measure`` stacks and applies them.
+    """
+    if direction is tp.Direction.C_TO_P:
+        measured, rows = 1, tp._parity_readout(channel.layout.dims[1])
+    elif direction is tp.Direction.S_TO_P:
+        measured, rows = 1, tp._SINGLE_PHOTON_BRAS
+    else:
+        measured, rows = 0, tp._BELL_BRAS
+    w, vecs = channel.ensemble
+    chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
+    chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
+    marginal = fk.partial_trace(channel, {1 - measured})
+    kept_dim = marginal.layout.dims[0]
+    branches = []
+    detected = 0.0
+    for label, correction, success in tp._OUTCOMES[direction]:
+        if label in rows:
+            block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
+            label_map = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
+            collapsed = (input_amplitudes @ label_map).reshape(-1, kept_dim)
+            mat = collapsed.T @ collapsed.conj()
+            detected = detected + mat
+        else:
+            mat = marginal.matrix - detected
+        unitary = tp._UNITARIES.get(correction)
+        if correction == "parity_flip":
+            unitary = fk.parity_operator(kept_dim)
+        if unitary is not None:
+            mat = unitary @ mat @ unitary.conj().T
+        prob = float(np.trace(mat).real)
+        output = fk.DensityOperator(marginal.layout, mat / prob) if prob > 1e-15 else None
+        branches.append(tp.TeleportOutcome(label, prob, output, correction, success))
+    return branches
 
 
 # ---------------------------------------------------------------------------

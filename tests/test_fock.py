@@ -350,6 +350,13 @@ class TestDensityOperator:
         assert rho == rho and rho != twin
         assert hash(rho) != hash(twin) and len({rho, twin, rho}) == 2
 
+    def test_state_vectors_compare_and_hash_by_identity(self):
+        ket = fk.basis_ket(fk.qubit_mode(), 0)
+        twin = fk.basis_ket(fk.qubit_mode(), 0)
+        assert np.array_equal(ket.amplitudes, twin.amplitudes)
+        assert ket == ket and ket != twin
+        assert hash(ket) != hash(twin) and len({ket, twin, ket}) == 2
+
     def test_ensemble_drops_numerically_zero_weights(self):
         rho = fk.basis_ket(fk.fock_mode(5), 2).density()
         w, vecs = rho.ensemble

@@ -16,6 +16,7 @@ from hybrid_teleport import teleport as tp
 
 EQUATOR = tp.BlochInput(theta=math.pi / 2, phi=0.0)
 TILTED = tp.BlochInput(theta=1.1, phi=2.3)
+ODD_CAT = tp.BlochInput(theta=math.pi / 2, phi=math.pi)
 
 
 def pol_dyad(i, j):
@@ -568,8 +569,52 @@ class TestReadoutMaps:
                                - tp.per_input_success_probability(d, inp, self.PARAMS)) < 1e-12
             maps = tp._READOUT_MAPS[channel]
             assert set(maps) == set(order)
-            assert set(maps[tp.Direction.P_TO_C][0]) == set(tp._BELL_BRAS)
-            assert set(maps[tp.Direction.C_TO_P][0]) == set(tp._parity_readout(channel.layout.dims[1]))
+            dim = channel.layout.dims[1]
+            rank = len(channel.ensemble[0])
+            bell, parity = maps[tp.Direction.P_TO_C], maps[tp.Direction.C_TO_P]
+            assert set(bell.labels) == set(tp._BELL_BRAS)
+            assert set(parity.labels) == set(tp._parity_readout(dim))
+            # one row per Bell label; parity labels padded to the longest, d/2 rows
+            assert bell.stacked.shape == (3, len(bell.labels) * rank * dim)
+            assert parity.stacked.shape == (dim, len(parity.labels) * dim // 2 * rank * 3)
+            for d in order:
+                assert len(maps[d].phases) == len(tp._OUTCOMES[d])
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_stacked_product_matches_the_per_label_loop(self, alpha):
+        params = ch.ChannelParams.from_r(0.6, alpha)
+        dim = fk.default_fock_dim(alpha)
+        pc = ch.evolve(ch.hybrid_pc_initial(alpha, dim).density(), params.t)
+        ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
+        beta = params.t * alpha
+        for inp in (EQUATOR, ODD_CAT, TILTED):
+            a, b = inp.a, inp.b
+            coherent = a * oracles.coherent_amps(beta, dim) + b * oracles.coherent_amps(-beta, dim)
+            amplitudes = {
+                tp.Direction.P_TO_C: (pc, np.array([a, b, 0.0])),
+                tp.Direction.C_TO_P: (pc, coherent / np.linalg.norm(coherent)),
+                tp.Direction.P_TO_S: (ps, np.array([a, b, 0.0])),
+                tp.Direction.S_TO_P: (ps, np.array([a, b])),
+            }
+            for d, (channel, vin) in amplitudes.items():
+                stacked = tp._measure(channel, d, vin)
+                reference = oracles.measure_per_label(channel, d, vin)
+                assert [(o.label, o.correction, o.success) for o in stacked] == \
+                    [(o.label, o.correction, o.success) for o in reference]
+                for new, old in zip(stacked, reference):
+                    assert abs(new.probability - old.probability) <= 1e-15
+                    assert (new.output is None) == (old.output is None)
+                    if new.output is not None:
+                        assert np.abs(new.output.matrix - old.output.matrix).max() <= 1e-15
+
+    def test_decayed_basis_is_the_coherent_pair_bit_for_bit_and_read_only(self):
+        tp._decayed_basis.cache_clear()
+        basis = tp._decayed_basis(1.2, 22)
+        assert basis[0].tobytes() == fk.coherent_ket(1.2, 22).amplitudes.tobytes()
+        assert basis[1].tobytes() == fk.coherent_ket(-1.2, 22).amplitudes.tobytes()
+        assert tp._decayed_basis(1.2, 22) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
 
     def test_maps_do_not_keep_their_channel_alive(self):
         channel = self.channel()
