@@ -315,12 +315,15 @@ def partial_transpose(rho: DensityOperator, mode: int) -> np.ndarray:
     return np.ascontiguousarray(swapped.reshape(d, d))
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Ascending real spectrum of the symmetrized (M + M^dag)/2."""
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending real spectrum of the symmetrized (M + M^dag)/2.
+
+    Raises ValueError when M is not Hermitian within 1e-10.
+    """
     m = np.asarray(m, dtype=complex)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
-        raise ValueError(f"matrix not Hermitian within {tol:g}: defect {defect:.3e}")
+    if defect > 1e-10:
+        raise ValueError(f"matrix not Hermitian within 1e-10: defect {defect:.3e}")
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
@@ -382,8 +385,9 @@ def fidelity_pure(psi: StateVector, rho: DensityOperator) -> float:
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """(1/2) ||a - b||_1 for Hermitian a, b."""
+    """(1/2) ||a - b||_1 for Hermitian a, b.
+
+    Raises ValueError when a - b is not Hermitian within 1e-10.
+    """
     _check_same_layout(a, b)
-    diff = a.matrix - b.matrix
-    ev = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(ev)))
+    return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(a.matrix - b.matrix))))

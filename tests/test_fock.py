@@ -255,6 +255,14 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             fk.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_trace_distance_rejects_a_non_hermitian_difference(self):
+        layout = fk.layout_of(fk.qubit_mode())
+        rho = fk.DensityOperator(layout, np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            fk.trace_distance(fk.DensityOperator(layout, [[0.5, 1e-9], [0.0, 0.5]]), rho)
+        assert fk.trace_distance(fk.DensityOperator(layout, [[0.5, 1e-11], [0.0, 0.5]]),
+                                 rho) == pytest.approx(5e-12, abs=1e-20)
+
 
 class TestBeamSplitter:
     def test_unitary(self):

@@ -1,0 +1,53 @@
+"""The verify report's check entries: how each is built, and which the battery makes."""
+
+import json
+from pathlib import Path
+
+from hybrid_teleport import verify as vf
+
+PINNED = Path(__file__).resolve().parents[1] / "benchmarks" / "verify_battery.json"
+
+# the checks that report where their largest deviation sits
+LOCATED = {
+    "channel_pc_kraus_vs_closed",
+    "channel_ps_kraus_vs_closed",
+    "negativity_pc_numeric_vs_closed",
+    *(f"pipeline_vs_closed_{quantity}_{d}"
+      for quantity in ("fidelity", "probability") for d in ("p->c", "c->p", "p->s", "s->p")),
+    "moment_integrals_vs_quadrature",
+    "avg_closed_vs_quadrature",
+    "crossing_alpha_star",
+}
+
+
+class TestWorst:
+    def test_keeps_the_first_location_of_the_largest_deviation(self):
+        entry = vf._worst("c", 1.0, [(0.1, "a"), (0.3, "b"), (0.2, "c"), (0.3, "d")])
+        assert entry == {"name": "c", "max_abs_deviation": 0.3, "tolerance": 1.0,
+                         "pass": True, "worst_at": "b"}
+
+    def test_no_location_when_every_deviation_is_zero(self):
+        entry = vf._worst("c", 1e-9, [(0.0, "a"), (0.0, "b")])
+        assert entry["max_abs_deviation"] == 0.0
+        assert "worst_at" not in entry
+
+    def test_no_location_when_none_is_given(self):
+        entry = vf._worst("c", 1e-9, [(1e-12, None), (3e-12, None)])
+        assert entry["max_abs_deviation"] == 3e-12
+        assert "worst_at" not in entry
+
+    def test_no_deviations_read_as_zero(self):
+        assert vf._worst("c", 0.0, []) == {"name": "c", "max_abs_deviation": 0.0,
+                                          "tolerance": 0.0, "pass": True}
+
+    def test_a_deviation_equal_to_the_tolerance_passes(self):
+        assert vf._worst("c", 1e-6, [(1e-6, None)])["pass"]
+        assert not vf._worst("c", 1e-6, [(2e-6, None)])["pass"]
+
+
+def test_quick_battery_makes_the_pinned_checks_in_order():
+    report = vf.run_battery(pipeline_r=(0.0, 0.6), oracle_alphas=(0.5, 1.0), angle_grid=(4, 6))
+    pinned = json.loads(PINNED.read_text())["checks"]
+    assert [check["name"] for check in report["checks"]] == pinned
+    assert {check["name"] for check in report["checks"] if "worst_at" in check} == LOCATED
+    assert report["passed"]
