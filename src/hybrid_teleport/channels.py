@@ -11,6 +11,7 @@ initial pure state, and a direct closed-form density matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .fock import (
     tensor,
 )
 
+ALPHA_MAX = math.sqrt(sys.float_info.max / 2)  # largest alpha whose 2 alpha^2 is finite
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -43,8 +46,11 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.t <= 1.0:
             raise ValueError(f"t must be in (0, 1], got {self.t!r}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if self.alpha > ALPHA_MAX:
+            raise ValueError(f"alpha must be at most {ALPHA_MAX!r}, where 2 alpha^2 is still "
+                             f"finite, got {self.alpha!r}")
 
     @classmethod
     def from_r(cls, r: float, alpha: float) -> "ChannelParams":

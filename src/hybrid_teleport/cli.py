@@ -72,8 +72,7 @@ class SweepConfig:
         if self.alphas is not None and len(self.alphas) == 0:
             raise ValueError("alpha list must be nonempty")
         for a in self.alphas or ():
-            if not (math.isfinite(a) and a >= 0.0):
-                raise ValueError(f"alpha must be finite and >= 0, got {a!r}")
+            ChannelParams(1.0, a)  # rejects an amplitude no closed form can take
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         self.quad()  # rejects a quadrature grid too small to use
@@ -85,16 +84,18 @@ class SweepConfig:
         return QuadratureSpec(self.quad_theta, self.quad_phi)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    # one '%' template per row type signature: floats (subclasses too) at 12 digits, else str
     path.parent.mkdir(parents=True, exist_ok=True)
+    templates = {}
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join("%.12g" if issubclass(kind, float) else "%s"
+                                                   for kind in types)
+        lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -301,17 +302,18 @@ def cmd_average(args: argparse.Namespace) -> int:
     header = ["r", "alpha", "direction", "avg_fidelity", "avg_success_probability",
               "classical_limit", "avg_fidelity_postselected",
               "avg_success_postselected", "engine"]
+    named = [(d, d.value) for d in directions]
     rows = []
     for r in cfg.r_grid():
         for a in alphas:
             params = ChannelParams.from_r(r, a)
-            for d in directions:
+            for d, name in named:
                 post_f = post_p = ""
                 if d.onto_polarization:
                     post_f = avg_fidelity(d, params, postselected=True)
                     post_p = avg_success_probability(d, params, postselected=True)
                 rows.append([
-                    r, a, d.value,
+                    r, a, name,
                     avg_fidelity(d, params),
                     avg_success_probability(d, params),
                     classical_limit(d, params),

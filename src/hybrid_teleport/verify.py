@@ -34,6 +34,15 @@ ORACLE_ALPHAS = (0.5, 1.0, 2.0)
 PIPELINE_R = (0.0, 0.3, 0.6, 0.8)
 
 
+def _largest(deviations) -> tuple:
+    """The largest deviation and its first location, (0.0, None) if none is above 0."""
+    dev, at = 0.0, None
+    for d, where in deviations:
+        if d > dev:
+            dev, at = d, where
+    return dev, at
+
+
 def _worst(name: str, tol: float, deviations) -> dict:
     """Check entry for the largest of ``(deviation, location)`` pairs.
 
@@ -41,10 +50,7 @@ def _worst(name: str, tol: float, deviations) -> dict:
     none when that location is None or every deviation is 0. The check passes
     when the largest deviation is at most ``tol``.
     """
-    dev, at = 0.0, None
-    for d, where in deviations:
-        if d > dev:
-            dev, at = d, where
+    dev, at = _largest(deviations)
     entry = {"name": name, "max_abs_deviation": float(dev), "tolerance": float(tol),
              "pass": bool(dev <= tol)}
     if at is not None:
@@ -197,6 +203,11 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             p2 = 0.25  # |a|^2 |b|^2 at the equator
             weight = (f_pipe / params.t**2 - 0.5) / (q * p2)
             fitted_weight.append(weight)
+            # carry only each check's worst pair so far into the next channel; as the
+            # first largest pair, it leaves every check entry unchanged
+            for pairs in (*fidelity.values(), *probability.values(), branch_sum, valid,
+                          postselected):
+                pairs[:] = [_largest(pairs)]
 
     checks = [
         _worst(f"pipeline_vs_closed_{quantity}_{d.value}", 1e-6, deviations[d])

@@ -288,3 +288,17 @@ class DecayFactors:
 
 def decay_factors(params) -> DecayFactors:
     return DecayFactors(params.coherence_factor, params.basis_overlap)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text formatted value by value, the reference for the CLI's row templates.
+
+    Floats, subclasses included, take 12 significant digits; anything else is ``str``.
+    """
+
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return format(value, ".12g")
+        return str(value)
+
+    return "\n".join([",".join(header)] + [",".join(cell(v) for v in row) for row in rows]) + "\n"

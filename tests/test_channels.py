@@ -34,6 +34,13 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ch.ChannelParams.from_r(1.0, 1.0)
 
+    def test_rejects_an_amplitude_whose_decay_exponent_overflows(self):
+        largest = ch.ChannelParams(t=1.0, alpha=ch.ALPHA_MAX)
+        assert (largest.coherence_factor, largest.basis_overlap) == (1.0, 0.0)
+        for alpha in (math.nextafter(ch.ALPHA_MAX, math.inf), 1e200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be"):
+                ch.ChannelParams(t=1.0, alpha=alpha)
+
     @given(st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.0, max_value=3.0))
     def test_factor_product_is_t_independent(self, t, alpha):
         f = oracles.decay_factors(ch.ChannelParams(t=t, alpha=alpha))

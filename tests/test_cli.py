@@ -3,8 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hybrid_teleport import cli
 
 
@@ -17,6 +21,37 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# the cell types the commands write, and the float subclasses and edge values a
+# row template has to format exactly as format(value, ".12g") or str(value) does
+CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.booleans(), st.none(), st.sampled_from(["", "p->c", "analytic"]),
+)
+
+
+class TestCsvWriter:
+    ROWS = [
+        [0.1, np.float64(0.1), np.float32(0.1), 3, True, None, "", "p->c"],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, np.float64(-0.0), False],
+        [1 / 3, np.float64(2 / 3), np.float32(1 / 3), -7, False, None, "x", "analytic"],
+        ["p->s", 0.5, None, 2, np.float64(float("nan")), np.float32(float("inf")), 1e-300, ""],
+        [np.float64(1e300), 5e-324, "", 0, True, -0.0, np.float32(-0.0), 12345678901234.5],
+    ]
+
+    def test_rows_of_mixed_types_match_the_per_value_reference(self, tmp_path):
+        header = [f"c{i}" for i in range(8)]
+        out = tmp_path / "sub" / "mixed.csv"
+        cli._write_csv(out, header, self.ROWS)
+        assert out.read_bytes() == oracles.csv_text(header, self.ROWS).encode("ascii")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(CELLS, min_size=1, max_size=6), max_size=8))
+    def test_any_rows_match_the_per_value_reference(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("csv") / "rows.csv"
+        cli._write_csv(out, ["a", "b"], rows)
+        assert out.read_bytes() == oracles.csv_text(["a", "b"], rows).encode("ascii")
 
 
 class TestFigureCommand:
@@ -91,12 +126,26 @@ class TestFigureCommand:
                    for path in tmp_path.glob("*.csv")}
         assert written == pinned
 
+    def test_average_matches_pinned_digests(self, tmp_path):
+        # every direction's closed forms, from alpha = 1e-6 up and r to 0.999, byte for byte
+        pinned = json.loads(Path(__file__).with_name("average_digests.json").read_text())
+        written = {}
+        for alpha in pinned["digests"]:
+            out = tmp_path / f"average-{alpha}.csv"
+            assert run(*pinned["argv"], "--alpha", alpha, "--out", str(out)) == 0
+            written[alpha] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert written == pinned["digests"]
+
     def test_float_formatting_is_12_digits(self, tmp_path):
         out = tmp_path / "fig4.csv"
         run("figure", "fig4", "--out", str(out))
         _, rows = read_csv(out)
         cell = rows[3][1]
         assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+TOO_LARGE = ("alpha must be at most 9.480751908109176e+153, where 2 alpha^2 is still finite, "
+             "got 1e+200")
 
 
 class TestSweepCommands:
@@ -185,6 +234,15 @@ class TestSweepCommands:
         assert len(rows) == 2
         assert all(float(row[header.index("avg_fidelity")]) == 1.0 for row in rows)
 
+    def test_largest_amplitude_gives_finite_averages(self, tmp_path):
+        # at r = 0, 2 alpha^2 times the zero loss must not read inf * 0
+        out = tmp_path / "x.csv"
+        assert run("average", "--alpha", "9.480751908109176e153", "--r-steps", "3",
+                   "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 12
+        assert all(0.0 <= float(cell) <= 1.0 for row in rows for cell in row[3:-1] if cell)
+
     def test_average_rejects_oracle(self, tmp_path):
         with pytest.raises(SystemExit):
             run("average", "--engine", "oracle", "--out", str(tmp_path / "x.csv"))
@@ -221,6 +279,10 @@ class TestSweepCommands:
         (("verify", "--quick", "--quad-theta", "0"), "need at least 2 nodes per direction"),
         (("average", "--direction", "q-to-z"),
          "unknown direction 'q-to-z'; use one of p-to-c, c-to-p, p-to-s, s-to-p"),
+        # beyond channels.ALPHA_MAX, 2 alpha^2 overflows in every closed form
+        (("average", "--direction", "all", "--alpha", "1e200"), TOO_LARGE),
+        (("figure", "fig2", "--alpha", "1e200"), TOO_LARGE),
+        (("negativity", "--engine", "analytic", "--alpha", "1e200"), TOO_LARGE),
     ])
     def test_bad_input_exits_with_message(self, argv, message, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -40,6 +40,14 @@ class TestWorst:
         assert vf._worst("c", 0.0, []) == {"name": "c", "max_abs_deviation": 0.0,
                                           "tolerance": 0.0, "pass": True}
 
+    def test_a_prefix_reduced_to_its_largest_pair_keeps_the_entry(self):
+        # the pipeline phase reduces each channel's pairs before the next channel
+        pairs = [(0.0, "z"), (0.1, "a"), (0.3, "b"), (0.2, "c"), (0.3, "d"), (0.05, "e")]
+        whole = vf._worst("c", 1.0, pairs)
+        assert whole["worst_at"] == "b"
+        for cut in range(len(pairs) + 1):
+            assert vf._worst("c", 1.0, [vf._largest(pairs[:cut])] + pairs[cut:]) == whole
+
     def test_a_deviation_equal_to_the_tolerance_passes(self):
         assert vf._worst("c", 1e-6, [(1e-6, None)])["pass"]
         assert not vf._worst("c", 1e-6, [(2e-6, None)])["pass"]
