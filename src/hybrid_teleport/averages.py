@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import ChannelParams
-from .teleport import (Direction, _bloch_arrays, check_postselection, fidelity_kernel,
-                       success_kernel)
+from .teleport import (Direction, _angle_terms, _fidelity_from_terms, _success_from_terms,
+                       check_postselection)
 
 _SERIES_TERMS = 14
 _MOMENT_SERIES_CUT = 1e-3  # moment_integral switches to its series below this
@@ -71,6 +71,22 @@ def bloch_average(f, spec: QuadratureSpec | None = None) -> float:
     if vals.shape != shape:
         vals = np.broadcast_to(vals, shape)
     return float(np.einsum("i,ij,j->", w_theta, vals, w_phi))
+
+
+@lru_cache(maxsize=16)
+def _grid_terms(n_theta: int, n_phi: int) -> tuple:
+    """Read-only :func:`teleport._angle_terms` over the whole quadrature grid, built when used."""
+    theta, _, phi, _ = _nodes(n_theta, n_phi)
+    terms = _angle_terms(theta[:, None], phi[None, :])
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
+def _grid_average(kernel, spec: QuadratureSpec | None) -> float:
+    """:func:`bloch_average` of ``kernel(terms)`` over the grid's cached terms."""
+    spec = spec or QuadratureSpec()
+    return bloch_average(lambda *_: kernel(_grid_terms(spec.n_theta, spec.n_phi)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +218,8 @@ def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
                             spec: QuadratureSpec | None = None,
                             postselected: bool = False) -> float:
     """Quadrature of the per-input fidelity (the source of truth)."""
-    return bloch_average(
-        lambda th, ph: fidelity_kernel(direction, th, ph, params, postselected), spec
-    )
+    return _grid_average(lambda terms: _fidelity_from_terms(direction, terms, params, postselected),
+                         spec)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +245,12 @@ def classical_limit_quadrature(params: ChannelParams,
     """Quadrature oracle of the classical strategy for p->c targets."""
     s = params.basis_overlap
 
-    def per_input(theta, phi):
-        a, b = _bloch_arrays(theta, phi)
-        u = 2.0 * np.real(a * np.conj(b))
-        num = np.abs(a) ** 2 * np.abs(a + b * s) ** 2 + np.abs(b) ** 2 * np.abs(a * s + b) ** 2
-        return num / (1.0 + s * u)
+    def per_input(terms):
+        # (|a|^2 |a + s b|^2 + |b|^2 |s a + b|^2) / (1 + s u), |a + s b|^2 = |a|^2 + s^2 |b|^2 + s u
+        p, q2, u, _ = terms
+        return (p * (p + s * s * q2 + s * u) + q2 * (s * s * p + q2 + s * u)) / (1.0 + s * u)
 
-    return bloch_average(per_input, spec)
+    return _grid_average(per_input, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +286,8 @@ def avg_success_probability(direction: Direction, params: ChannelParams,
 def avg_success_quadrature(direction: Direction, params: ChannelParams,
                            spec: QuadratureSpec | None = None,
                            postselected: bool = False) -> float:
-    return bloch_average(
-        lambda th, ph: success_kernel(direction, th, ph, params, postselected), spec
-    )
+    return _grid_average(lambda terms: _success_from_terms(direction, terms, params, postselected),
+                         spec)
 
 
 def fidelity_gap_large_alpha(params: ChannelParams) -> float:

@@ -38,7 +38,7 @@ ALPHA_MAX = math.sqrt(sys.float_info.max / 2)  # largest alpha whose 2 alpha^2 i
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Decoherence point: amplitude decay t in (0, 1] and coherent amplitude."""
+    """Decoherence point: amplitude decay t in (0, 1], coherent amplitude, their decay factors."""
 
     t: float
     alpha: float
@@ -51,6 +51,15 @@ class ChannelParams:
         if self.alpha > ALPHA_MAX:
             raise ValueError(f"alpha must be at most {ALPHA_MAX!r}, where 2 alpha^2 is still "
                              f"finite, got {self.alpha!r}")
+        # the decay factors, once: coherence_factor suppresses the cross coherent dyadic,
+        # exp(-2 alpha^2 (1 - t^2)); basis_overlap is <t a|-t a> = exp(-2 t^2 alpha^2);
+        # each gap is 1 minus its factor through expm1, exact as alpha -> 0
+        log_q = -2.0 * self.alpha**2 * (1.0 - self.t**2)
+        log_s = -2.0 * (self.t * self.alpha) ** 2
+        object.__setattr__(self, "coherence_factor", math.exp(log_q))
+        object.__setattr__(self, "coherence_gap", -math.expm1(log_q))
+        object.__setattr__(self, "basis_overlap", math.exp(log_s))
+        object.__setattr__(self, "basis_gap", -math.expm1(log_s))
 
     @classmethod
     def from_r(cls, r: float, alpha: float) -> "ChannelParams":
@@ -62,26 +71,6 @@ class ChannelParams:
     def r(self) -> float:
         """Normalized time, r = sqrt(1 - t^2)."""
         return math.sqrt(max(0.0, 1.0 - self.t * self.t))
-
-    @property
-    def coherence_factor(self) -> float:
-        """Suppression of the cross coherent dyadic: exp(-2 alpha^2 (1 - t^2))."""
-        return math.exp(-2.0 * self.alpha**2 * (1.0 - self.t**2))
-
-    @property
-    def basis_overlap(self) -> float:
-        """Overlap of the decayed basis states <t a|-t a> = exp(-2 t^2 alpha^2)."""
-        return math.exp(-2.0 * (self.t * self.alpha) ** 2)
-
-    @property
-    def basis_gap(self) -> float:
-        """1 - basis_overlap through expm1, exact as alpha -> 0."""
-        return -math.expm1(-2.0 * (self.t * self.alpha) ** 2)
-
-    @property
-    def coherence_gap(self) -> float:
-        """1 - coherence_factor through expm1, exact as alpha -> 0."""
-        return -math.expm1(-2.0 * self.alpha**2 * (1.0 - self.t**2))
 
 
 def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:

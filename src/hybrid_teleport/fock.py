@@ -146,20 +146,24 @@ class StateVector:
 class DensityOperator:
     """Dense Hermitian PSD operator tagged with its layout.
 
-    The matrix is a private read-only copy, so values derived from it once,
-    such as :attr:`ensemble`, stay valid for the operator's lifetime. Operators
-    compare and hash by identity, so such values can be keyed by operator.
+    The matrix is read-only: a complex view of a read-only array is kept, and
+    anything else copied. So values derived from it once, such as :attr:`ensemble`,
+    stay valid for the operator's lifetime. Operators compare and hash by
+    identity, so such values can be keyed by operator.
     """
 
     layout: ModeLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = self.matrix
+        if not (isinstance(mat, np.ndarray) and mat.dtype == complex
+                and isinstance(mat.base, np.ndarray) and not mat.base.flags.writeable):
+            mat = np.array(mat, dtype=complex)
+            mat.setflags(write=False)
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @cached_property
@@ -378,7 +382,12 @@ def parity_operator(dim: int) -> np.ndarray:
 def fidelity_pure(psi: StateVector, rho: DensityOperator) -> float:
     """Overlap <psi|rho|psi>, clamped to [0, 1] after a sanity check."""
     _check_same_layout(psi, rho)
-    val = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
+    return _overlap_fidelity(psi.amplitudes, rho.matrix)
+
+
+def _overlap_fidelity(amplitudes: np.ndarray, matrix: np.ndarray) -> float:
+    """:func:`fidelity_pure` of bare amplitudes and matrix, already known to match."""
+    val = complex(amplitudes.conj() @ matrix @ amplitudes)
     if abs(val.imag) > 1e-8 or val.real < -1e-8 or val.real > 1 + 1e-8:
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
     return float(min(1.0, max(0.0, val.real)))

@@ -29,11 +29,12 @@ from .fock import (
     V_IDX,
     VAC_IDX,
     DensityOperator,
+    ModeLayout,
     StateVector,
+    _overlap_fidelity,
     beam_splitter_sector,
     coherent_ket,
     default_fock_dim,
-    fidelity_pure,
     fock_mode,
     layout_of,
     parity_operator,
@@ -141,14 +142,18 @@ def success_probability(outcomes: list[TeleportOutcome]) -> float:
     return float(sum(o.probability for o in outcomes if o.success))
 
 
-def combined_success_output(outcomes: list[TeleportOutcome]) -> DensityOperator:
-    """Probability-weighted mixture of the corrected success branches."""
+def _success_mixture(outcomes: list[TeleportOutcome]) -> tuple[ModeLayout, np.ndarray]:
+    """Layout and fresh matrix of :func:`combined_success_output`."""
     wins = [o for o in outcomes if o.success and o.output is not None]
     if not wins:
         raise ValueError("no success branches with nonzero probability")
     total = sum(o.probability for o in wins)
-    mat = sum(o.probability * o.output.matrix for o in wins) / total
-    return DensityOperator(wins[0].output.layout, mat)
+    return wins[0].output.layout, sum(o.probability * o.output.matrix for o in wins) / total
+
+
+def combined_success_output(outcomes: list[TeleportOutcome]) -> DensityOperator:
+    """Probability-weighted mixture of the corrected success branches."""
+    return DensityOperator(*_success_mixture(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +302,25 @@ def _readout_maps(channel: DensityOperator, direction: Direction) -> _Readout:
     return readout
 
 
+def _remainder_choi(direction: Direction, params: ChannelParams,
+                    channel: DensityOperator) -> np.ndarray:
+    """Choi matrix of the outcome without readout rows, on one channel.
+
+    The input (a, b) weights e_0, e_1 (the decayed coherent basis for c->p); all
+    readout rows collapse them to G_0, G_1, so the remainder's Choi matrix is
+    kron(<e_y|e_x>, marginal) - G^T conj(G), G = [G_0 | G_1]. Its branch is positive
+    for every input when it is; a branch with rows is a Gram matrix, positive anyway.
+    """
+    readout = _readout_maps(channel, direction)
+    basis = (_decayed_basis(params.t * params.alpha, channel.layout.dims[1])
+             if direction is Direction.C_TO_P else np.eye(2, len(readout.stacked)))
+    # einsum, not the BLAS product: basis @ stacked put 0.3 MB on verify's peak RSS
+    g = np.einsum("xi,ij->xj", basis, readout.stacked)
+    g = g.reshape(2, -1, readout.marginal.layout.dims[0])
+    g = np.concatenate(g, axis=-1)  # [G_0 | G_1]
+    return np.kron(basis @ basis.conj().T, readout.marginal.matrix) - g.T @ g.conj()
+
+
 def _measure(channel: DensityOperator, direction: Direction,
              input_amplitudes: np.ndarray) -> list[TeleportOutcome]:
     """Measure the input jointly with one channel mode and correct the other.
@@ -319,6 +343,7 @@ def _measure(channel: DensityOperator, direction: Direction,
     probs = np.einsum("lii->l", mats).real
     resolved = probs > 1e-15
     outputs = mats / np.where(resolved, probs, np.inf)[:, None, None]
+    outputs.setflags(write=False)  # each branch keeps a read-only view, no copy
     return [TeleportOutcome(label, prob, DensityOperator(layout, out) if ok else None,
                             correction, success)
             for (label, correction, success), prob, out, ok
@@ -335,6 +360,13 @@ def _decayed_basis(beta: float, dim: int) -> np.ndarray:
     basis = np.stack([coherent_ket(beta, dim).amplitudes, coherent_ket(-beta, dim).amplitudes])
     basis.setflags(write=False)
     return basis
+
+
+def _coherent_qubit(inp: BlochInput, params: ChannelParams, dim: int) -> np.ndarray:
+    """Normalized amplitudes of a qubit in the decayed coherent basis |+-t alpha> on Fock(dim)."""
+    plus, minus = _decayed_basis(params.t * params.alpha, dim)
+    v = inp.a * plus + inp.b * minus
+    return v / np.linalg.norm(v)
 
 
 def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperator:
@@ -377,14 +409,9 @@ def teleport_c_to_p(
     """
     if channel is None:
         channel = _default_pc_channel(params, dim)
-    dim = channel.layout.dims[1]
-    beta = params.t * params.alpha
-    if beta <= 0.0:
+    if params.t * params.alpha <= 0.0:
         raise ValueError("c->p needs alpha > 0")
-    plus, minus = _decayed_basis(beta, dim)
-    vin = inp.a * plus + inp.b * minus
-    vin = vin / np.linalg.norm(vin)
-
+    vin = _coherent_qubit(inp, params, channel.layout.dims[1])
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
     return _measure(channel, Direction.C_TO_P, vin)
 
@@ -432,13 +459,19 @@ def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, floa
     """
     if len(rho.layout) != 1 or rho.layout.modes[0].label != "polarization":
         raise ValueError("postselection acts on a single polarization mode")
-    kept = 1.0 - float(rho.matrix[VAC_IDX, VAC_IDX].real)
+    mat = rho.matrix.copy()
+    kept = _drop_vacuum(mat)
+    return DensityOperator(rho.layout, mat), kept
+
+
+def _drop_vacuum(mat: np.ndarray) -> float:
+    """:func:`postselect_polarization` of a writable matrix, in place; returns the kept weight."""
+    kept = 1.0 - float(mat[VAC_IDX, VAC_IDX].real)
     if kept <= 1e-15:
         raise ValueError("no photon-present population to keep")
-    mat = rho.matrix.copy()
-    mat[VAC_IDX, :] = 0.0
-    mat[:, VAC_IDX] = 0.0
-    return DensityOperator(rho.layout, mat / kept), kept
+    mat[VAC_IDX, :] = mat[:, VAC_IDX] = 0.0
+    mat /= kept
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -459,34 +492,39 @@ def target_state(
     Field-like coherent targets use the decayed (dynamic) basis |±t alpha>
     with t treated as known; all other targets are the bare input qubit.
     """
-    a, b = inp.a, inp.b
     if direction is Direction.P_TO_C:
-        if dim is None:
-            dim = default_fock_dim(params.alpha)
-        plus, minus = _decayed_basis(params.t * params.alpha, dim)
-        return StateVector(layout_of(fock_mode(dim)), a * plus + b * minus).normalized()
-    if direction.onto_polarization:
-        v = np.zeros(3, dtype=complex)
-        v[H_IDX], v[V_IDX] = a, b
-        return StateVector(_POLARIZATION, v)
-    return StateVector(_QUBIT, np.array([a, b]))
+        layout = layout_of(fock_mode(default_fock_dim(params.alpha) if dim is None else dim))
+    else:
+        layout = _POLARIZATION if direction.onto_polarization else _QUBIT
+    return StateVector(layout, _target_amplitudes(direction, inp, params, layout.total_dim))
 
 
-def _bloch_arrays(theta, phi):
+def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelParams,
+                       dim: int) -> np.ndarray:
+    """Amplitudes of :func:`target_state` on a kept mode of dimension ``dim``."""
+    if direction is Direction.P_TO_C:
+        return _coherent_qubit(inp, params, dim)
+    return np.array((inp.a, inp.b) + (0.0,) * (dim - 2), dtype=complex)  # H, V or |0>, |1>
+
+
+def _bloch_terms(a, b) -> tuple:
+    """|a|^2, |b|^2, u = 2 Re(a b*) and |a + b|^2 of input amplitudes; scalars or arrays."""
+    return abs(a) ** 2, abs(b) ** 2, 2.0 * (a * b.conjugate()).real, abs(a + b) ** 2
+
+
+def _angle_terms(theta, phi) -> tuple:
+    """:func:`_bloch_terms` of arrays of Bloch angles."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    a = np.cos(theta / 2) * np.exp(1j * phi / 2)
-    b = np.sin(theta / 2) * np.exp(-1j * phi / 2)
-    return a, b
+    return _bloch_terms(np.cos(theta / 2) * np.exp(1j * phi / 2),
+                        np.sin(theta / 2) * np.exp(-1j * phi / 2))
 
 
-def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
-                    postselected: bool = False):
-    """Vectorized per-input fidelity; arrays of Bloch angles in, arrays out."""
+def _fidelity_from_terms(direction: Direction, terms: tuple, params: ChannelParams,
+                         postselected: bool = False):
+    """Per-input fidelity of :func:`_bloch_terms`, one minus a nonnegative infidelity."""
     check_postselection(direction, postselected)
-    a, b = _bloch_arrays(theta, phi)
-    p = np.abs(a) ** 2
-    q2 = np.abs(b) ** 2
+    p, q2, _, w = terms
     t = params.t
     if direction is Direction.P_TO_C:
         # 1 - F = 2 (1 - s^2)(1 - q)|a|^2|b|^2 / ((1 + s u)(1 + q s u)) with
@@ -494,27 +532,27 @@ def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
         # so the odd-cat input (u -> -1) stays exact as alpha -> 0
         s = params.basis_overlap
         gap_s, gap_q = params.basis_gap, params.coherence_gap
-        w = np.abs(a + b) ** 2
         norm = (gap_s + s * w) * (gap_s + s * gap_q + params.coherence_factor * s * w)
         return 1.0 - 2.0 * gap_s * (1.0 + s) * gap_q * p * q2 / norm
-    if direction is Direction.C_TO_P:
-        qf = params.coherence_factor
-        base = p * p + q2 * q2 + 2.0 * qf * p * q2
-        return base if postselected else t * t * base
     if direction is Direction.P_TO_S:
-        return p * p + t * t * q2 * q2 + (1.0 - t * t + 2.0 * t) * p * q2
-    # S_TO_P
-    denom = t * t * p + (2.0 - t * t) * q2
-    if postselected:
-        num = t * t * p * p + q2 * q2 + (1.0 + 2.0 * t - t * t) * p * q2
+        return 1.0 - ((1.0 - t * t) * q2 * q2 + (1.0 - t) ** 2 * p * q2)
+    # onto polarization, postselected; a photon that did not arrive scales it by t^2
+    if direction is Direction.C_TO_P:
+        fidelity = 1.0 - 2.0 * params.coherence_gap * p * q2
     else:
-        num = t ** 4 * p * p + t * t * q2 * q2 + t * t * (1.0 + 2.0 * t - t * t) * p * q2
-    return num / denom
+        fidelity = 1.0 - q2 * (1.0 - t) * (1.0 + t - 2.0 * t * p) / (t * t * p + (2.0 - t * t) * q2)
+    return fidelity if postselected else t * t * fidelity
 
 
-def _branch_probabilities(direction: Direction, a, b, params: ChannelParams) -> tuple:
-    """Closed-form probabilities of ``_OUTCOMES[direction]`` in order; scalars or arrays."""
-    u = 2.0 * (a * b.conjugate()).real
+def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
+                    postselected: bool = False):
+    """Vectorized per-input fidelity; arrays of Bloch angles in, arrays out."""
+    return _fidelity_from_terms(direction, _angle_terms(theta, phi), params, postselected)
+
+
+def _branch_probabilities(direction: Direction, terms: tuple, params: ChannelParams) -> tuple:
+    """Closed-form probabilities of ``_OUTCOMES[direction]`` in order, from :func:`_bloch_terms`."""
+    p, q2, u, w = terms
     t2 = params.t ** 2
     if direction is Direction.P_TO_C:
         mod = params.coherence_factor * params.basis_overlap
@@ -525,27 +563,32 @@ def _branch_probabilities(direction: Direction, a, b, params: ChannelParams) -> 
         # 1 - s through expm1 and 1 + u = |a + b|^2 keep the odd-cat input (u -> -1) exact
         s = params.basis_overlap
         gap = params.basis_gap
-        no_click = s * abs(a + b) ** 2
+        no_click = s * w
         norm = no_click + gap  # 1 + s u
         even = gap * gap / (4.0 * norm)
         odd = gap * (1.0 + s) / (4.0 * norm)
         return even, odd, even, odd, no_click / norm
     if direction is Direction.P_TO_S:
         return (t2 / 4.0,) * 4 + (1.0 - t2,)
-    half = (t2 * abs(a) ** 2 + (2.0 - t2) * abs(b) ** 2) / 4.0
+    half = (t2 * p + (2.0 - t2) * q2) / 4.0
     return half, half, 1.0 - 2.0 * half
+
+
+def _success_from_terms(direction: Direction, terms: tuple, params: ChannelParams,
+                        postselected: bool = False):
+    """Per-input success probability of :func:`_bloch_terms`: the sum of the success branches."""
+    check_postselection(direction, postselected)
+    probs = _branch_probabilities(direction, terms, params)
+    total = sum(prob for prob, (_, _, success) in zip(probs, _OUTCOMES[direction]) if success)
+    if postselected:
+        total = total * (params.t * params.t / 2.0)
+    return np.broadcast_to(total, np.shape(terms[0])).copy()
 
 
 def success_kernel(direction: Direction, theta, phi, params: ChannelParams,
                    postselected: bool = False):
     """Vectorized per-input success probability: the sum of the success branches."""
-    check_postselection(direction, postselected)
-    a, b = _bloch_arrays(theta, phi)
-    probs = _branch_probabilities(direction, a, b, params)
-    total = sum(prob for prob, (_, _, success) in zip(probs, _OUTCOMES[direction]) if success)
-    if postselected:
-        total = total * (params.t * params.t / 2.0)
-    return np.broadcast_to(total, a.shape).copy()
+    return _success_from_terms(direction, _angle_terms(theta, phi), params, postselected)
 
 
 def per_input_fidelity(direction: Direction, inp: BlochInput, params: ChannelParams,
@@ -562,7 +605,7 @@ def per_input_success_probability(direction: Direction, inp: BlochInput,
 def branch_probabilities_analytic(direction: Direction, inp: BlochInput,
                                   params: ChannelParams) -> list[dict]:
     """Closed-form probabilities of every measurement branch (success and failure)."""
-    probs = _branch_probabilities(direction, inp.a, inp.b, params)
+    probs = _branch_probabilities(direction, _bloch_terms(inp.a, inp.b), params)
     return [{"label": label, "probability": prob, "correction": correction, "success": success}
             for prob, (label, correction, success) in zip(probs, _OUTCOMES[direction])]
 
@@ -585,14 +628,13 @@ def pipeline_summary(
         outcomes = run(inp, params, channel=channel)
 
     prob = success_probability(outcomes)
-    output = combined_success_output(outcomes)
+    _, mixture = _success_mixture(outcomes)
     if postselected:
-        output, kept = postselect_polarization(output)
-        prob = prob * kept * 0.5  # photon-arrival filter plus the gadget's Bell measurement
-    tdim = output.layout.dims[0] if direction is Direction.P_TO_C else None
-    target = target_state(direction, inp, params, dim=tdim)
+        # the photon-arrival filter, then the gadget's Bell measurement
+        prob = prob * _drop_vacuum(mixture) * 0.5
+    target = _target_amplitudes(direction, inp, params, len(mixture))
     return {
-        "fidelity": fidelity_pure(target, output),
+        "fidelity": _overlap_fidelity(target, mixture),
         "success_probability": prob,
         "outcomes": outcomes,
     }

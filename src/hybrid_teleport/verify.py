@@ -68,21 +68,6 @@ def _angle_grid(n_theta: int, n_phi: int):
     return [(float(t), float(p)) for t in thetas for p in phis]
 
 
-def _density_defect(stack: np.ndarray) -> float:
-    """Largest Hermiticity, negative-eigenvalue or trace defect over a stack of density matrices.
-
-    Each of the three is taken once over the whole stack: the largest
-    |M - M^dag| entry, minus the smallest eigenvalue of the Hermitian part,
-    and the largest |tr M - 1|.
-    """
-    adjoint = stack.conj().transpose(0, 2, 1)
-    return max(
-        float(np.abs(stack - adjoint).max()),
-        float(-np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0].min()),
-        float(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0).max()),
-    )
-
-
 def _channel_checks(r_grid, oracle_alphas) -> list[dict]:
     pc, ps = [], []
     for alpha in oracle_alphas:
@@ -173,9 +158,11 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
                     probability[d].append((abs(summary["success_probability"] - p_closed[i]), at))
                     total = sum(o.probability for o in summary["outcomes"])
                     branch_sum.append((abs(total - 1.0), None))
-                    kept = [o.output.matrix for o in summary["outcomes"]
-                            if o.output is not None and o.probability > 1e-12]
-                    valid.append((_density_defect(np.stack(kept)), None))
+                    kept = np.stack([o.output.matrix for o in summary["outcomes"]
+                                     if o.output is not None and o.probability > 1e-12])
+                    hermiticity = float(np.abs(kept - kept.conj().transpose(0, 2, 1)).max())
+                    trace = float(np.abs(np.einsum("lii->l", kept).real - 1.0).max())
+                    valid.append((max(hermiticity, trace), None))
                     if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
                                                          postselected=True)
@@ -203,6 +190,12 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             p2 = 0.25  # |a|^2 |b|^2 at the equator
             weight = (f_pipe / params.t**2 - 0.5) / (q * p2)
             fitted_weight.append(weight)
+            # every branch is a density matrix for every input: one eigvalsh of the
+            # remainder's Choi matrix per (channel, direction)
+            for d in Direction:
+                choi = teleport._remainder_choi(d, params, chan_pc if d.coherent else chan_ps)
+                hermiticity = float(np.abs(choi - choi.conj().T).max())
+                valid.append((max(hermiticity, -float(np.linalg.eigvalsh(choi)[0])), None))
             # carry only each check's worst pair so far into the next channel; as the
             # first largest pair, it leaves every check entry unchanged
             for pairs in (*fidelity.values(), *probability.values(), branch_sum, valid,

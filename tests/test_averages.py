@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,36 @@ class TestQuadrature:
                         def f(th, ph):
                             return kernel(direction, th, ph, params, post)
                         assert av.bloch_average(f, spec) == meshgrid_average(f)
+
+    @pytest.mark.parametrize("alpha", (0.1, 1.0, 10.0))
+    def test_cached_grid_gives_the_angle_kernels_bit_for_bit(self, alpha):
+        spec = av.QuadratureSpec()
+        for r in R_GRID:
+            params = ch.ChannelParams.from_r(r, alpha)
+            for d in Direction:
+                for post in (False, True) if d.onto_polarization else (False,):
+                    assert av.avg_fidelity_quadrature(d, params, spec, post) == av.bloch_average(
+                        lambda th, ph: tp.fidelity_kernel(d, th, ph, params, post), spec)
+                    assert av.avg_success_quadrature(d, params, spec, post) == av.bloch_average(
+                        lambda th, ph: tp.success_kernel(d, th, ph, params, post), spec)
+            s = params.basis_overlap
+
+            def classical(th, ph):
+                p, q2, u, _ = tp._angle_terms(th, ph)
+                num = p * (p + s * s * q2 + s * u) + q2 * (s * s * p + q2 + s * u)
+                return num / (1.0 + s * u)
+
+            assert av.classical_limit_quadrature(params, spec) == av.bloch_average(classical, spec)
+
+    def test_importing_builds_no_grid(self, tmp_path):
+        code = "import hybrid_teleport.averages as av; print(av._grid_terms.cache_info().currsize)"
+        src = Path(av.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

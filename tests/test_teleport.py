@@ -480,10 +480,9 @@ class TestClosedFormBranches:
 def test_closed_form_branches_are_probabilities(direction, theta, phi, alpha, r):
     inp = tp.BlochInput(theta, phi)
     params = ch.ChannelParams.from_r(r, alpha)
-    assert 0.0 <= tp.per_input_fidelity(direction, inp, params) <= 1.0 + 1e-12
+    assert 0.0 <= tp.per_input_fidelity(direction, inp, params) <= 1.0
     if direction.onto_polarization:
-        assert 0.0 <= tp.per_input_fidelity(direction, inp, params, postselected=True) \
-            <= 1.0 + 1e-12
+        assert 0.0 <= tp.per_input_fidelity(direction, inp, params, postselected=True) <= 1.0
     branches = tp.branch_probabilities_analytic(direction, inp, params)
     probs = [d["probability"] for d in branches]
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
