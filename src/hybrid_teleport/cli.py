@@ -372,15 +372,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if engine in ("oracle", "both"):
         summary = pipeline_summary(direction, inp, params, dim=cfg.truncation,
                                    postselected=post)
-        record["oracle"] = {
-            "fidelity": summary["fidelity"],
-            "success_probability": summary["success_probability"],
-            "outcomes": [
-                {"label": o.label, "probability": o.probability,
-                 "correction": o.correction, "success": o.success}
-                for o in summary["outcomes"]
-            ],
-        }
+        record["oracle"] = {key: summary[key]
+                            for key in ("fidelity", "success_probability", "outcomes")}
     text = json.dumps(record, indent=2, sort_keys=True)
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)

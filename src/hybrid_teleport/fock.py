@@ -146,24 +146,20 @@ class StateVector:
 class DensityOperator:
     """Dense Hermitian PSD operator tagged with its layout.
 
-    The matrix is read-only: a complex view of a read-only array is kept, and
-    anything else copied. So values derived from it once, such as :attr:`ensemble`,
-    stay valid for the operator's lifetime. Operators compare and hash by
-    identity, so such values can be keyed by operator.
+    The matrix is a private read-only copy, so values derived from it once,
+    such as :attr:`ensemble`, stay valid for the operator's lifetime. Operators
+    compare and hash by identity, so such values can be keyed by operator.
     """
 
     layout: ModeLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = self.matrix
-        if not (isinstance(mat, np.ndarray) and mat.dtype == complex
-                and isinstance(mat.base, np.ndarray) and not mat.base.flags.writeable):
-            mat = np.array(mat, dtype=complex)
-            mat.setflags(write=False)
+        mat = np.array(self.matrix, dtype=complex)
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @cached_property

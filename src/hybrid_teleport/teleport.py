@@ -7,7 +7,9 @@ and the success probability is the sum of the success branches. Pipelines
 read outcomes through rows: Bell bras on a polarization pair, the parity
 readout rows of a balanced beam splitter on a coherent pair, single-photon Bell
 bras on a single-rail pair. The remainder, the outcome without rows, makes the
-probabilities sum to one.
+probabilities sum to one. Each pipeline returns its corrected, unnormalized
+branches as one read-only (outcomes, d, d) stack in table order; a branch's
+probability is its trace.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ _OUTCOMES = {
         ("unresolved", "none", False),
     ),
 }
+# each direction's success branches, as a mask over its outcomes
+_SUCCESS = {d: np.array([success for _, _, success in outcomes])
+            for d, outcomes in _OUTCOMES.items()}
 
 
 def check_postselection(direction: Direction, postselected: bool) -> None:
@@ -125,35 +130,6 @@ class BlochInput:
     @property
     def b(self) -> complex:
         return math.sin(self.theta / 2) * cmath.exp(-1j * self.phi / 2)
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """One measurement branch of a teleportation run."""
-
-    label: str
-    probability: float
-    output: DensityOperator | None
-    correction: str
-    success: bool
-
-
-def success_probability(outcomes: list[TeleportOutcome]) -> float:
-    return float(sum(o.probability for o in outcomes if o.success))
-
-
-def _success_mixture(outcomes: list[TeleportOutcome]) -> tuple[ModeLayout, np.ndarray]:
-    """Layout and fresh matrix of :func:`combined_success_output`."""
-    wins = [o for o in outcomes if o.success and o.output is not None]
-    if not wins:
-        raise ValueError("no success branches with nonzero probability")
-    total = sum(o.probability for o in wins)
-    return wins[0].output.layout, sum(o.probability * o.output.matrix for o in wins) / total
-
-
-def combined_success_output(outcomes: list[TeleportOutcome]) -> DensityOperator:
-    """Probability-weighted mixture of the corrected success branches."""
-    return DensityOperator(*_success_mixture(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +298,26 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
 
 
 def _measure(channel: DensityOperator, direction: Direction,
-             input_amplitudes: np.ndarray) -> list[TeleportOutcome]:
+             input_amplitudes: np.ndarray) -> np.ndarray:
     """Measure the input jointly with one channel mode and correct the other.
 
     Every outcome of ``_OUTCOMES[direction]`` with readout rows collapses the
     input through one product with the channel's stacked readout map; the
     branch left on the kept mode is conjugated by the named correction. The
     outcome without rows, listed last, is the kept mode's reduced state minus
-    the detected branches before correction. Branches of probability at most
-    1e-15 carry no output.
+    the detected branches before correction. Returns the corrected,
+    unnormalized branches as one read-only (outcomes, d, d) stack in
+    ``_OUTCOMES`` order; each branch's probability is its trace.
     """
     readout = _readout_maps(channel, direction)
-    layout = readout.marginal.layout
     collapsed = (input_amplitudes @ readout.stacked).reshape(len(readout.labels), -1,
-                                                             layout.dims[0])
+                                                             readout.marginal.layout.dims[0])
     mats = collapsed.transpose(0, 2, 1) @ collapsed.conj()
     if len(mats) < len(readout.phases):  # the outcome without rows
         mats = np.concatenate([mats, (readout.marginal.matrix - mats.sum(axis=0))[None]])
-    mats = np.take(mats, readout.gather) * readout.phases
-    probs = np.einsum("lii->l", mats).real
-    resolved = probs > 1e-15
-    outputs = mats / np.where(resolved, probs, np.inf)[:, None, None]
-    outputs.setflags(write=False)  # each branch keeps a read-only view, no copy
-    return [TeleportOutcome(label, prob, DensityOperator(layout, out) if ok else None,
-                            correction, success)
-            for (label, correction, success), prob, out, ok
-            in zip(_OUTCOMES[direction], probs.tolist(), outputs, resolved.tolist())]
+    stack = np.take(mats, readout.gather) * readout.phases
+    stack.setflags(write=False)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +350,7 @@ def teleport_p_to_c(
     params: ChannelParams,
     dim: int | None = None,
     channel: DensityOperator | None = None,
-) -> list[TeleportOutcome]:
+) -> np.ndarray:
     """Teleport a polarization qubit onto the coherent-state qubit.
 
     The Bell measurement on the polarization pair identifies two of the four
@@ -399,7 +369,7 @@ def teleport_c_to_p(
     params: ChannelParams,
     dim: int | None = None,
     channel: DensityOperator | None = None,
-) -> list[TeleportOutcome]:
+) -> np.ndarray:
     """Teleport a coherent-state qubit (in the decayed basis) onto polarization.
 
     The input rides mode one into the balanced beam splitter together with
@@ -420,7 +390,7 @@ def teleport_p_to_s(
     inp: BlochInput,
     params: ChannelParams,
     channel: DensityOperator | None = None,
-) -> list[TeleportOutcome]:
+) -> np.ndarray:
     """Teleport a polarization qubit onto the single-rail qubit.
 
     Success outcomes are the two Bell states whose corrections are trivial
@@ -437,7 +407,7 @@ def teleport_s_to_p(
     inp: BlochInput,
     params: ChannelParams,
     channel: DensityOperator | None = None,
-) -> list[TeleportOutcome]:
+) -> np.ndarray:
     """Teleport a single-rail qubit onto polarization.
 
     After a balanced beam splitter the two single-photon Bell states map to a
@@ -453,55 +423,41 @@ def teleport_s_to_p(
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Project a polarization state onto its photon-present subspace.
 
-    Returns the renormalized state and the kept probability
-    1 - <vac|rho|vac>. The additional protocol overhead (factor t^2/2 on the
+    Returns the renormalized state and the kept probability, the photon-present
+    populations <H|rho|H> + <V|rho|V>; unlike 1 - <vac|rho|vac>, that sum does
+    not cancel as t -> 0. The additional protocol overhead (factor t^2/2 on the
     success probability) is applied by the averaging layer, not here.
     """
     if len(rho.layout) != 1 or rho.layout.modes[0].label != "polarization":
         raise ValueError("postselection acts on a single polarization mode")
     mat = rho.matrix.copy()
-    kept = _drop_vacuum(mat)
-    return DensityOperator(rho.layout, mat), kept
-
-
-def _drop_vacuum(mat: np.ndarray) -> float:
-    """:func:`postselect_polarization` of a writable matrix, in place; returns the kept weight."""
-    kept = 1.0 - float(mat[VAC_IDX, VAC_IDX].real)
+    kept = float(mat[H_IDX, H_IDX].real + mat[V_IDX, V_IDX].real)
     if kept <= 1e-15:
         raise ValueError("no photon-present population to keep")
     mat[VAC_IDX, :] = mat[:, VAC_IDX] = 0.0
     mat /= kept
-    return kept
+    return DensityOperator(rho.layout, mat), kept
 
 
 # ---------------------------------------------------------------------------
 # targets and closed-form per-input quantities
 
-_POLARIZATION = layout_of(polarization_mode())
-_QUBIT = layout_of(qubit_mode())
 
-
-def target_state(
-    direction: Direction,
-    inp: BlochInput,
-    params: ChannelParams,
-    dim: int | None = None,
-) -> StateVector:
-    """Reference state the teleported output is compared against.
-
-    Field-like coherent targets use the decayed (dynamic) basis |±t alpha>
-    with t treated as known; all other targets are the bare input qubit.
-    """
+@lru_cache(maxsize=8)
+def _kept_layout(direction: Direction, dim: int) -> ModeLayout:
+    """Layout of a direction's output mode, of dimension ``dim``."""
     if direction is Direction.P_TO_C:
-        layout = layout_of(fock_mode(default_fock_dim(params.alpha) if dim is None else dim))
-    else:
-        layout = _POLARIZATION if direction.onto_polarization else _QUBIT
-    return StateVector(layout, _target_amplitudes(direction, inp, params, layout.total_dim))
+        return layout_of(fock_mode(dim))
+    return layout_of(polarization_mode() if direction.onto_polarization else qubit_mode())
 
 
 def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelParams,
                        dim: int) -> np.ndarray:
-    """Amplitudes of :func:`target_state` on a kept mode of dimension ``dim``."""
+    """Amplitudes of the state a direction's output is compared against, on its kept mode.
+
+    Field-like coherent targets use the decayed (dynamic) basis |±t alpha>
+    with t treated as known; all other targets are the bare input qubit.
+    """
     if direction is Direction.P_TO_C:
         return _coherent_qubit(inp, params, dim)
     return np.array((inp.a, inp.b) + (0.0,) * (dim - 2), dtype=complex)  # H, V or |0>, |1>
@@ -602,12 +558,17 @@ def per_input_success_probability(direction: Direction, inp: BlochInput,
     return float(success_kernel(direction, inp.theta, inp.phi, params, postselected))
 
 
+def _outcome_records(direction: Direction, probs) -> list[dict]:
+    """One record per branch of ``_OUTCOMES[direction]``, in order, with its probability."""
+    return [{"label": label, "probability": prob, "correction": correction, "success": success}
+            for prob, (label, correction, success) in zip(probs, _OUTCOMES[direction])]
+
+
 def branch_probabilities_analytic(direction: Direction, inp: BlochInput,
                                   params: ChannelParams) -> list[dict]:
     """Closed-form probabilities of every measurement branch (success and failure)."""
-    probs = _branch_probabilities(direction, _bloch_terms(inp.a, inp.b), params)
-    return [{"label": label, "probability": prob, "correction": correction, "success": success}
-            for prob, (label, correction, success) in zip(probs, _OUTCOMES[direction])]
+    return _outcome_records(direction,
+                            _branch_probabilities(direction, _bloch_terms(inp.a, inp.b), params))
 
 
 def pipeline_summary(
@@ -618,23 +579,36 @@ def pipeline_summary(
     channel: DensityOperator | None = None,
     postselected: bool = False,
 ) -> dict:
-    """Run the pipeline, looked up at call time, and reduce it to fidelity plus probabilities."""
+    """Run the pipeline, looked up at call time, and reduce its branch stack.
+
+    Returns the ``stack``, its traces as ``probabilities``, the ``outcomes``
+    as :func:`branch_probabilities_analytic` lists them, the success mixture
+    (postselected when asked) as ``output``, and its ``success_probability``
+    and ``fidelity`` to the target.
+    """
     check_postselection(direction, postselected)
     if direction.coherent:
         run = teleport_p_to_c if direction is Direction.P_TO_C else teleport_c_to_p
-        outcomes = run(inp, params, dim=dim, channel=channel)
+        stack = run(inp, params, dim=dim, channel=channel)
     else:
         run = teleport_p_to_s if direction is Direction.P_TO_S else teleport_s_to_p
-        outcomes = run(inp, params, channel=channel)
+        stack = run(inp, params, channel=channel)
 
-    prob = success_probability(outcomes)
-    _, mixture = _success_mixture(outcomes)
+    kept_dim = stack.shape[-1]
+    probs = np.einsum("lii->l", stack).real
+    wins = _SUCCESS[direction]
+    prob = sum(probs[wins].tolist())
+    output = DensityOperator(_kept_layout(direction, kept_dim), stack[wins].sum(axis=0) / prob)
     if postselected:
         # the photon-arrival filter, then the gadget's Bell measurement
-        prob = prob * _drop_vacuum(mixture) * 0.5
-    target = _target_amplitudes(direction, inp, params, len(mixture))
+        output, kept = postselect_polarization(output)
+        prob = prob * kept * 0.5
+    target = _target_amplitudes(direction, inp, params, kept_dim)
     return {
-        "fidelity": _overlap_fidelity(target, mixture),
+        "fidelity": _overlap_fidelity(target, output.matrix),
         "success_probability": prob,
-        "outcomes": outcomes,
+        "outcomes": _outcome_records(direction, probs.tolist()),
+        "probabilities": probs,
+        "stack": stack,
+        "output": output,
     }

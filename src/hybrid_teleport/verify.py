@@ -156,12 +156,12 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
                     at = {"r": r, "alpha": alpha, "theta": theta, "phi": phi, "direction": d.value}
                     fidelity[d].append((abs(summary["fidelity"] - f_closed[i]), at))
                     probability[d].append((abs(summary["success_probability"] - p_closed[i]), at))
-                    total = sum(o.probability for o in summary["outcomes"])
-                    branch_sum.append((abs(total - 1.0), None))
-                    kept = np.stack([o.output.matrix for o in summary["outcomes"]
-                                     if o.output is not None and o.probability > 1e-12])
-                    hermiticity = float(np.abs(kept - kept.conj().transpose(0, 2, 1)).max())
-                    trace = float(np.abs(np.einsum("lii->l", kept).real - 1.0).max())
+                    probs = summary["probabilities"]
+                    branch_sum.append((abs(sum(probs.tolist()) - 1.0), None))
+                    live = probs > 1e-12
+                    outputs = summary["stack"][live] / probs[live, None, None]
+                    hermiticity = float(np.abs(outputs - outputs.conj().transpose(0, 2, 1)).max())
+                    trace = float(np.abs(np.einsum("lii->l", outputs).real - 1.0).max())
                     valid.append((max(hermiticity, trace), None))
                     if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
@@ -175,9 +175,8 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
 
             # vacuum removal and the success-modulation constant, once per (r, alpha)
             inp = BlochInput(math.pi / 2, 0.0)
-            base = teleport.combined_success_output(
-                teleport.teleport_c_to_p(inp, params, channel=chan_pc))
-            projected, _ = teleport.postselect_polarization(base)
+            projected = teleport.pipeline_summary(Direction.C_TO_P, inp, params, channel=chan_pc,
+                                                  postselected=True)["output"]
             vacuum.append((float(projected.matrix[VAC_IDX, VAC_IDX].real), None))
             prob = teleport.pipeline_summary(Direction.P_TO_C, inp, params,
                                              channel=chan_pc)["success_probability"]

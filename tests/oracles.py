@@ -169,7 +169,8 @@ def measure_per_label(channel, direction, input_amplitudes):
     outcome without rows is the kept mode's reduced state minus the detected
     branches before correction. It takes the library's readout rows, outcome
     table and correction unitaries, which have their own tests, and checks
-    only how ``_measure`` stacks and applies them.
+    only how ``_measure`` stacks and applies them. Returns the same
+    (outcomes, d, d) stack of corrected, unnormalized branches.
     """
     if direction is tp.Direction.C_TO_P:
         measured, rows = 1, tp._parity_readout(channel.layout.dims[1])
@@ -184,7 +185,7 @@ def measure_per_label(channel, direction, input_amplitudes):
     kept_dim = marginal.layout.dims[0]
     branches = []
     detected = 0.0
-    for label, correction, success in tp._OUTCOMES[direction]:
+    for label, correction, _ in tp._OUTCOMES[direction]:
         if label in rows:
             block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
             label_map = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
@@ -198,10 +199,8 @@ def measure_per_label(channel, direction, input_amplitudes):
             unitary = fk.parity_operator(kept_dim)
         if unitary is not None:
             mat = unitary @ mat @ unitary.conj().T
-        prob = float(np.trace(mat).real)
-        output = fk.DensityOperator(marginal.layout, mat / prob) if prob > 1e-15 else None
-        branches.append(tp.TeleportOutcome(label, prob, output, correction, success))
-    return branches
+        branches.append(mat)
+    return np.stack(branches)
 
 
 # ---------------------------------------------------------------------------

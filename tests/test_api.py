@@ -9,6 +9,9 @@ AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional
               "_artanh_cofactor", "_regular_part", "avg_fidelity_variant_pc",
               "classical_limit_variant", "per_input_fidelity_variant")
 
+# exports that the branch stack made redundant; each pipeline returns one array
+REMOVED = ("TeleportOutcome", "success_probability", "combined_success_output", "target_state")
+
 # the arguments each subcommand requires
 REQUIRED = {
     "figure": ["fig1"],
@@ -46,6 +49,13 @@ def test_audit_only_formulas_live_in_audits_alone(name):
     assert not hasattr(hybrid_teleport, name)
     for module in (entanglement, averages, teleport):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert name not in hybrid_teleport.__all__
+    assert not hasattr(hybrid_teleport, name)
+    assert not hasattr(teleport, name)
 
 
 def test_common_options_are_the_documented_ones():

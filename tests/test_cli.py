@@ -300,16 +300,24 @@ class TestTeleportCommand:
 
     def test_both_engines_agree(self, tmp_path):
         out = tmp_path / "run.json"
-        assert run("teleport", "--direction", "c-to-p", "--theta",
-                   str(math.pi / 2), "--phi", "0", "--t", str(math.sqrt(0.64)),
-                   "--alpha", "1", "--engine", "both", "--out", str(out)) == 0
-        record = json.loads(out.read_text())
-        assert abs(record["analytic"]["fidelity"]
-                   - record["oracle"]["fidelity"]) < 1e-6
-        assert abs(record["analytic"]["success_probability"]
-                   - record["oracle"]["success_probability"]) < 1e-6
-        labels = {o["label"] for o in record["oracle"]["outcomes"]}
-        assert "no_click" in labels
+        for direction in ("p-to-c", "c-to-p", "p-to-s", "s-to-p"):
+            for post in ((), ("--postselected",)) if direction.endswith("-p") else ((),):
+                assert run("teleport", "--direction", direction, "--theta",
+                           str(math.pi / 2), "--phi", "0", "--t", str(math.sqrt(0.64)),
+                           "--alpha", "1", "--engine", "both", "--out", str(out), *post) == 0
+                record = json.loads(out.read_text())
+                assert abs(record["analytic"]["fidelity"]
+                           - record["oracle"]["fidelity"]) < 1e-6
+                assert abs(record["analytic"]["success_probability"]
+                           - record["oracle"]["success_probability"]) < 1e-6
+                # both engines list the same branches in the same order
+                analytic, oracle = record["analytic"]["outcomes"], record["oracle"]["outcomes"]
+                assert [(o["label"], o["correction"], o["success"]) for o in oracle] == \
+                    [(o["label"], o["correction"], o["success"]) for o in analytic]
+                assert all(abs(o["probability"] - a["probability"]) < 1e-10
+                           for o, a in zip(oracle, analytic))
+                if direction == "c-to-p":
+                    assert "no_click" in {o["label"] for o in oracle}
 
     def test_invalid_direction_is_usage_error(self):
         with pytest.raises((SystemExit, ValueError)):

@@ -21,10 +21,9 @@ ALLOWED = {
     "fock.beam_splitter_50_50",
     # the inner product of the exported StateVector
     "fock.StateVector.overlap",
-    # the exported fidelity and target state; pipeline_summary takes the same
-    # overlap on the bare amplitudes and matrix, without building either object
+    # the exported fidelity; pipeline_summary takes the same overlap on the bare
+    # amplitudes and matrix, without building a state
     "fock.fidelity_pure",
-    "teleport.target_state",
 }
 
 

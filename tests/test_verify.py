@@ -33,9 +33,10 @@ def test_pipeline_checks_make_one_oracle_call_per_input(monkeypatch):
     # per input: c->p plain and postselected; per channel: two equator calls
     assert len(c_to_p) == channels * (2 * inputs + 2)
     # per input: four directions plus the two postselected ones onto polarization;
-    # per channel: the p->c and c->p equator summaries
-    assert len(summaries) == channels * (6 * inputs + 2)
-    assert summaries.count(tp.Direction.C_TO_P) == channels * (2 * inputs + 1)
+    # per channel: the p->c, c->p and postselected c->p equator summaries, so every
+    # c->p call goes through a summary
+    assert len(summaries) == channels * (6 * inputs + 3)
+    assert summaries.count(tp.Direction.C_TO_P) == len(c_to_p)
 
 
 def test_validity_takes_one_eigvalsh_per_channel_and_direction(monkeypatch):

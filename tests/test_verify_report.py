@@ -1,8 +1,10 @@
 """The verify report's check entries: how each is built, and which the battery makes."""
 
+import inspect
 import json
 from pathlib import Path
 
+from hybrid_teleport import teleport as tp
 from hybrid_teleport import verify as vf
 
 PINNED = Path(__file__).resolve().parents[1] / "benchmarks" / "verify_battery.json"
@@ -59,3 +61,30 @@ def test_quick_battery_makes_the_pinned_checks_in_order():
     assert [check["name"] for check in report["checks"]] == pinned
     assert {check["name"] for check in report["checks"] if "worst_at" in check} == LOCATED
     assert report["passed"]
+
+
+def c_to_p_calls(oracle_alphas, pipeline_r, n_theta, n_phi):
+    """c->p pipeline calls of a battery: per channel, two per input and two at the equator."""
+    return len(oracle_alphas) * len(pipeline_r) * (2 * n_theta * n_phi + 2)
+
+
+def test_battery_makes_the_pinned_number_of_c_to_p_calls(monkeypatch):
+    # counted where callers resolve it, as the benchmark's tracer does, so a change
+    # to the count fails here rather than in the benchmark's output check
+    calls = [0]
+    original = tp.teleport_c_to_p
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "teleport_c_to_p", counted)
+    quick = {"oracle_alphas": (0.5, 1.0), "pipeline_r": (0.0, 0.6), "angle_grid": (4, 6)}
+    vf.run_battery(**quick)
+    assert calls[0] == c_to_p_calls(quick["oracle_alphas"], quick["pipeline_r"],
+                                    *quick["angle_grid"])
+    pinned = json.loads(PINNED.read_text())
+    angle_grid = inspect.signature(vf.run_battery).parameters["angle_grid"].default
+    assert angle_grid == (6, 8)
+    assert c_to_p_calls(pinned["grid"]["oracle_alphas"], pinned["grid"]["pipeline_r"],
+                        *angle_grid) == pinned["teleport_c_to_p_calls"] == 1176
