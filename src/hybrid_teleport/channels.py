@@ -73,56 +73,56 @@ class ChannelParams:
         return math.sqrt(max(0.0, 1.0 - self.t * self.t))
 
 
-def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
-    """Kraus family of single-mode photon loss with amplitude decay t.
+def _loss_runs(kind: ModeKind, t: float):
+    """Row run, column run and values of each operator of :func:`damping_kraus`, in order.
 
-    Polarization: the photon survives with amplitude t or escapes to the
-    vacuum level. Fock/qubit: the standard amplitude-damping ladder with
-    transmission eta = t^2. The family is complete: sum K^dag K = identity.
+    Every operator is one run on one diagonal, K = sum_i v_i |r_i><c_i| with
+    consecutive rows r and columns c. Each run starts at its first value,
+    which is nonzero unless all are; zeros where the ladder's tail underflows
+    are trimmed, and operators with no nonzero value are skipped.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must be in (0, 1], got {t!r}")
     if kind.label == "polarization":
-        k0 = np.diag([t, t, 1.0]).astype(complex)
-        k1 = np.zeros((3, 3), dtype=complex)
-        k1[VAC_IDX, H_IDX] = math.sqrt(1.0 - t * t)
-        k2 = np.zeros((3, 3), dtype=complex)
-        k2[VAC_IDX, V_IDX] = math.sqrt(1.0 - t * t)
-        ops = [k0, k1, k2]
+        # the photon survives with amplitude t or escapes to the vacuum level
+        lost = math.sqrt(1.0 - t * t)
+        runs = [(0, 0, [t, t, 1.0]), (VAC_IDX, H_IDX, [lost]), (VAC_IDX, V_IDX, [lost])]
     else:
         # fock and qubit modes share the bosonic ladder (a qubit is Fock(2))
-        d = kind.dim
         eta = t * t
-        ops = []
-        for k in range(d):
-            kk = np.zeros((d, d), dtype=complex)
-            for n in range(k, d):
-                kk[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-            ops.append(kk)
-    # at t = 1 every loss operator vanishes; keep the family minimal
-    return [k for k in ops if np.any(k)]
+        runs = [(0, k, [math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+                        for n in range(k, kind.dim)]) for k in range(kind.dim)]
+    for row, col, values in runs:
+        while values and not values[-1]:
+            values.pop()
+        if values:
+            size = len(values)
+            yield slice(row, row + size), slice(col, col + size), np.array(values, dtype=complex)
 
 
-def _diagonal_run(op: np.ndarray) -> tuple[slice, slice, np.ndarray]:
-    """Row run, column run and values of an operator whose nonzeros are one diagonal run.
+def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
+    """Kraus family of single-mode photon loss with amplitude decay t, as dense operators.
 
-    Raises ValueError for any other operator, so a Kraus family without this
-    structure fails loudly instead of being mis-applied.
+    Polarization: the photon survives with amplitude t or escapes to the
+    vacuum level. Fock/qubit: the standard amplitude-damping ladder with
+    transmission eta = t^2. The family is complete, sum K^dag K = identity,
+    and minimal: at t = 1 every loss operator vanishes and is left out. Each
+    operator is one of :func:`_loss_runs` written into a zero matrix.
     """
-    rows, cols = np.nonzero(op)
-    if rows.size == 0 or np.any(cols - rows != cols[0] - rows[0]) \
-            or rows[-1] - rows[0] != rows.size - 1:
-        raise ValueError("loss operator is not one contiguous diagonal run")
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1), op[rows, cols]
+    ops = []
+    for rows, cols, v in _loss_runs(kind, t):
+        op = np.zeros((kind.dim, kind.dim), dtype=complex)
+        op[rows, cols] = np.diag(v)
+        ops.append(op)
+    return ops
 
 
 def evolve(rho: DensityOperator, t: float) -> DensityOperator:
     """Apply photon loss with decay t to every mode of a density operator.
 
-    Every operator of :func:`damping_kraus` is one contiguous run on one
-    diagonal: K = sum_i v_i |r_i><c_i| with consecutive rows r and columns c.
-    So K x K^dag is the slice x[c, c] scaled by v on the ket side and by v*
-    on the bra side, written into rows and columns r. Each mode's family is
+    Each loss operator is one diagonal run (:func:`_loss_runs`), so
+    K x K^dag is the slice x[c, c] scaled by v on the ket side and by v* on
+    the bra side, written into rows and columns r. Each mode's family is
     applied that way to that mode's ket and bra axes, broadcast over the
     other modes, and accumulated in Kraus order. That is O(d^3) per Fock(d)
     mode instead of the O(d^4) of the products K x K^dag, and bit for bit
@@ -136,8 +136,7 @@ def evolve(rho: DensityOperator, t: float) -> DensityOperator:
         axes = (mode, n + mode)
         x = np.moveaxis(full, axes, (-2, -1))
         out = np.zeros_like(x)
-        for op in damping_kraus(kind, t):
-            rows, cols, v = _diagonal_run(op)
+        for rows, cols, v in _loss_runs(kind, t):
             out[..., rows, rows] += (v[:, None] * x[..., cols, cols]) * v.conj()
         full = np.moveaxis(out, (-2, -1), axes)
     return DensityOperator(rho.layout, full.reshape(rho.matrix.shape))
@@ -182,13 +181,14 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
     dy_mm = np.outer(minus, minus.conj())
     dy_pm = np.outer(plus, minus.conj())
     t2 = t * t
-    mat = 0.5 * (
-        np.kron(t2 * _pol_dyad(H_IDX, H_IDX) + (1 - t2) * _pol_dyad(VAC_IDX, VAC_IDX), dy_pp)
-        + np.kron(t2 * _pol_dyad(V_IDX, V_IDX) + (1 - t2) * _pol_dyad(VAC_IDX, VAC_IDX), dy_mm)
-        + t2 * q * (np.kron(_pol_dyad(H_IDX, V_IDX), dy_pm)
-                    + np.kron(_pol_dyad(V_IDX, H_IDX), dy_pm.conj().T))
-    )
-    return DensityOperator(layout_of(polarization_mode(), fock_mode(dim)), mat)
+    # the five nonzero (polarization, polarization) blocks, each on Fock x Fock
+    mat = np.zeros((3, dim, 3, dim), dtype=complex)
+    mat[H_IDX, :, H_IDX] = 0.5 * (t2 * dy_pp)
+    mat[V_IDX, :, V_IDX] = 0.5 * (t2 * dy_mm)
+    mat[VAC_IDX, :, VAC_IDX] = 0.5 * ((1 - t2) * dy_pp + (1 - t2) * dy_mm)
+    mat[H_IDX, :, V_IDX] = 0.5 * (t2 * q * dy_pm)
+    mat[V_IDX, :, H_IDX] = 0.5 * (t2 * q * dy_pm.conj().T)
+    return DensityOperator(layout_of(polarization_mode(), fock_mode(dim)), mat.reshape(3 * dim, -1))
 
 
 def rho_ps_analytic(params: ChannelParams) -> DensityOperator:

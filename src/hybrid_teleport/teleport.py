@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -51,6 +50,9 @@ class Direction(Enum):
     C_TO_P = "c->p"
     P_TO_S = "p->s"
     S_TO_P = "s->p"
+
+    # members are singletons: hash by identity in C, not through enum's Python-level hash
+    __hash__ = object.__hash__
 
     def __init__(self, value: str) -> None:
         # the target is polarization, the only output postselection applies to
@@ -95,8 +97,8 @@ _OUTCOMES = {
         ("unresolved", "none", False),
     ),
 }
-# each direction's success branches, as a mask over its outcomes
-_SUCCESS = {d: np.array([success for _, _, success in outcomes])
+# each direction's success branches, as indices into its outcomes
+_SUCCESS = {d: tuple(i for i, (_, _, success) in enumerate(outcomes) if success)
             for d, outcomes in _OUTCOMES.items()}
 
 
@@ -222,100 +224,106 @@ def _corrections(direction: Direction, dim: int) -> tuple[np.ndarray, np.ndarray
     return gather, phases
 
 
-class _Readout(NamedTuple):
-    """One direction's readout on one channel; see ``_readout_maps``."""
-
-    labels: tuple[str, ...]
-    stacked: np.ndarray
-    gather: np.ndarray
-    phases: np.ndarray
-    marginal: DensityOperator
-
+# rows e_0, e_1 = (e_H ± e_V)/2 over qubit levels: a e_H + b e_V = (a + b) e_0 + (a - b) e_1
+_SUM_DIFF = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 # each channel's readout maps, dropped with the channel; threads that race on a
 # channel build equal maps, and either is kept
 _READOUT_MAPS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _readout_maps(channel: DensityOperator, direction: Direction) -> _Readout:
-    """A direction's readout contracted with the channel once, then kept for its lifetime.
+def _readout_maps(channel: DensityOperator, direction: Direction,
+                  beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A direction's corrected branch maps on one channel, built once and kept for its lifetime.
 
-    ``labels`` are the outcomes with readout rows, in ``_OUTCOMES`` order.
-    ``stacked`` holds each label's rows over (input, measured mode), contracted
-    over the measured mode with the channel's ensemble vectors, each scaled by
-    sqrt(weight), and zero-padded to the longest label: a (d_in, labels *
-    rows * branch * kept) matrix, so one input's unnormalized branch
-    amplitudes for every label are one product with it. ``gather`` and
-    ``phases`` apply every outcome's correction (see ``_corrections``).
-    ``marginal`` is the kept mode's reduced state.
+    The input x e_0 + y e_1 is written in ``_SUM_DIFF`` of the measured mode's
+    qubit levels; for c->p those are |±beta>, so e_0, e_1 are the even and odd
+    parts of |beta> (:func:`_cat_parts`); the other directions pass beta = 0.
+    Entries are kept per (direction, beta). Every branch is quadratic in
+    (x, y): row 2 i + j of the read-only (4, outcomes * k * k) maps is the
+    corrected, unnormalized branch stack, in ``_OUTCOMES`` order on the kept
+    mode of dimension k, of c_i conj(c_j). An outcome's readout rows,
+    contracted with the ensemble vectors scaled by sqrt(weight), collapse e_i
+    to G_i, and its branch is G_i^T conj(G_j). The outcomes with rows come
+    first; the read-only (2, 2, k, k) leftover, <e_j|e_i> times the kept
+    mode's reduced state minus their branches, is the branch of the outcome
+    without rows where there is one, and for c->p, whose outcomes all have
+    rows, what truncation leaves. Corrections (``_corrections``) are applied
+    here, once. Returns ``(maps, leftover)``.
     """
-    readout = _READOUT_MAPS.get(channel, {}).get(direction)
-    if readout is None:
-        # the channel mode measured jointly with the input, and that readout's rows
+    entry = _READOUT_MAPS.get(channel, {}).get((direction, beta))
+    if entry is None:
+        dims = channel.layout.dims
+        # the channel mode measured jointly with the input, that readout's rows, and the basis
         if direction is Direction.C_TO_P:
-            measured, rows = 1, _parity_readout(channel.layout.dims[1])
+            measured, rows, basis = 1, _parity_readout(dims[1]), _cat_parts(beta, dims[1])[0]
         elif direction is Direction.S_TO_P:
-            measured, rows = 1, _SINGLE_PHOTON_BRAS
+            measured, rows, basis = 1, _SINGLE_PHOTON_BRAS, _SUM_DIFF
         else:
-            measured, rows = 0, _BELL_BRAS
+            measured, rows, basis = 0, _BELL_BRAS, _SUM_DIFF @ np.eye(2, 3)
+        kept = dims[1 - measured]
         w, vecs = channel.ensemble
-        # ensemble vectors as (measured, branch, kept), each scaled by sqrt(weight)
-        chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
+        # ensemble vectors as (measured, branch * kept), each scaled by sqrt(weight)
+        chi = np.moveaxis(vecs.reshape(dims + (-1,)), (measured, 2), (0, 1))
         chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
-        labels = tuple(label for label, _, _ in _OUTCOMES[direction] if label in rows)
-        blocks = [rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi))
-                  for label in labels]
-        d_in = blocks[0].shape[1]
-        stacked = np.zeros((d_in, len(blocks), max(map(len, blocks)), chi.shape[1]), dtype=complex)
-        for i, block in enumerate(blocks):
-            stacked[:, i, :len(block)] = np.moveaxis(block @ chi, 1, 0)
-        stacked = stacked.reshape(d_in, -1)
-        stacked.setflags(write=False)
-        readout = _Readout(labels, stacked,
-                           *_corrections(direction, channel.layout.dims[1 - measured]),
-                           partial_trace(channel, {1 - measured}))
-        _READOUT_MAPS.setdefault(channel, {})[direction] = readout
-    return readout
+        outcomes = _OUTCOMES[direction]
+        detected = len(rows)
+        mats = np.empty((2, 2, len(outcomes), kept, kept), dtype=complex)
+        for i, (label, _, _) in enumerate(outcomes[:detected]):
+            block = rows[label].reshape(-1, basis.shape[1], len(chi))  # (rows, input, measured)
+            g = (np.einsum("xi,rim->xrm", basis, block) @ chi).reshape(2, -1, kept)
+            mats[:, :, i] = g.transpose(0, 2, 1)[:, None] @ g.conj()[None]
+        marginal = partial_trace(channel, {1 - measured}).matrix
+        leftover = (np.multiply.outer(basis @ basis.conj().T, marginal)
+                    - mats[:, :, :detected].sum(axis=2))
+        mats[:, :, detected:] = leftover[:, :, None]  # the outcome without rows, if any
+        gather, phases = _corrections(direction, kept)
+        maps = (np.take(mats.reshape(4, -1), gather, axis=1) * phases).reshape(4, -1)
+        maps.setflags(write=False)
+        leftover.setflags(write=False)
+        entry = _READOUT_MAPS.setdefault(channel, {})[direction, beta] = maps, leftover
+    return entry
 
 
 def _remainder_choi(direction: Direction, params: ChannelParams,
                     channel: DensityOperator) -> np.ndarray:
-    """Choi matrix of the outcome without readout rows, on one channel.
+    """Choi matrix of what the readout rows leave, over (input level, kept level).
 
-    The input (a, b) weights e_0, e_1 (the decayed coherent basis for c->p); all
-    readout rows collapse them to G_0, G_1, so the remainder's Choi matrix is
-    kron(<e_y|e_x>, marginal) - G^T conj(G), G = [G_0 | G_1]. Its branch is positive
-    for every input when it is; a branch with rows is a Gram matrix, positive anyway.
+    The leftover of :func:`_readout_maps` is taken back from the ``_SUM_DIFF``
+    coefficients (a + b, a - b) to (a, b), which weight the measured mode's
+    qubit levels (|beta> and |-beta> for c->p): kron(<e_y|e_x>, marginal) -
+    G^T conj(G) with G = [G_0 | G_1]. The outcome without rows is positive for
+    every input when this matrix is, and for c->p it shows that the detected
+    branches take no more than the channel holds; a branch with rows is a Gram
+    matrix, positive anyway.
     """
-    readout = _readout_maps(channel, direction)
-    basis = (_decayed_basis(params.t * params.alpha, channel.layout.dims[1])
-             if direction is Direction.C_TO_P else np.eye(2, len(readout.stacked)))
-    # einsum, not the BLAS product: basis @ stacked put 0.3 MB on verify's peak RSS
-    g = np.einsum("xi,ij->xj", basis, readout.stacked)
-    g = g.reshape(2, -1, readout.marginal.layout.dims[0])
-    g = np.concatenate(g, axis=-1)  # [G_0 | G_1]
-    return np.kron(basis @ basis.conj().T, readout.marginal.matrix) - g.T @ g.conj()
+    beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
+    leftover = _readout_maps(channel, direction, beta)[1]
+    back = 2.0 * _SUM_DIFF  # c_i = sum_x back[i, x] (a, b)_x
+    size = 2 * leftover.shape[-1]
+    return np.einsum("ix,jy,ijmn->xmyn", back, back, leftover).reshape(size, size)
 
 
-def _measure(channel: DensityOperator, direction: Direction,
-             input_amplitudes: np.ndarray) -> np.ndarray:
+def _measure(channel: DensityOperator, direction: Direction, inp: BlochInput,
+             beta: float) -> np.ndarray:
     """Measure the input jointly with one channel mode and correct the other.
 
-    Every outcome of ``_OUTCOMES[direction]`` with readout rows collapses the
-    input through one product with the channel's stacked readout map; the
-    branch left on the kept mode is conjugated by the named correction. The
-    outcome without rows, listed last, is the kept mode's reduced state minus
-    the detected branches before correction. Returns the corrected,
+    One product of the input's coefficient products with the channel's readout
+    maps (:func:`_readout_maps`) at ``beta``; for c->p, the input is normalized
+    by the even and odd parts' squared norms. Returns the corrected,
     unnormalized branches as one read-only (outcomes, d, d) stack in
     ``_OUTCOMES`` order; each branch's probability is its trace.
     """
-    readout = _readout_maps(channel, direction)
-    collapsed = (input_amplitudes @ readout.stacked).reshape(len(readout.labels), -1,
-                                                             readout.marginal.layout.dims[0])
-    mats = collapsed.transpose(0, 2, 1) @ collapsed.conj()
-    if len(mats) < len(readout.phases):  # the outcome without rows
-        mats = np.concatenate([mats, (readout.marginal.matrix - mats.sum(axis=0))[None]])
-    stack = np.take(mats, readout.gather) * readout.phases
+    a, b = inp.a, inp.b
+    x, y = a + b, a - b
+    if direction is Direction.C_TO_P:
+        _, (even, odd) = _cat_parts(beta, channel.layout.dims[1])
+        norm = math.sqrt(abs(x) ** 2 * even + abs(y) ** 2 * odd)
+        x, y = x / norm, y / norm
+    cx, cy = x.conjugate(), y.conjugate()
+    kept = channel.layout.dims[0 if direction.onto_polarization else 1]
+    maps = _readout_maps(channel, direction, beta)[0]
+    stack = (np.array((x * cx, x * cy, y * cx, y * cy)) @ maps).reshape(-1, kept, kept)
     stack.setflags(write=False)
     return stack
 
@@ -332,11 +340,17 @@ def _decayed_basis(beta: float, dim: int) -> np.ndarray:
     return basis
 
 
-def _coherent_qubit(inp: BlochInput, params: ChannelParams, dim: int) -> np.ndarray:
-    """Normalized amplitudes of a qubit in the decayed coherent basis |+-t alpha> on Fock(dim)."""
-    plus, minus = _decayed_basis(params.t * params.alpha, dim)
-    v = inp.a * plus + inp.b * minus
-    return v / np.linalg.norm(v)
+@lru_cache(maxsize=16)
+def _cat_parts(beta: float, dim: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """Read-only even and odd parts (|beta> ± |-beta>)/2 on Fock(dim), and their squared norms.
+
+    The halves are exact and have disjoint supports, so they are exactly
+    orthogonal: an input near the odd cat keeps its precision as beta -> 0,
+    where |beta> and |-beta> are nearly parallel.
+    """
+    parts = _SUM_DIFF @ _decayed_basis(beta, dim)
+    parts.setflags(write=False)
+    return parts, (float(np.vdot(parts[0], parts[0]).real), float(np.vdot(parts[1], parts[1]).real))
 
 
 def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperator:
@@ -360,8 +374,7 @@ def teleport_p_to_c(
     """
     if channel is None:
         channel = _default_pc_channel(params, dim)
-    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, Direction.P_TO_C, ain)
+    return _measure(channel, Direction.P_TO_C, inp, 0.0)
 
 
 def teleport_c_to_p(
@@ -381,9 +394,8 @@ def teleport_c_to_p(
         channel = _default_pc_channel(params, dim)
     if params.t * params.alpha <= 0.0:
         raise ValueError("c->p needs alpha > 0")
-    vin = _coherent_qubit(inp, params, channel.layout.dims[1])
     # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
-    return _measure(channel, Direction.C_TO_P, vin)
+    return _measure(channel, Direction.C_TO_P, inp, params.t * params.alpha)
 
 
 def teleport_p_to_s(
@@ -399,8 +411,7 @@ def teleport_p_to_s(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    ain = np.array([inp.a, inp.b, 0.0], dtype=complex)
-    return _measure(channel, Direction.P_TO_S, ain)
+    return _measure(channel, Direction.P_TO_S, inp, 0.0)
 
 
 def teleport_s_to_p(
@@ -416,8 +427,7 @@ def teleport_s_to_p(
     """
     if channel is None:
         channel = evolve(hybrid_ps_initial().density(), params.t)
-    vin = np.array([inp.a, inp.b], dtype=complex)
-    return _measure(channel, Direction.S_TO_P, vin)
+    return _measure(channel, Direction.S_TO_P, inp, 0.0)
 
 
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:
@@ -459,7 +469,9 @@ def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelPar
     with t treated as known; all other targets are the bare input qubit.
     """
     if direction is Direction.P_TO_C:
-        return _coherent_qubit(inp, params, dim)
+        plus, minus = _decayed_basis(params.t * params.alpha, dim)
+        v = inp.a * plus + inp.b * minus
+        return v / np.linalg.norm(v)
     return np.array((inp.a, inp.b) + (0.0,) * (dim - 2), dtype=complex)  # H, V or |0>, |1>
 
 
@@ -535,7 +547,7 @@ def _success_from_terms(direction: Direction, terms: tuple, params: ChannelParam
     """Per-input success probability of :func:`_bloch_terms`: the sum of the success branches."""
     check_postselection(direction, postselected)
     probs = _branch_probabilities(direction, terms, params)
-    total = sum(prob for prob, (_, _, success) in zip(probs, _OUTCOMES[direction]) if success)
+    total = sum(probs[i] for i in _SUCCESS[direction])
     if postselected:
         total = total * (params.t * params.t / 2.0)
     return np.broadcast_to(total, np.shape(terms[0])).copy()
@@ -596,9 +608,11 @@ def pipeline_summary(
 
     kept_dim = stack.shape[-1]
     probs = np.einsum("lii->l", stack).real
+    listed = probs.tolist()
     wins = _SUCCESS[direction]
-    prob = sum(probs[wins].tolist())
-    output = DensityOperator(_kept_layout(direction, kept_dim), stack[wins].sum(axis=0) / prob)
+    prob = sum(listed[i] for i in wins)
+    output = DensityOperator(_kept_layout(direction, kept_dim),
+                             np.take(stack, wins, axis=0).sum(axis=0) / prob)
     if postselected:
         # the photon-arrival filter, then the gadget's Bell measurement
         output, kept = postselect_polarization(output)
@@ -607,7 +621,7 @@ def pipeline_summary(
     return {
         "fidelity": _overlap_fidelity(target, output.matrix),
         "success_probability": prob,
-        "outcomes": _outcome_records(direction, probs.tolist()),
+        "outcomes": _outcome_records(direction, listed),
         "probabilities": probs,
         "stack": stack,
         "output": output,

@@ -156,13 +156,15 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
                     at = {"r": r, "alpha": alpha, "theta": theta, "phi": phi, "direction": d.value}
                     fidelity[d].append((abs(summary["fidelity"] - f_closed[i]), at))
                     probability[d].append((abs(summary["success_probability"] - p_closed[i]), at))
-                    probs = summary["probabilities"]
-                    branch_sum.append((abs(sum(probs.tolist()) - 1.0), None))
-                    live = probs > 1e-12
-                    outputs = summary["stack"][live] / probs[live, None, None]
-                    hermiticity = float(np.abs(outputs - outputs.conj().transpose(0, 2, 1)).max())
-                    trace = float(np.abs(np.einsum("lii->l", outputs).real - 1.0).max())
-                    valid.append((max(hermiticity, trace), None))
+                    probs = summary["probabilities"].tolist()
+                    branch_sum.append((abs(sum(probs) - 1.0), None))
+                    # each branch's Hermiticity defect and imaginary trace, over its
+                    # probability (the real trace), are those of its normalized output
+                    stack = summary["stack"]
+                    gaps = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
+                    traces = np.einsum("lii->l", stack).imag.tolist()
+                    valid.append((max(max(gap, abs(im)) / p for gap, im, p in zip(gaps, traces, probs)
+                                      if p > 1e-12), None))
                     if d.onto_polarization:
                         post = teleport.pipeline_summary(d, inp, params, channel=chan,
                                                          postselected=True)

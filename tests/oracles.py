@@ -18,7 +18,6 @@ from scipy.special import gammainc
 
 from hybrid_teleport import fock as fk
 from hybrid_teleport import teleport as tp
-from hybrid_teleport.channels import damping_kraus
 
 
 def poisson_tail(mean: float, k: int) -> float:
@@ -141,11 +140,37 @@ def beam_splitter_dense(dim: int) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
+def damping_kraus_dense(kind, t: float) -> list[np.ndarray]:
+    """Photon-loss Kraus family of one mode, entry by entry into dense operators.
+
+    Polarization keeps H and V with amplitude t and sends each to the vacuum
+    level with sqrt(1 - t^2); Fock and qubit modes take the amplitude-damping
+    ladder with eta = t^2. All-zero operators are dropped.
+    """
+    if kind.label == "polarization":
+        k0 = np.diag([t, t, 1.0]).astype(complex)
+        k1 = np.zeros((3, 3), dtype=complex)
+        k1[fk.VAC_IDX, fk.H_IDX] = math.sqrt(1.0 - t * t)
+        k2 = np.zeros((3, 3), dtype=complex)
+        k2[fk.VAC_IDX, fk.V_IDX] = math.sqrt(1.0 - t * t)
+        ops = [k0, k1, k2]
+    else:
+        d = kind.dim
+        eta = t * t
+        ops = []
+        for k in range(d):
+            kk = np.zeros((d, d), dtype=complex)
+            for n in range(k, d):
+                kk[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+            ops.append(kk)
+    return [k for k in ops if np.any(k)]
+
+
 def evolve_dense(rho, t: float):
     """Photon loss on every mode, each Kraus operator embedded in the whole space with kron.
 
-    It takes the library's Kraus families, which have their own tests, and
-    checks only how ``channels.evolve`` applies them.
+    It takes the families of :func:`damping_kraus_dense` and checks how
+    ``channels.evolve`` applies them.
     """
     def embed(op, dims, mode):
         left = np.eye(math.prod(dims[:mode]))
@@ -155,22 +180,52 @@ def evolve_dense(rho, t: float):
     mat = rho.matrix
     dims = rho.layout.dims
     for mode, kind in enumerate(rho.layout.modes):
-        kraus = (embed(k, dims, mode) for k in damping_kraus(kind, t))
+        kraus = (embed(k, dims, mode) for k in damping_kraus_dense(kind, t))
         mat = sum(k @ mat @ k.conj().T for k in kraus)
     return fk.DensityOperator(rho.layout, mat)
 
 
-def measure_per_label(channel, direction, input_amplitudes):
-    """``teleport._measure`` one outcome at a time, with no cache and dense corrections.
+def diagonal_run(op: np.ndarray) -> tuple[slice, slice, np.ndarray]:
+    """Row run, column run and values of an operator whose nonzeros are one diagonal run.
 
-    Each label's rows over (input, measured mode) are contracted with the
-    channel's ensemble vectors into their own map, the input collapses through
-    it, and the branch is conjugated by the correction's dense unitary. The
-    outcome without rows is the kept mode's reduced state minus the detected
-    branches before correction. It takes the library's readout rows, outcome
-    table and correction unitaries, which have their own tests, and checks
-    only how ``_measure`` stacks and applies them. Returns the same
-    (outcomes, d, d) stack of corrected, unnormalized branches.
+    Read off the dense operator with ``np.nonzero``; raises ValueError for any
+    other operator.
+    """
+    rows, cols = np.nonzero(op)
+    if rows.size == 0 or np.any(cols - rows != cols[0] - rows[0]) \
+            or rows[-1] - rows[0] != rows.size - 1:
+        raise ValueError("loss operator is not one contiguous diagonal run")
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1), op[rows, cols]
+
+
+def rho_pc_kron(params, dim: int):
+    """The closed-form polarization/coherent channel as a sum of four dense Kronecker products."""
+    def dyad(i, j):
+        m = np.zeros((3, 3), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    t, q = params.t, params.coherence_factor
+    plus = fk.coherent_ket(t * params.alpha, dim).amplitudes
+    minus = fk.coherent_ket(-t * params.alpha, dim).amplitudes
+    dy_pp = np.outer(plus, plus.conj())
+    dy_mm = np.outer(minus, minus.conj())
+    dy_pm = np.outer(plus, minus.conj())
+    h, v, vac = fk.H_IDX, fk.V_IDX, fk.VAC_IDX
+    t2 = t * t
+    mat = 0.5 * (
+        np.kron(t2 * dyad(h, h) + (1 - t2) * dyad(vac, vac), dy_pp)
+        + np.kron(t2 * dyad(v, v) + (1 - t2) * dyad(vac, vac), dy_mm)
+        + t2 * q * (np.kron(dyad(h, v), dy_pm) + np.kron(dyad(v, h), dy_pm.conj().T))
+    )
+    return fk.DensityOperator(fk.layout_of(fk.polarization_mode(), fk.fock_mode(dim)), mat)
+
+
+def _label_maps(channel, direction):
+    """Each readout label's rows contracted with the channel's sqrt(weight)-scaled ensemble.
+
+    Returns ``{label: (d_in, rows * branch * kept) map}`` for the labels with
+    rows, in outcome order, and the kept mode's reduced state.
     """
     if direction is tp.Direction.C_TO_P:
         measured, rows = 1, tp._parity_readout(channel.layout.dims[1])
@@ -181,15 +236,32 @@ def measure_per_label(channel, direction, input_amplitudes):
     w, vecs = channel.ensemble
     chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
     chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
-    marginal = fk.partial_trace(channel, {1 - measured})
+    maps = {}
+    for label, _, _ in tp._OUTCOMES[direction]:
+        if label in rows:
+            block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
+            maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
+    return maps, fk.partial_trace(channel, {1 - measured})
+
+
+def measure_per_label(channel, direction, input_amplitudes):
+    """``teleport._measure`` one outcome at a time, with no cache and dense corrections.
+
+    Each label's map (:func:`_label_maps`) collapses the input, and the branch
+    is conjugated by the correction's dense unitary. The outcome without rows
+    is the kept mode's reduced state minus the detected branches before
+    correction. It takes the library's readout rows, outcome table and
+    correction unitaries, which have their own tests, and checks only how
+    ``_measure`` stacks and applies them. Returns the same (outcomes, d, d)
+    stack of corrected, unnormalized branches.
+    """
+    maps, marginal = _label_maps(channel, direction)
     kept_dim = marginal.layout.dims[0]
     branches = []
     detected = 0.0
     for label, correction, _ in tp._OUTCOMES[direction]:
-        if label in rows:
-            block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
-            label_map = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
-            collapsed = (input_amplitudes @ label_map).reshape(-1, kept_dim)
+        if label in maps:
+            collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
             mat = collapsed.T @ collapsed.conj()
             detected = detected + mat
         else:
@@ -201,6 +273,20 @@ def measure_per_label(channel, direction, input_amplitudes):
             mat = unitary @ mat @ unitary.conj().T
         branches.append(mat)
     return np.stack(branches)
+
+
+def remainder_choi(channel, direction, basis):
+    """Choi matrix of the outcome without readout rows, over (input level, kept level).
+
+    ``basis`` holds the measured mode's two input levels e_0, e_1 as rows.
+    Every label's rows collapse e_x to G_x, so the matrix is
+    kron(<e_y|e_x>, marginal) - G^T conj(G) with G = [G_0 | G_1].
+    """
+    maps, marginal = _label_maps(channel, direction)
+    kept = marginal.layout.dims[0]
+    g = np.concatenate([(basis @ m).reshape(2, -1, kept) for m in maps.values()], axis=1)
+    g = np.concatenate(g, axis=-1)
+    return np.kron(basis @ basis.conj().T, marginal.matrix) - g.T @ g.conj()
 
 
 # ---------------------------------------------------------------------------

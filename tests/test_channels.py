@@ -178,14 +178,20 @@ class TestEvolve:
         t = ch.ChannelParams.from_r(0.5, 5.0).t
         assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
 
-    @pytest.mark.parametrize("op", [
-        np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),  # off one diagonal
-        np.diag([1.0, 0.0, 1.0]),  # one diagonal, not one run
-    ])
-    def test_rejects_a_loss_operator_that_is_not_one_run(self, op, monkeypatch):
-        monkeypatch.setattr(ch, "damping_kraus", lambda kind, t: [op.astype(complex)])
-        with pytest.raises(ValueError, match="diagonal run"):
-            ch.evolve(ch.hybrid_ps_initial().density(), 0.5)
+    @pytest.mark.parametrize("kind", [fk.polarization_mode(), fk.qubit_mode(), fk.fock_mode(2),
+                                      fk.fock_mode(18), fk.fock_mode(36)])
+    @pytest.mark.parametrize("t", [1.0, 0.6, 1e-3, 1e-9])
+    def test_loss_runs_are_the_dense_family_bit_for_bit(self, kind, t):
+        # at t = 1e-9 the ladder's run ends underflow and are trimmed
+        family = oracles.damping_kraus_dense(kind, t)
+        dense = [oracles.diagonal_run(op) for op in family]
+        runs = list(ch._loss_runs(kind, t))
+        assert len(runs) == len(dense)
+        for (rows, cols, v), (rows_d, cols_d, v_d) in zip(runs, dense):
+            assert (rows, cols) == (rows_d, cols_d)
+            assert v.dtype == v_d.dtype and v.tobytes() == v_d.tobytes()
+        ops = ch.damping_kraus(kind, t)
+        assert [op.tobytes() for op in ops] == [op.tobytes() for op in family]
 
     def test_ps_coherence_coefficient(self):
         # <H,0|rho|V,1> picks up t^2 from polarization and t from the qubit
@@ -249,6 +255,14 @@ class TestClosedFormChannels:
             dist = fk.trace_distance(ch.evolve(initial, params.t),
                                      ch.rho_pc_analytic(params, dim))
             assert dist < 1e-9
+
+    def test_pc_blocks_equal_the_kron_sum(self):
+        for alpha in (0.0, 1e-3, 0.1, 0.54, 1.0, 2.0, 3.0):
+            dim = fk.default_fock_dim(alpha)
+            for r in (0.0, 0.3, 0.6, 0.95, 0.999):
+                params = ch.ChannelParams.from_r(r, alpha)
+                assert np.array_equal(ch.rho_pc_analytic(params, dim).matrix,
+                                      oracles.rho_pc_kron(params, dim).matrix)
 
     def test_ps_pure_at_no_loss(self):
         rho = ch.rho_ps_analytic(ch.ChannelParams(t=1.0, alpha=1.0))

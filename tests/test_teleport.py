@@ -170,6 +170,13 @@ class TestPeakAllocation:
         peak = traced_peak_bytes(lambda: tp.teleport_c_to_p(TILTED, params, channel=channel))
         assert peak < self.LIMIT
 
+    def test_cold_p_to_c_call(self):
+        # the first call on a channel builds its p->c maps, (4, 5 d^2) complex: 415 kB
+        params = ch.ChannelParams.from_r(0.5, 2.0)
+        channel = ch.evolve(ch.hybrid_pc_initial(2.0, 36).density(), params.t)
+        peak = traced_peak_bytes(lambda: tp.teleport_p_to_c(TILTED, params, channel=channel))
+        assert peak < self.LIMIT
+
     def test_pc_channel_evolve(self):
         rho = ch.hybrid_pc_initial(2.0, 36).density()
         peak = traced_peak_bytes(lambda: ch.evolve(rho, math.sqrt(0.75)))
@@ -582,19 +589,16 @@ class TestReadoutMaps:
                     assert abs(summary["success_probability"]
                                - tp.per_input_success_probability(d, inp, self.PARAMS)) < 1e-12
             maps = tp._READOUT_MAPS[channel]
-            assert set(maps) == set(order)
+            beta = self.PARAMS.t * self.PARAMS.alpha
+            assert set(maps) == {(tp.Direction.P_TO_C, 0.0), (tp.Direction.C_TO_P, beta)}
             dim = channel.layout.dims[1]
-            rank = len(channel.ensemble[0])
-            bell, parity = maps[tp.Direction.P_TO_C], maps[tp.Direction.C_TO_P]
-            assert set(bell.labels) == set(tp._BELL_BRAS)
-            assert set(parity.labels) == set(tp._parity_readout(dim))
-            # one row per Bell label; parity labels padded to the longest, d/2 rows
-            assert bell.stacked.shape == (3, len(bell.labels) * rank * dim)
-            assert parity.stacked.shape == (dim, len(parity.labels) * dim // 2 * rank * 3)
-            for d in order:
-                assert len(maps[d].phases) == len(tp._OUTCOMES[d])
+            # one row per coefficient product, then (outcomes, kept, kept) flattened
+            bell, parity = maps[tp.Direction.P_TO_C, 0.0][0], maps[tp.Direction.C_TO_P, beta][0]
+            assert bell.shape == (4, len(tp._OUTCOMES[tp.Direction.P_TO_C]) * dim * dim)
+            assert parity.shape == (4, len(tp._OUTCOMES[tp.Direction.C_TO_P]) * 3 * 3)
+            assert not bell.flags.writeable and not parity.flags.writeable
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0])
     def test_stacked_product_matches_the_per_label_loop(self, alpha):
         params = ch.ChannelParams.from_r(0.6, alpha)
         dim = fk.default_fock_dim(alpha)
@@ -604,20 +608,81 @@ class TestReadoutMaps:
         for inp in (EQUATOR, ODD_CAT, TILTED):
             a, b = inp.a, inp.b
             coherent = a * oracles.coherent_amps(beta, dim) + b * oracles.coherent_amps(-beta, dim)
-            amplitudes = {
-                tp.Direction.P_TO_C: (pc, np.array([a, b, 0.0])),
-                tp.Direction.C_TO_P: (pc, coherent / np.linalg.norm(coherent)),
-                tp.Direction.P_TO_S: (ps, np.array([a, b, 0.0])),
-                tp.Direction.S_TO_P: (ps, np.array([a, b])),
+            runs = {
+                tp.Direction.P_TO_C: (tp.teleport_p_to_c(inp, params, channel=pc),
+                                      pc, np.array([a, b, 0.0])),
+                tp.Direction.C_TO_P: (tp.teleport_c_to_p(inp, params, channel=pc),
+                                      pc, coherent / np.linalg.norm(coherent)),
+                tp.Direction.P_TO_S: (tp.teleport_p_to_s(inp, params, channel=ps),
+                                      ps, np.array([a, b, 0.0])),
+                tp.Direction.S_TO_P: (tp.teleport_s_to_p(inp, params, channel=ps),
+                                      ps, np.array([a, b])),
             }
-            for d, (channel, vin) in amplitudes.items():
-                stacked = tp._measure(channel, d, vin)
+            for d, (stacked, channel, vin) in runs.items():
                 reference = oracles.measure_per_label(channel, d, vin)
                 assert stacked.shape == reference.shape
                 assert len(stacked) == len(tp._OUTCOMES[d]) and not stacked.flags.writeable
                 assert np.abs(np.einsum("lii->l", stacked).real
                               - np.einsum("lii->l", reference).real).max() <= 1e-15
                 assert np.abs(stacked - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0])
+    def test_remainder_choi_is_the_collapse_in_the_input_levels(self, alpha):
+        # the matrix verify takes the spectrum of, in the levels a and b weight
+        params = ch.ChannelParams.from_r(0.6, alpha)
+        dim = fk.default_fock_dim(alpha)
+        pc = ch.evolve(ch.hybrid_pc_initial(alpha, dim).density(), params.t)
+        ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
+        beta = params.t * alpha
+        levels = {tp.Direction.P_TO_C: np.eye(2, 3), tp.Direction.P_TO_S: np.eye(2, 3),
+                  tp.Direction.S_TO_P: np.eye(2),
+                  tp.Direction.C_TO_P: np.stack([oracles.coherent_amps(beta, dim),
+                                                 oracles.coherent_amps(-beta, dim)])}
+        for d, basis in levels.items():
+            channel = pc if d.coherent else ps
+            choi = tp._remainder_choi(d, params, channel)
+            reference = oracles.remainder_choi(channel, d, basis)
+            assert choi.shape == reference.shape
+            assert np.abs(choi - reference).max() <= 1e-15
+            assert np.abs(np.linalg.eigvalsh(choi) - np.linalg.eigvalsh(reference)).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-5])
+    def test_c_to_p_keeps_its_precision_as_alpha_goes_to_zero(self, alpha):
+        # near the odd cat, |beta> and |-beta> nearly cancel; the even and odd
+        # parts do not, so the oracle stays on the closed forms
+        for r in (0.0, 0.6, 0.95):
+            params = ch.ChannelParams.from_r(r, alpha)
+            channel = ch.evolve(ch.hybrid_pc_initial(alpha, fk.default_fock_dim(alpha)).density(),
+                                params.t)
+            for inp in (ODD_CAT, TILTED):
+                for post in (False, True):
+                    summary = tp.pipeline_summary(tp.Direction.C_TO_P, inp, params,
+                                                  channel=channel, postselected=post)
+                    assert abs(summary["success_probability"] - tp.per_input_success_probability(
+                        tp.Direction.C_TO_P, inp, params, post)) <= 1e-14
+                    closed = tp.branch_probabilities_analytic(tp.Direction.C_TO_P, inp, params)
+                    assert max(abs(o["probability"] - c["probability"])
+                               for o, c in zip(summary["outcomes"], closed)) <= 1e-14
+                    assert abs(summary["fidelity"] - tp.per_input_fidelity(
+                        tp.Direction.C_TO_P, inp, params, post)) <= 1e-10
+
+    def test_one_map_build_per_channel_and_direction(self, monkeypatch):
+        builds = []
+        corrections = tp._corrections
+        monkeypatch.setattr(tp, "_corrections",
+                            lambda d, dim: builds.append(d) or corrections(d, dim))
+        params = ch.ChannelParams.from_r(0.6, 1.0)
+        pc = ch.evolve(ch.hybrid_pc_initial(1.0, fk.default_fock_dim(1.0)).density(), params.t)
+        ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
+        for theta in np.linspace(0.1, 3.0, 5):
+            for phi in np.linspace(0.0, 6.0, 4):
+                inp = tp.BlochInput(float(theta), float(phi))
+                for d in tp.Direction:
+                    for post in (False, True) if d.onto_polarization else (False,):
+                        tp.pipeline_summary(d, inp, params, channel=pc if d.coherent else ps,
+                                            postselected=post)
+        assert sorted(builds, key=list(tp.Direction).index) == list(tp.Direction)
+        assert len(tp._READOUT_MAPS[pc]) == len(tp._READOUT_MAPS[ps]) == 2
 
     def test_decayed_basis_is_the_coherent_pair_bit_for_bit_and_read_only(self):
         tp._decayed_basis.cache_clear()
@@ -627,6 +692,13 @@ class TestReadoutMaps:
         assert tp._decayed_basis(1.2, 22) is basis
         with pytest.raises(ValueError):
             basis[0, 0] = 0.0
+
+    def test_cat_parts_are_the_exact_halves_of_the_decayed_pair(self):
+        basis = tp._decayed_basis(1e-3, 16)
+        (even, odd), norms = tp._cat_parts(1e-3, 16)
+        assert np.array_equal(even + odd, basis[0]) and np.array_equal(even - odd, basis[1])
+        assert np.vdot(even, odd) == 0.0 and not even.flags.writeable
+        assert norms == (np.vdot(even, even).real, np.vdot(odd, odd).real)
 
     def test_maps_do_not_keep_their_channel_alive(self):
         channel = self.channel()
@@ -647,6 +719,9 @@ class TestInputsAndParsing:
             tp.BlochInput(-0.1, 0.0)
         with pytest.raises(ValueError):
             tp.BlochInput(0.5, 6.5)
+
+    def test_directions_hash_by_identity(self):
+        assert tp.Direction.__hash__ is object.__hash__
 
     def test_direction_parse(self):
         assert tp.Direction.parse("p-to-c") is tp.Direction.P_TO_C

@@ -24,6 +24,12 @@ ALLOWED = {
     # the exported fidelity; pipeline_summary takes the same overlap on the bare
     # amplitudes and matrix, without building a state
     "fock.fidelity_pure",
+    # the trace of the exported DensityOperator; the package takes the traces of
+    # bare branch stacks instead
+    "fock.DensityOperator.trace",
+    # the exported dense Kraus family; evolve applies the same values as diagonal runs,
+    # and the tests check the two against each other
+    "channels.damping_kraus",
 }
 
 
