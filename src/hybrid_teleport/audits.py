@@ -43,58 +43,17 @@ def moment_integral_variant4(x: float) -> float:
     return (2 - x * x) * (2 * at) / (4 * x**3) - 1.0 / (x * x)
 
 
-def _artanh_cofactor(kind: int, x: float) -> float:
-    # h in the split m(x) = artanh(x) h(x) + p(x); h is regular at x = 1
-    if kind == 1:
-        return (3 * x * x - 1) / (8 * x**3)
-    if kind == 2:
-        return (1 + x * x) / (8 * x**3)
-    if kind == 3:
-        return -1.0 / (x * x)
-    return (3 - x * x) / (4 * x**3)
-
-
-def _regular_part(kind: int, x: float) -> float:
-    if kind == 1:
-        return 1.0 / (8 * x * x)
-    if kind == 2:
-        return -1.0 / (8 * x * x)
-    if kind == 3:
-        return 1.0 / x
-    return -3.0 / (4 * x * x)
-
-
 def g_functional(kind: int, params: ChannelParams) -> float:
     """Difference of a basic moment at the two decay scales.
 
-    Evaluates moment_integral at x = coherence * overlap and at x = overlap
-    and returns their difference, the building block of
-    `avg_fidelity_variant_pc`; the library's average weights the moment at
-    the coherent scale by the coherence factor instead.
-
-    Both arguments approach 1 as the amplitude vanishes and the individual
-    moments diverge, but their difference stays finite (limit
-    h(1) * log t); that regime is evaluated through a grouped form whose
-    endpoint gaps 1 - x come from expm1.
+    Returns moment_integral(kind, coherence * overlap) - moment_integral(kind,
+    overlap), the building block of `avg_fidelity_variant_pc`; the library's
+    average weights the moment at the coherent scale by the coherence factor
+    instead. Needs overlap < 1, that is alpha > 0.
     """
-    t, alpha = params.t, params.alpha
     x = params.basis_overlap
     y = params.coherence_factor * x
-    if x < 1.0 - 1e-6:
-        return averages.moment_integral(kind, y) - averages.moment_integral(kind, x)
-    gap_x = -math.expm1(-2.0 * (t * alpha) ** 2)  # 1 - x, exactly
-    gap_y = -math.expm1(-2.0 * alpha * alpha)     # 1 - y
-    at_x = float("inf") if gap_x == 0.0 else 0.5 * (math.log(2.0 - gap_x) - math.log(gap_x))
-    if y <= 0.5:
-        # widely separated scales: each moment is fine on its own stable path
-        m_x = at_x * _artanh_cofactor(kind, x) + _regular_part(kind, x)
-        return averages.moment_integral(kind, y) - m_x
-    log_gap_ratio = math.log(t * t) if alpha == 0.0 else math.log(gap_x / gap_y)
-    d_artanh = 0.5 * (math.log1p(y) - math.log1p(x) + log_gap_ratio)
-    dh = _artanh_cofactor(kind, y) - _artanh_cofactor(kind, x)
-    first = 0.0 if dh == 0.0 else at_x * dh
-    return (first + _artanh_cofactor(kind, y) * d_artanh
-            + _regular_part(kind, y) - _regular_part(kind, x))
+    return averages.moment_integral(kind, y) - averages.moment_integral(kind, x)
 
 
 def avg_fidelity_variant_pc(params: ChannelParams) -> float:

@@ -257,18 +257,16 @@ def classical_limit_quadrature(params: ChannelParams,
 # averaged success probabilities
 
 
-def _overlap_success(s: float) -> float:
-    # <(1 - s)/(1 + s u)> = (1 - s) artanh(s)/s, with removable endpoints
-    if s <= 0.0:
-        return 1.0
-    if s >= 1.0:
+def _overlap_success(params: ChannelParams) -> float:
+    # <(1 - s)/(1 + s u)> = (1 - s) artanh(s)/s, with removable endpoints; near s = 1
+    # the exact gap = 1 - s stands in for the subtraction, artanh(s) = log((2 - gap)/gap)/2
+    s, gap = params.basis_overlap, params.basis_gap
+    if gap <= 0.0:
         return 0.0
     if s < 1e-8:
         return (1.0 - s) * (1.0 + s * s / 3.0)
-    if s > 1.0 - 1e-6:
-        eps = 1.0 - s
-        at = 0.5 * (math.log(2.0 - eps) - math.log(eps))
-        return eps * at / (1.0 - eps)
+    if gap < 1e-3:
+        return gap * 0.5 * (math.log(2.0 - gap) - math.log(gap)) / s
     return (1.0 - s) * _artanh(s) / s
 
 
@@ -279,7 +277,7 @@ def avg_success_probability(direction: Direction, params: ChannelParams,
     t = params.t
     if not direction.onto_polarization:
         return t * t / 2.0
-    base = _overlap_success(params.basis_overlap) if direction is Direction.C_TO_P else 0.5
+    base = _overlap_success(params) if direction is Direction.C_TO_P else 0.5
     return base * t * t / 2.0 if postselected else base
 
 

@@ -74,12 +74,13 @@ class ChannelParams:
 
 
 def _loss_runs(kind: ModeKind, t: float):
-    """Row run, column run and values of each operator of :func:`damping_kraus`, in order.
+    """Row run, column run and values of each photon-loss Kraus operator of one mode, in order.
 
-    Every operator is one run on one diagonal, K = sum_i v_i |r_i><c_i| with
-    consecutive rows r and columns c. Each run starts at its first value,
-    which is nonzero unless all are; zeros where the ladder's tail underflows
-    are trimmed, and operators with no nonzero value are skipped.
+    The family is complete, sum K^dag K = identity. Every operator is one run
+    on one diagonal, K = sum_i v_i |r_i><c_i| with consecutive rows r and
+    columns c. Each run starts at its first value, which is nonzero unless all
+    are; zeros where the ladder's tail underflows are trimmed, and operators
+    with no nonzero value are skipped (at t = 1 only the identity is left).
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must be in (0, 1], got {t!r}")
@@ -98,23 +99,6 @@ def _loss_runs(kind: ModeKind, t: float):
         if values:
             size = len(values)
             yield slice(row, row + size), slice(col, col + size), np.array(values, dtype=complex)
-
-
-def damping_kraus(kind: ModeKind, t: float) -> list[np.ndarray]:
-    """Kraus family of single-mode photon loss with amplitude decay t, as dense operators.
-
-    Polarization: the photon survives with amplitude t or escapes to the
-    vacuum level. Fock/qubit: the standard amplitude-damping ladder with
-    transmission eta = t^2. The family is complete, sum K^dag K = identity,
-    and minimal: at t = 1 every loss operator vanishes and is left out. Each
-    operator is one of :func:`_loss_runs` written into a zero matrix.
-    """
-    ops = []
-    for rows, cols, v in _loss_runs(kind, t):
-        op = np.zeros((kind.dim, kind.dim), dtype=complex)
-        op[rows, cols] = np.diag(v)
-        ops.append(op)
-    return ops
 
 
 def evolve(rho: DensityOperator, t: float) -> DensityOperator:

@@ -131,11 +131,6 @@ class StateVector:
             raise ValueError("cannot normalize a (numerically) zero state")
         return StateVector(self.layout, self.amplitudes / n)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        _check_same_layout(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density(self) -> "DensityOperator":
         return DensityOperator(
             self.layout, np.outer(self.amplitudes, self.amplitudes.conj())
@@ -175,9 +170,6 @@ class DensityOperator:
         weights.setflags(write=False)
         vectors.setflags(write=False)
         return weights, vectors
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 def basis_ket(kind: ModeKind, index: int) -> StateVector:
@@ -375,14 +367,8 @@ def parity_operator(dim: int) -> np.ndarray:
     return np.diag((-1.0 + 0j) ** np.arange(dim))
 
 
-def fidelity_pure(psi: StateVector, rho: DensityOperator) -> float:
-    """Overlap <psi|rho|psi>, clamped to [0, 1] after a sanity check."""
-    _check_same_layout(psi, rho)
-    return _overlap_fidelity(psi.amplitudes, rho.matrix)
-
-
 def _overlap_fidelity(amplitudes: np.ndarray, matrix: np.ndarray) -> float:
-    """:func:`fidelity_pure` of bare amplitudes and matrix, already known to match."""
+    """Fidelity <psi|rho|psi> of bare amplitudes and matrix, clamped to [0, 1] after a check."""
     val = complex(amplitudes.conj() @ matrix @ amplitudes)
     if abs(val.imag) > 1e-8 or val.real < -1e-8 or val.real > 1 + 1e-8:
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")

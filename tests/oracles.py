@@ -298,6 +298,22 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
+def overlap(a, b) -> complex:
+    """Inner product <a|b> of two states on the same layout."""
+    fk._check_same_layout(a, b)
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def trace(rho) -> float:
+    return float(np.trace(rho.matrix).real)
+
+
+def fidelity_pure(psi, rho) -> float:
+    """Overlap <psi|rho|psi> of a state and an operator on the same layout, clamped to [0, 1]."""
+    fk._check_same_layout(psi, rho)
+    return fk._overlap_fidelity(psi.amplitudes, rho.matrix)
+
+
 def purity(rho) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
@@ -318,8 +334,8 @@ def validate(rho, normalized: bool = True):
     lo = min_eigenvalue(rho)
     if lo < -EIGENVALUE_TOL:
         raise ValueError(f"not PSD: min eigenvalue = {lo:.3e}")
-    if normalized and abs(rho.trace() - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {rho.trace()!r} != 1")
+    if normalized and abs(trace(rho) - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {trace(rho)!r} != 1")
     return rho
 
 

@@ -3,14 +3,17 @@
 import pytest
 
 import hybrid_teleport
-from hybrid_teleport import audits, averages, cli, entanglement, teleport
+from hybrid_teleport import audits, averages, channels, cli, entanglement, fock, teleport
 
 AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional",
-              "_artanh_cofactor", "_regular_part", "avg_fidelity_variant_pc",
-              "classical_limit_variant", "per_input_fidelity_variant")
+              "avg_fidelity_variant_pc", "classical_limit_variant", "per_input_fidelity_variant")
 
-# exports that the branch stack made redundant; each pipeline returns one array
-REMOVED = ("TeleportOutcome", "success_probability", "combined_success_output", "target_state")
+# removed exports and the module that held each: the branch stack made the first four
+# redundant, since each pipeline returns one array; the last two served only the tests
+# and live on in tests/oracles.py
+REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
+           "combined_success_output": teleport, "target_state": teleport,
+           "damping_kraus": channels, "fidelity_pure": fock}
 
 # the arguments each subcommand requires
 REQUIRED = {
@@ -55,7 +58,13 @@ def test_audit_only_formulas_live_in_audits_alone(name):
 def test_removed_names_are_gone(name):
     assert name not in hybrid_teleport.__all__
     assert not hasattr(hybrid_teleport, name)
-    assert not hasattr(teleport, name)
+    assert not hasattr(REMOVED[name], name)
+
+
+def test_test_only_methods_are_gone():
+    # StateVector.overlap and DensityOperator.trace are tests/oracles.py's overlap and trace
+    assert not hasattr(fock.StateVector, "overlap")
+    assert not hasattr(fock.DensityOperator, "trace")
 
 
 def test_common_options_are_the_documented_ones():

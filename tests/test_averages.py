@@ -219,43 +219,6 @@ class TestGFunctional:
         )
         assert audits.g_functional(3, params) == pytest.approx(oracle, abs=1e-10)
 
-    def test_degenerate_basis_limit(self):
-        # both moment arguments tend to 1; the difference stays finite with
-        # limit h(1) log t where h is the artanh cofactor of each moment
-        t = 0.8
-        limits = {1: math.log(t) / 4, 2: math.log(t) / 4,
-                  3: -math.log(t), 4: math.log(t) / 2}
-        for kind, expect in limits.items():
-            assert audits.g_functional(kind, ch.ChannelParams(t, 1e-8)) == \
-                pytest.approx(expect, abs=1e-9)
-            assert audits.g_functional(kind, ch.ChannelParams(t, 0.0)) == \
-                pytest.approx(expect, abs=1e-12)
-
-    def test_accurate_on_both_sides_of_the_grouped_switch(self):
-        import mpmath as mp
-        mp.mp.dps = 50
-
-        def reference(kind, t, alpha):
-            tm, am = mp.mpf(t), mp.mpf(alpha)
-            vals = []
-            for z in (mp.e ** (-2 * am**2), mp.e ** (-2 * tm**2 * am**2)):
-                at = mp.atanh(z)
-                vals.append({
-                    1: (z + (3 * z**2 - 1) * at) / (8 * z**3),
-                    2: (-z + (1 + z**2) * at) / (8 * z**3),
-                    3: 1 / z - at / z**2,
-                    4: (3 - z**2) * at / (4 * z**3) - mp.mpf(3) / (4 * z**2),
-                }[kind])
-            return float(vals[0] - vals[1])
-
-        cases = [(t, a) for t in (0.4, 0.9) for a in (6e-4 / t, 8e-4 / t)]
-        cases += [(1e-6, 3.0), (1e-4, 2.0)]  # overlap ~ 1 with a far-off second scale
-        for kind in (1, 2, 3, 4):
-            for t, alpha in cases:
-                lib = audits.g_functional(kind, ch.ChannelParams(t, alpha))
-                ref = reference(kind, t, alpha)
-                assert min(abs(lib - ref), abs(lib - ref) / abs(ref)) < 1e-10
-
 
 class TestAveragedFidelities:
     def test_cp_ideal(self):
@@ -386,6 +349,22 @@ class TestAveragedProbabilities:
         params = ch.ChannelParams(t=1.0, alpha=10.0)
         assert av.avg_success_probability(Direction.C_TO_P, params) == pytest.approx(
             1.0, abs=1e-12)
+
+    def test_cp_against_high_precision_as_alpha_goes_to_zero(self):
+        # <(1 - s)/(1 + s u)> = (1 - s) artanh(s)/s as s -> 1, where 1 - s has to come
+        # from expm1: by subtraction it loses its digits, and is 0 once s rounds to 1
+        import mpmath as mp
+        for alpha in (1e-3, 1e-6, 1e-8):
+            for r in (0.0, 0.6, 0.999):
+                params = ch.ChannelParams.from_r(r, alpha)
+                with mp.workdps(50):
+                    x = 2 * (mp.mpf(params.t) * alpha) ** 2
+                    s = mp.exp(-x)
+                    ref = -mp.expm1(-x) * mp.atanh(s) / s
+                    refs = {False: float(ref), True: float(ref * mp.mpf(params.t) ** 2 / 2)}
+                for post, expect in refs.items():
+                    lib = av.avg_success_probability(Direction.C_TO_P, params, postselected=post)
+                    assert abs(lib - expect) <= 1e-13 * expect, (alpha, r, post)
 
     def test_cp_merging_limit(self):
         params = ch.ChannelParams(t=1e-6, alpha=1.0)

@@ -37,7 +37,7 @@ class TestBellStates:
         kets = [tp.bell_state_polarization(i) for i in range(1, 5)]
         for i, a in enumerate(kets):
             for j, b in enumerate(kets):
-                assert a.overlap(b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
+                assert oracles.overlap(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
     def test_local_gates_permute_the_basis(self):
         # Hadamard on the photon-present levels of mode one, bit-flip then

@@ -16,20 +16,9 @@ PACKAGE = Path(hybrid_teleport.__file__).resolve().parent
 
 # deliberate entry points that nothing in the package calls
 ALLOWED = {
-    # the dense unitary, kept for direct use and for the benchmark tracer, which
-    # still counts its builds; the parity readout never forms it
+    # the dense unitary; the parity readout never forms it, but the benchmark tracer
+    # (benchmarks/tracing.py, SPANNED and CACHED) wraps it by name to count its builds
     "fock.beam_splitter_50_50",
-    # the inner product of the exported StateVector
-    "fock.StateVector.overlap",
-    # the exported fidelity; pipeline_summary takes the same overlap on the bare
-    # amplitudes and matrix, without building a state
-    "fock.fidelity_pure",
-    # the trace of the exported DensityOperator; the package takes the traces of
-    # bare branch stacks instead
-    "fock.DensityOperator.trace",
-    # the exported dense Kraus family; evolve applies the same values as diagonal runs,
-    # and the tests check the two against each other
-    "channels.damping_kraus",
 }
 
 
