@@ -370,8 +370,11 @@ def cmd_teleport(args: argparse.Namespace) -> int:
             "outcomes": branch_probabilities_analytic(direction, inp, params),
         }
     if engine in ("oracle", "both"):
-        summary = pipeline_summary(direction, inp, params, dim=cfg.truncation,
-                                   postselected=post)
+        try:
+            summary = pipeline_summary(direction, inp, params, dim=cfg.truncation,
+                                       postselected=post)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         record["oracle"] = {key: summary[key]
                             for key in ("fidelity", "success_probability", "outcomes")}
     text = json.dumps(record, indent=2, sort_keys=True)

@@ -19,7 +19,6 @@ import numpy as np
 H_IDX, V_IDX, VAC_IDX = 0, 1, 2
 
 COHERENT_TAIL_TOL = 1e-10
-ENSEMBLE_TOL = 1e-13
 
 
 class TruncationError(ValueError):
@@ -142,8 +141,9 @@ class DensityOperator:
     """Dense Hermitian PSD operator tagged with its layout.
 
     The matrix is a private read-only copy, so values derived from it once,
-    such as :attr:`ensemble`, stay valid for the operator's lifetime. Operators
-    compare and hash by identity, so such values can be keyed by operator.
+    such as the teleport readout maps, stay valid for the operator's lifetime.
+    Operators compare and hash by identity, so such values can be keyed by
+    operator.
     """
 
     layout: ModeLayout
@@ -156,20 +156,6 @@ class DensityOperator:
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @cached_property
-    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral ensemble (weights, eigenvectors as columns) of the symmetrized matrix.
-
-        Weights at or below ``ENSEMBLE_TOL`` are dropped as numerically zero.
-        Diagonalized on first access and kept for the operator's lifetime.
-        """
-        w, v = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2)
-        sel = w > ENSEMBLE_TOL
-        weights, vectors = w[sel], v[:, sel]
-        weights.setflags(write=False)
-        vectors.setflags(write=False)
-        return weights, vectors
 
 
 def basis_ket(kind: ModeKind, index: int) -> StateVector:
@@ -370,7 +356,7 @@ def parity_operator(dim: int) -> np.ndarray:
 def _overlap_fidelity(amplitudes: np.ndarray, matrix: np.ndarray) -> float:
     """Fidelity <psi|rho|psi> of bare amplitudes and matrix, clamped to [0, 1] after a check."""
     val = complex(amplitudes.conj() @ matrix @ amplitudes)
-    if abs(val.imag) > 1e-8 or val.real < -1e-8 or val.real > 1 + 1e-8:
+    if not (abs(val.imag) <= 1e-8 and -1e-8 <= val.real <= 1 + 1e-8):  # NaN fails too
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
     return float(min(1.0, max(0.0, val.real)))
 

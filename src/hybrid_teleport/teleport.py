@@ -242,9 +242,11 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
     Entries are kept per (direction, beta). Every branch is quadratic in
     (x, y): row 2 i + j of the read-only (4, outcomes * k * k) maps is the
     corrected, unnormalized branch stack, in ``_OUTCOMES`` order on the kept
-    mode of dimension k, of c_i conj(c_j). An outcome's readout rows,
-    contracted with the ensemble vectors scaled by sqrt(weight), collapse e_i
-    to G_i, and its branch is G_i^T conj(G_j). The outcomes with rows come
+    mode of dimension k, of c_i conj(c_j). An outcome's readout rows collapse
+    e_i to a_i[r, m] over (row, measured level), and its branch, linear in the
+    channel rho, is read from a view of rho, with no factor of it that would
+    lose the small components: the effect E_ij[m, M] = sum over r of a_i[r, m]
+    conj(a_j[r, M]) traced against rho[m k, M K]. The outcomes with rows come
     first; the read-only (2, 2, k, k) leftover, <e_j|e_i> times the kept
     mode's reduced state minus their branches, is the branch of the outcome
     without rows where there is one, and for c->p, whose outcomes all have
@@ -262,23 +264,24 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
         else:
             measured, rows, basis = 0, _BELL_BRAS, _SUM_DIFF @ np.eye(2, 3)
         kept = dims[1 - measured]
-        w, vecs = channel.ensemble
-        # ensemble vectors as (measured, branch * kept), each scaled by sqrt(weight)
-        chi = np.moveaxis(vecs.reshape(dims + (-1,)), (measured, 2), (0, 1))
-        chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
+        # the channel over (measured, kept, measured, kept), a view
+        rho = np.moveaxis(channel.matrix.reshape(dims + dims), (measured, 2 + measured), (0, 2))
         outcomes = _OUTCOMES[direction]
         detected = len(rows)
         mats = np.empty((2, 2, len(outcomes), kept, kept), dtype=complex)
         for i, (label, _, _) in enumerate(outcomes[:detected]):
-            block = rows[label].reshape(-1, basis.shape[1], len(chi))  # (rows, input, measured)
-            g = (np.einsum("xi,rim->xrm", basis, block) @ chi).reshape(2, -1, kept)
-            mats[:, :, i] = g.transpose(0, 2, 1)[:, None] @ g.conj()[None]
+            block = rows[label].reshape(-1, basis.shape[1], dims[measured])  # (rows, input, measured)
+            collapsed = np.einsum("xi,rim->xrm", basis, block)
+            # the outcome's effect on the measured mode between input levels x and y
+            effect = collapsed.transpose(0, 2, 1)[:, None] @ collapsed.conj()[None]
+            np.einsum("xymM,mkMK->xykK", effect, rho, out=mats[:, :, i])
         marginal = partial_trace(channel, {1 - measured}).matrix
         leftover = (np.multiply.outer(basis @ basis.conj().T, marginal)
                     - mats[:, :, :detected].sum(axis=2))
         mats[:, :, detected:] = leftover[:, :, None]  # the outcome without rows, if any
         gather, phases = _corrections(direction, kept)
-        maps = (np.take(mats.reshape(4, -1), gather, axis=1) * phases).reshape(4, -1)
+        maps = np.take(mats.reshape(4, -1), gather.ravel(), axis=1)
+        maps *= phases.ravel()  # in place: a second array of the maps' size raises peak memory
         maps.setflags(write=False)
         leftover.setflags(write=False)
         entry = _READOUT_MAPS.setdefault(channel, {})[direction, beta] = maps, leftover
@@ -291,11 +294,11 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
 
     The leftover of :func:`_readout_maps` is taken back from the ``_SUM_DIFF``
     coefficients (a + b, a - b) to (a, b), which weight the measured mode's
-    qubit levels (|beta> and |-beta> for c->p): kron(<e_y|e_x>, marginal) -
-    G^T conj(G) with G = [G_0 | G_1]. The outcome without rows is positive for
+    qubit levels (|beta> and |-beta> for c->p): kron(<e_y|e_x>, marginal)
+    minus the detected branches. The outcome without rows is positive for
     every input when this matrix is, and for c->p it shows that the detected
-    branches take no more than the channel holds; a branch with rows is a Gram
-    matrix, positive anyway.
+    branches take no more than the channel holds; a branch with rows
+    compresses the positive channel, so it is positive anyway.
     """
     beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
     leftover = _readout_maps(channel, direction, beta)[1]
@@ -442,7 +445,7 @@ def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, floa
         raise ValueError("postselection acts on a single polarization mode")
     mat = rho.matrix.copy()
     kept = float(mat[H_IDX, H_IDX].real + mat[V_IDX, V_IDX].real)
-    if kept <= 1e-15:
+    if kept <= 0.0:
         raise ValueError("no photon-present population to keep")
     mat[VAC_IDX, :] = mat[:, VAC_IDX] = 0.0
     mat /= kept
@@ -596,7 +599,7 @@ def pipeline_summary(
     Returns the ``stack``, its traces as ``probabilities``, the ``outcomes``
     as :func:`branch_probabilities_analytic` lists them, the success mixture
     (postselected when asked) as ``output``, and its ``success_probability``
-    and ``fidelity`` to the target.
+    and ``fidelity`` to the target; a zero success probability raises ValueError.
     """
     check_postselection(direction, postselected)
     if direction.coherent:
@@ -611,6 +614,9 @@ def pipeline_summary(
     listed = probs.tolist()
     wins = _SUCCESS[direction]
     prob = sum(listed[i] for i in wins)
+    if prob <= 0.0:
+        raise ValueError(f"{direction.value} has zero success probability at t = {params.t:g}, "
+                         f"alpha = {params.alpha:g}; its output state is undefined")
     output = DensityOperator(_kept_layout(direction, kept_dim),
                              np.take(stack, wins, axis=0).sum(axis=0) / prob)
     if postselected:

@@ -221,6 +221,16 @@ def rho_pc_kron(params, dim: int):
     return fk.DensityOperator(fk.layout_of(fk.polarization_mode(), fk.fock_mode(dim)), mat)
 
 
+def ensemble(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral ensemble (weights, eigenvectors as columns) of the symmetrized matrix.
+
+    Weights at or below 1e-13 are dropped as numerically zero.
+    """
+    w, v = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
+    sel = w > 1e-13
+    return w[sel], v[:, sel]
+
+
 def _label_maps(channel, direction):
     """Each readout label's rows contracted with the channel's sqrt(weight)-scaled ensemble.
 
@@ -233,7 +243,7 @@ def _label_maps(channel, direction):
         measured, rows = 1, tp._SINGLE_PHOTON_BRAS
     else:
         measured, rows = 0, tp._BELL_BRAS
-    w, vecs = channel.ensemble
+    w, vecs = ensemble(channel)
     chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
     chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
     maps = {}

@@ -62,9 +62,11 @@ def test_removed_names_are_gone(name):
 
 
 def test_test_only_methods_are_gone():
-    # StateVector.overlap and DensityOperator.trace are tests/oracles.py's overlap and trace
+    # StateVector.overlap, DensityOperator.trace and DensityOperator.ensemble are
+    # tests/oracles.py's overlap, trace and ensemble
     assert not hasattr(fock.StateVector, "overlap")
     assert not hasattr(fock.DensityOperator, "trace")
+    assert not hasattr(fock.DensityOperator, "ensemble")
 
 
 def test_common_options_are_the_documented_ones():

@@ -335,6 +335,16 @@ class TestTeleportCommand:
             run("teleport", "--direction", "p-to-s", "--phi", "0", *flags)
         assert str(exc.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ["p-to-s", "p-to-c", "c-to-p"])
+    def test_zero_success_probability_exits_with_message(self, direction):
+        # t^2 underflows, so no branch succeeds and the oracle has no output to score
+        with pytest.raises(SystemExit) as exc:
+            run("teleport", "--engine", "both", "--direction", direction, "--t", "1e-170",
+                "--theta", "1", "--phi", "1")
+        text = str(exc.value.code)
+        assert "zero success probability" in text and "\n" not in text
+
     def test_exclusive_t_and_r(self):
         with pytest.raises(SystemExit):
             run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0",
