@@ -36,7 +36,6 @@ from .fock import (
     hermitian_eigenvalues,
     layout_of,
     parity_operator,
-    partial_trace,
     partial_transpose,
     polarization_mode,
     qubit_mode,
@@ -96,7 +95,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "layout_of",
     "parity_operator",
-    "partial_trace",
     "partial_transpose",
     "polarization_mode",
     "qubit_mode",

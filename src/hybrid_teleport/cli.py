@@ -330,6 +330,9 @@ def cmd_average(args: argparse.Namespace) -> int:
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    if cfg.alphas is not None and len(cfg.alphas) > 1:
+        raise SystemExit(f"teleport takes one amplitude, got {len(cfg.alphas)}: "
+                         + ",".join(f"{a:g}" for a in cfg.alphas))
     alpha = cfg.alphas[0] if cfg.alphas else 1.0
     if args.t is not None and args.r is not None:
         raise SystemExit("give either --t or --r, not both")

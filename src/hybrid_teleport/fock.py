@@ -1,9 +1,9 @@
 """Dense complex linear algebra over truncated Fock spaces and small optical modes.
 
 States and operators are numpy arrays tagged with a :class:`ModeLayout` that
-records the tensor factors, so multi-mode reshapes (partial trace, partial
-transpose) stay explicit. Every value is immutable after construction and
-every operation is a pure function, so everything here is safe to evaluate
+records the tensor factors, so multi-mode reshapes such as the partial
+transpose stay explicit. Every value is immutable after construction and every
+operation is a pure function, so everything here is safe to evaluate
 concurrently.
 """
 
@@ -88,9 +88,6 @@ class ModeLayout:
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    def select(self, indices) -> "ModeLayout":
-        return ModeLayout(tuple(self.modes[i] for i in indices))
 
 
 def layout_of(*modes: ModeKind) -> ModeLayout:
@@ -261,24 +258,6 @@ def tensor(a, b):
             np.kron(a.matrix, b.matrix),
         )
     raise TypeError("tensor requires two StateVectors or two DensityOperators")
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all modes not listed in ``keep`` (kept modes stay in order)."""
-    n = len(rho.layout)
-    keep = tuple(sorted({int(k) for k in keep}))
-    if not keep:
-        raise ValueError("keep must be a nonempty set of mode indices")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"mode index out of range in keep={keep}")
-    dims = rho.layout.dims
-    tensor_form = rho.matrix.reshape(dims + dims)
-    ket = list(range(n))
-    bra = [i if i not in keep else n + i for i in range(n)]
-    out = list(keep) + [n + i for i in keep]
-    reduced = np.einsum(tensor_form, ket + bra, out)
-    d = math.prod(dims[k] for k in keep)
-    return DensityOperator(rho.layout.select(keep), reduced.reshape(d, d))
 
 
 def partial_transpose(rho: DensityOperator, mode: int) -> np.ndarray:

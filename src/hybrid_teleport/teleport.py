@@ -4,12 +4,12 @@ Each of the four directions has a numeric pipeline and closed forms for the
 per-input fidelity and branch probabilities. One outcome table lists each
 direction's branches as (label, correction, success); both engines read it,
 and the success probability is the sum of the success branches. Pipelines
-read outcomes through rows: Bell bras on a polarization pair, the parity
-readout rows of a balanced beam splitter on a coherent pair, single-photon Bell
-bras on a single-rail pair. The remainder, the outcome without rows, makes the
-probabilities sum to one. Each pipeline returns its corrected, unnormalized
-branches as one read-only (outcomes, d, d) stack in table order; a branch's
-probability is its trace.
+read every outcome through its own rows: Bell bras and the lost-photon rows on
+a polarization pair, the parity readout rows of a balanced beam splitter on a
+coherent pair, single-photon Bell bras and the unresolved rows |00>, |11> on a
+single-rail pair. Each branch is the channel compressed by its outcome's rows.
+Each pipeline returns its corrected, unnormalized branches as one read-only
+(outcomes, d, d) stack in table order; a branch's probability is its trace.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .fock import (
     fock_mode,
     layout_of,
     parity_operator,
-    partial_trace,
     polarization_mode,
     qubit_mode,
 )
@@ -156,10 +155,14 @@ def bell_state_polarization(i: int) -> StateVector:
 _BELL_BRAS = {label: bell_state_polarization(i).amplitudes.conj()
               for i, label in enumerate(("bell_phi_plus", "bell_phi_minus",
                                          "bell_psi_plus", "bell_psi_minus"), start=1)}
-# single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened
+# a lost photon: input H or V with the channel's polarization vacuum, two rows
+_BELL_BRAS["photon_loss"] = np.kron(np.eye(3)[[H_IDX, V_IDX]], np.eye(3)[VAC_IDX])
+# single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened,
+# and the patterns they leave unresolved, |00> and |11>
 _SINGLE_PHOTON_BRAS = {
     "bell_psi_plus": np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2),
     "bell_psi_minus": np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2),
+    "unresolved": np.eye(4)[[0, 3]],
 }
 
 
@@ -242,16 +245,15 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
     Entries are kept per (direction, beta). Every branch is quadratic in
     (x, y): row 2 i + j of the read-only (4, outcomes * k * k) maps is the
     corrected, unnormalized branch stack, in ``_OUTCOMES`` order on the kept
-    mode of dimension k, of c_i conj(c_j). An outcome's readout rows collapse
-    e_i to a_i[r, m] over (row, measured level), and its branch, linear in the
-    channel rho, is read from a view of rho, with no factor of it that would
-    lose the small components: the effect E_ij[m, M] = sum over r of a_i[r, m]
-    conj(a_j[r, M]) traced against rho[m k, M K]. The outcomes with rows come
-    first; the read-only (2, 2, k, k) leftover, <e_j|e_i> times the kept
-    mode's reduced state minus their branches, is the branch of the outcome
-    without rows where there is one, and for c->p, whose outcomes all have
-    rows, what truncation leaves. Corrections (``_corrections``) are applied
-    here, once. Returns ``(maps, leftover)``.
+    mode of dimension k, of c_i conj(c_j). Each outcome's readout rows collapse
+    e_i to a_i[r, m] over (row, measured level), and its branch, the channel
+    rho compressed by those rows, is read from a view of rho, with no factor of
+    it that would lose the small components: the effect E_ij[m, M] = sum over r
+    of a_i[r, m] conj(a_j[r, M]) traced against rho[m k, M K]. The read-only
+    (2, 2, k, k) leftover, <e_j|e_i> times the kept mode's reduced state minus
+    every branch, is what the rows leave: rounding where they are complete,
+    and for c->p what truncation leaves. Corrections (``_corrections``) are
+    applied here, once. Returns ``(maps, leftover)``.
     """
     entry = _READOUT_MAPS.get(channel, {}).get((direction, beta))
     if entry is None:
@@ -267,18 +269,15 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
         # the channel over (measured, kept, measured, kept), a view
         rho = np.moveaxis(channel.matrix.reshape(dims + dims), (measured, 2 + measured), (0, 2))
         outcomes = _OUTCOMES[direction]
-        detected = len(rows)
         mats = np.empty((2, 2, len(outcomes), kept, kept), dtype=complex)
-        for i, (label, _, _) in enumerate(outcomes[:detected]):
+        for i, (label, _, _) in enumerate(outcomes):
             block = rows[label].reshape(-1, basis.shape[1], dims[measured])  # (rows, input, measured)
             collapsed = np.einsum("xi,rim->xrm", basis, block)
             # the outcome's effect on the measured mode between input levels x and y
             effect = collapsed.transpose(0, 2, 1)[:, None] @ collapsed.conj()[None]
             np.einsum("xymM,mkMK->xykK", effect, rho, out=mats[:, :, i])
-        marginal = partial_trace(channel, {1 - measured}).matrix
-        leftover = (np.multiply.outer(basis @ basis.conj().T, marginal)
-                    - mats[:, :, :detected].sum(axis=2))
-        mats[:, :, detected:] = leftover[:, :, None]  # the outcome without rows, if any
+        leftover = (np.multiply.outer(basis @ basis.conj().T, np.einsum("mkmK->kK", rho))
+                    - mats.sum(axis=2))
         gather, phases = _corrections(direction, kept)
         maps = np.take(mats.reshape(4, -1), gather.ravel(), axis=1)
         maps *= phases.ravel()  # in place: a second array of the maps' size raises peak memory
@@ -295,10 +294,10 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
     The leftover of :func:`_readout_maps` is taken back from the ``_SUM_DIFF``
     coefficients (a + b, a - b) to (a, b), which weight the measured mode's
     qubit levels (|beta> and |-beta> for c->p): kron(<e_y|e_x>, marginal)
-    minus the detected branches. The outcome without rows is positive for
-    every input when this matrix is, and for c->p it shows that the detected
-    branches take no more than the channel holds; a branch with rows
-    compresses the positive channel, so it is positive anyway.
+    minus every branch. A branch compresses the positive channel by its rows,
+    so it is positive for every input; this matrix shows that the rows take no
+    more than the channel holds. It is rounding for p->c, p->s and s->p, whose
+    rows are complete, and the truncation residue for c->p.
     """
     beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
     leftover = _readout_maps(channel, direction, beta)[1]
@@ -336,22 +335,17 @@ def _measure(channel: DensityOperator, direction: Direction, inp: BlochInput,
 
 
 @lru_cache(maxsize=16)
-def _decayed_basis(beta: float, dim: int) -> np.ndarray:
-    """Read-only amplitudes of the decayed basis |beta> and |-beta> on Fock(dim), as two rows."""
-    basis = np.stack([coherent_ket(beta, dim).amplitudes, coherent_ket(-beta, dim).amplitudes])
-    basis.setflags(write=False)
-    return basis
-
-
-@lru_cache(maxsize=16)
 def _cat_parts(beta: float, dim: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Read-only even and odd parts (|beta> ± |-beta>)/2 on Fock(dim), and their squared norms.
 
-    The halves are exact and have disjoint supports, so they are exactly
-    orthogonal: an input near the odd cat keeps its precision as beta -> 0,
-    where |beta> and |-beta> are nearly parallel.
+    They are the even and odd entries of |beta>, so their sum and difference
+    are |beta> and |-beta> exactly. The halves have disjoint supports, so they
+    are exactly orthogonal: an input near the odd cat keeps its precision as
+    beta -> 0, where |beta> and |-beta> are nearly parallel.
     """
-    parts = _SUM_DIFF @ _decayed_basis(beta, dim)
+    amplitudes = coherent_ket(beta, dim).amplitudes
+    odd = np.arange(dim) % 2 == 1
+    parts = np.where([~odd, odd], amplitudes, 0.0)
     parts.setflags(write=False)
     return parts, (float(np.vdot(parts[0], parts[0]).real), float(np.vdot(parts[1], parts[1]).real))
 
@@ -472,8 +466,8 @@ def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelPar
     with t treated as known; all other targets are the bare input qubit.
     """
     if direction is Direction.P_TO_C:
-        plus, minus = _decayed_basis(params.t * params.alpha, dim)
-        v = inp.a * plus + inp.b * minus
+        even, odd = _cat_parts(params.t * params.alpha, dim)[0]
+        v = inp.a * (even + odd) + inp.b * (even - odd)
         return v / np.linalg.norm(v)
     return np.array((inp.a, inp.b) + (0.0,) * (dim - 2), dtype=complex)  # H, V or |0>, |1>
 

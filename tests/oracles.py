@@ -234,8 +234,8 @@ def ensemble(rho) -> tuple[np.ndarray, np.ndarray]:
 def _label_maps(channel, direction):
     """Each readout label's rows contracted with the channel's sqrt(weight)-scaled ensemble.
 
-    Returns ``{label: (d_in, rows * branch * kept) map}`` for the labels with
-    rows, in outcome order, and the kept mode's reduced state.
+    Returns ``{label: (d_in, rows * branch * kept) map}`` in outcome order,
+    and the kept mode's reduced state.
     """
     if direction is tp.Direction.C_TO_P:
         measured, rows = 1, tp._parity_readout(channel.layout.dims[1])
@@ -248,34 +248,26 @@ def _label_maps(channel, direction):
     chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
     maps = {}
     for label, _, _ in tp._OUTCOMES[direction]:
-        if label in rows:
-            block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
-            maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
-    return maps, fk.partial_trace(channel, {1 - measured})
+        block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
+        maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
+    return maps, partial_trace(channel, {1 - measured})
 
 
 def measure_per_label(channel, direction, input_amplitudes):
     """``teleport._measure`` one outcome at a time, with no cache and dense corrections.
 
     Each label's map (:func:`_label_maps`) collapses the input, and the branch
-    is conjugated by the correction's dense unitary. The outcome without rows
-    is the kept mode's reduced state minus the detected branches before
-    correction. It takes the library's readout rows, outcome table and
-    correction unitaries, which have their own tests, and checks only how
-    ``_measure`` stacks and applies them. Returns the same (outcomes, d, d)
-    stack of corrected, unnormalized branches.
+    is conjugated by the correction's dense unitary. It takes the library's
+    readout rows, outcome table and correction unitaries, which have their own
+    tests, and checks only how ``_measure`` stacks and applies them. Returns
+    the same (outcomes, d, d) stack of corrected, unnormalized branches.
     """
     maps, marginal = _label_maps(channel, direction)
     kept_dim = marginal.layout.dims[0]
     branches = []
-    detected = 0.0
     for label, correction, _ in tp._OUTCOMES[direction]:
-        if label in maps:
-            collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
-            mat = collapsed.T @ collapsed.conj()
-            detected = detected + mat
-        else:
-            mat = marginal.matrix - detected
+        collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
+        mat = collapsed.T @ collapsed.conj()
         unitary = tp._UNITARIES.get(correction)
         if correction == "parity_flip":
             unitary = fk.parity_operator(kept_dim)
@@ -286,7 +278,7 @@ def measure_per_label(channel, direction, input_amplitudes):
 
 
 def remainder_choi(channel, direction, basis):
-    """Choi matrix of the outcome without readout rows, over (input level, kept level).
+    """Choi matrix of what the readout rows leave, over (input level, kept level).
 
     ``basis`` holds the measured mode's two input levels e_0, e_1 as rows.
     Every label's rows collapse e_x to G_x, so the matrix is
@@ -365,6 +357,25 @@ def cat_ket(amplitude: float, sign: int, dim: int):
     return fk.StateVector(fk.layout_of(fk.fock_mode(dim)), v.astype(complex)).normalized()
 
 
+def partial_trace(rho, keep):
+    """Trace out all modes not listed in ``keep`` (kept modes stay in order)."""
+    n = len(rho.layout)
+    keep = tuple(sorted({int(k) for k in keep}))
+    if not keep:
+        raise ValueError("keep must be a nonempty set of mode indices")
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"mode index out of range in keep={keep}")
+    dims = rho.layout.dims
+    tensor_form = rho.matrix.reshape(dims + dims)
+    ket = list(range(n))
+    bra = [i if i not in keep else n + i for i in range(n)]
+    out = list(keep) + [n + i for i in keep]
+    reduced = np.einsum(tensor_form, ket + bra, out)
+    d = math.prod(dims[k] for k in keep)
+    layout = fk.ModeLayout(tuple(rho.layout.modes[k] for k in keep))
+    return fk.DensityOperator(layout, reduced.reshape(d, d))
+
+
 def permute_modes(obj, order):
     """Reorder tensor factors; ``order[i]`` is the old index of new mode i."""
     order = tuple(int(i) for i in order)
@@ -372,7 +383,7 @@ def permute_modes(obj, order):
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
     dims = obj.layout.dims
-    new_layout = obj.layout.select(order)
+    new_layout = fk.ModeLayout(tuple(obj.layout.modes[i] for i in order))
     if isinstance(obj, fk.StateVector):
         arr = obj.amplitudes.reshape(dims).transpose(order).reshape(-1)
         return fk.StateVector(new_layout, arr)

@@ -9,11 +9,11 @@ AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional
               "avg_fidelity_variant_pc", "classical_limit_variant", "per_input_fidelity_variant")
 
 # removed exports and the module that held each: the branch stack made the first four
-# redundant, since each pipeline returns one array; the last two served only the tests
-# and live on in tests/oracles.py
+# redundant, since each pipeline returns one array; the last three served only the
+# tests and live on in tests/oracles.py
 REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
            "combined_success_output": teleport, "target_state": teleport,
-           "damping_kraus": channels, "fidelity_pure": fock}
+           "damping_kraus": channels, "fidelity_pure": fock, "partial_trace": fock}
 
 # the arguments each subcommand requires
 REQUIRED = {
@@ -63,10 +63,12 @@ def test_removed_names_are_gone(name):
 
 def test_test_only_methods_are_gone():
     # StateVector.overlap, DensityOperator.trace and DensityOperator.ensemble are
-    # tests/oracles.py's overlap, trace and ensemble
+    # tests/oracles.py's overlap, trace and ensemble; ModeLayout.select served only
+    # the partial trace and the mode permutation, which build their layouts directly
     assert not hasattr(fock.StateVector, "overlap")
     assert not hasattr(fock.DensityOperator, "trace")
     assert not hasattr(fock.DensityOperator, "ensemble")
+    assert not hasattr(fock.ModeLayout, "select")
 
 
 def test_common_options_are_the_documented_ones():

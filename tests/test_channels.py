@@ -201,7 +201,7 @@ class TestInitialStates:
     def test_pc_zero_amplitude_is_product(self):
         psi = ch.hybrid_pc_initial(0.0, 16)
         rho = psi.density()
-        pol = fk.partial_trace(rho, {0})
+        pol = oracles.partial_trace(rho, {0})
         assert oracles.purity(pol) == pytest.approx(1.0, abs=1e-12)
         expect = np.zeros(3, dtype=complex)
         expect[fk.H_IDX] = expect[fk.V_IDX] = 1 / math.sqrt(2)
@@ -213,7 +213,7 @@ class TestInitialStates:
     def test_pc_reduced_polarization_coherence(self):
         alpha = 2.0
         dim = fk.default_fock_dim(alpha)
-        pol = fk.partial_trace(ch.hybrid_pc_initial(alpha, dim).density(), {0})
+        pol = oracles.partial_trace(ch.hybrid_pc_initial(alpha, dim).density(), {0})
         assert pol.matrix[fk.H_IDX, fk.H_IDX].real == pytest.approx(0.5, abs=1e-12)
         assert pol.matrix[fk.V_IDX, fk.V_IDX].real == pytest.approx(0.5, abs=1e-12)
         # off-diagonal carries the coherent overlap exp(-2 alpha^2)/2
@@ -222,8 +222,8 @@ class TestInitialStates:
 
     def test_ps_reduced_states_maximally_mixed(self):
         rho = ch.hybrid_ps_initial().density()
-        pol = fk.partial_trace(rho, {0}).matrix
-        rail = fk.partial_trace(rho, {1}).matrix
+        pol = oracles.partial_trace(rho, {0}).matrix
+        rail = oracles.partial_trace(rho, {1}).matrix
         assert pol[fk.H_IDX, fk.H_IDX].real == pytest.approx(0.5, abs=1e-15)
         assert pol[fk.V_IDX, fk.V_IDX].real == pytest.approx(0.5, abs=1e-15)
         assert abs(pol[fk.H_IDX, fk.V_IDX]) < 1e-15
@@ -240,7 +240,7 @@ class TestClosedFormChannels:
         t = 0.7
         dim = fk.default_fock_dim(alpha)
         rho = ch.rho_pc_analytic(ch.ChannelParams(t=t, alpha=alpha), dim)
-        pol = fk.partial_trace(rho, {0}).matrix
+        pol = oracles.partial_trace(rho, {0}).matrix
         assert pol[fk.VAC_IDX, fk.VAC_IDX].real == pytest.approx(1 - t * t, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

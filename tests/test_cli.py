@@ -345,6 +345,15 @@ class TestTeleportCommand:
         text = str(exc.value.code)
         assert "zero success probability" in text and "\n" not in text
 
+    def test_several_amplitudes_exit_with_message(self, tmp_path):
+        # from a flag or a config key: teleport runs one channel, so it takes one amplitude
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 0.5, 2\n")
+        for source in (("--alpha", "0.5,2"), ("--config", str(config))):
+            with pytest.raises(SystemExit) as exc:
+                run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0", *source)
+            assert str(exc.value.code) == "teleport takes one amplitude, got 2: 0.5,2"
+
     def test_exclusive_t_and_r(self):
         with pytest.raises(SystemExit):
             run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0",

@@ -640,6 +640,31 @@ class TestReadoutMaps:
             assert np.abs(choi - reference).max() <= 1e-15
             assert np.abs(np.linalg.eigvalsh(choi) - np.linalg.eigvalsh(reference)).max() <= 1e-15
 
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 2.0])
+    def test_only_the_truncated_parity_readout_leaves_a_remainder(self, alpha):
+        # the rows of p->c, p->s and s->p span the input and measured levels, so what
+        # they leave is rounding; the c->p parity rows miss the photons beyond the cutoff
+        for r in (0.0, 0.6, 0.95):
+            params = ch.ChannelParams.from_r(r, alpha)
+            pc = ch.evolve(ch.hybrid_pc_initial(alpha, fk.default_fock_dim(alpha)).density(),
+                           params.t)
+            ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
+            for d in tp.Direction:
+                choi = tp._remainder_choi(d, params, pc if d.coherent else ps)
+                if d is tp.Direction.C_TO_P:
+                    assert np.abs(choi).max() <= fk.COHERENT_TAIL_TOL
+                    assert np.linalg.eigvalsh(choi)[0] >= -1e-15
+                else:
+                    assert np.abs(choi).max() <= 1e-15, (d, r)
+
+    @pytest.mark.parametrize("direction", [tp.Direction.P_TO_C, tp.Direction.P_TO_S])
+    def test_no_photon_is_lost_on_a_lossless_channel(self, direction):
+        # the lost-photon rows read the channel's polarization vacuum, empty at r = 0
+        summary = tp.pipeline_summary(direction, tp.BlochInput(1.0, 2.0),
+                                      ch.ChannelParams.from_r(0.0, 1.0))
+        loss = [o["probability"] for o in summary["outcomes"] if o["label"] == "photon_loss"]
+        assert loss == [0.0]
+
     @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_c_to_p_keeps_its_precision_as_alpha_goes_to_zero(self, alpha):
         # near the odd cat, |beta> and |-beta> nearly cancel; the even and odd
@@ -678,19 +703,22 @@ class TestReadoutMaps:
         assert sorted(builds, key=list(tp.Direction).index) == list(tp.Direction)
         assert len(tp._READOUT_MAPS[pc]) == len(tp._READOUT_MAPS[ps]) == 2
 
-    def test_decayed_basis_is_the_coherent_pair_bit_for_bit_and_read_only(self):
-        tp._decayed_basis.cache_clear()
-        basis = tp._decayed_basis(1.2, 22)
-        assert basis[0].tobytes() == fk.coherent_ket(1.2, 22).amplitudes.tobytes()
-        assert basis[1].tobytes() == fk.coherent_ket(-1.2, 22).amplitudes.tobytes()
-        assert tp._decayed_basis(1.2, 22) is basis
+    def test_cat_parts_add_up_to_the_coherent_pair_bit_for_bit_and_are_read_only(self):
+        tp._cat_parts.cache_clear()
+        for beta, dim in ((1.2, 22), (1e-3, 16), (2.0, 36), (1e-7, 16)):
+            even, odd = tp._cat_parts(beta, dim)[0]
+            assert (even + odd).tobytes() == fk.coherent_ket(beta, dim).amplitudes.tobytes()
+            assert (even - odd).tobytes() == fk.coherent_ket(-beta, dim).amplitudes.tobytes()
+        parts = tp._cat_parts(1.2, 22)[0]
+        assert tp._cat_parts(1.2, 22)[0] is parts
         with pytest.raises(ValueError):
-            basis[0, 0] = 0.0
+            parts[0, 0] = 0.0
 
-    def test_cat_parts_are_the_exact_halves_of_the_decayed_pair(self):
-        basis = tp._decayed_basis(1e-3, 16)
+    def test_cat_parts_are_the_exact_halves_of_the_coherent_pair(self):
+        plus = fk.coherent_ket(1e-3, 16).amplitudes
+        minus = fk.coherent_ket(-1e-3, 16).amplitudes
         (even, odd), norms = tp._cat_parts(1e-3, 16)
-        assert np.array_equal(even + odd, basis[0]) and np.array_equal(even - odd, basis[1])
+        assert np.array_equal(even, (plus + minus) / 2) and np.array_equal(odd, (plus - minus) / 2)
         assert np.vdot(even, odd) == 0.0 and not even.flags.writeable
         assert norms == (np.vdot(even, even).real, np.vdot(odd, odd).real)
 
