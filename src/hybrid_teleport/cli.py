@@ -1,11 +1,8 @@
 """Command-line front end: figure data, sweeps, single-shot runs, verification.
 
-Subcommands:
-  figure      reproduce the data behind one of the five reference figures (CSV)
-  negativity  negativity sweep over r for a list of amplitudes (CSV)
-  average     averaged fidelities and success probabilities over r (CSV)
-  teleport    one teleportation evaluation at a given input (JSON)
-  verify      the full oracle-vs-closed-form battery (text + JSON)
+One table, ``_COMMANDS``, builds the subcommands (figure, negativity, average,
+teleport, verify): each one's handler, help, own arguments and the common options
+it reads, as flags or config-file keys; any other common option is refused.
 
 All CSV output is deterministic: fixed column order, floats at 12 significant
 digits, '\\n' line endings. Oracle (brute-force) evaluations are limited to
@@ -103,8 +100,8 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# options common to every subcommand, each both a flag (--r-min) and a config-file
-# key (r_min) read by the same parser: key -> (parser, further argparse settings)
+# options shared by the subcommands, each both a flag (--r-min) and a config-file key
+# (r_min) read by the same parser: key -> (parser, further argparse settings)
 _COMMON_OPTIONS = {
     "out": (str, {"help": "output path"}),
     "engine": (str, {"choices": ENGINES}),
@@ -118,9 +115,14 @@ _COMMON_OPTIONS = {
 }
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, keys: tuple[str, ...]) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,17 +130,20 @@ def _parse_config_file(path: str) -> dict:
             raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _COMMON_OPTIONS:
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _COMMON_OPTIONS[key][0](val)
+        try:
+            values[key] = _COMMON_OPTIONS[key][0](val)
+        except ValueError:
+            raise ValueError(f"invalid value for config key {key!r}: {val!r}") from None
     return values
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
     """The config file's settings, if one is given, with the flags on top."""
     try:
-        given = _parse_config_file(args.config) if args.config else {}
-        given.update((key, getattr(args, key)) for key in _COMMON_OPTIONS
+        given = _parse_config_file(args.config, args.keys) if args.config else {}
+        given.update((key, getattr(args, key)) for key in args.keys
                      if getattr(args, key) is not None)
         if "alpha" in given:
             given["alphas"] = given.pop("alpha")
@@ -150,7 +155,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
 def _resolve_engine(engine: str, alpha: float) -> str:
     if engine == "auto":
         return "oracle" if alpha <= ORACLE_ALPHA_MAX else "analytic"
-    if engine == "oracle" and alpha > ORACLE_ALPHA_MAX:
+    if engine in ("oracle", "both") and alpha > ORACLE_ALPHA_MAX:
         raise SystemExit(
             f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g} "
             f"(got alpha={alpha:g}); use --engine analytic"
@@ -238,7 +243,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out = Path(cfg.out or f"{fig}.csv")
     defaults, panels, columns = _FIGURES[fig]
     alphas = cfg.alphas or defaults
-    if fig != "fig1" and cfg.engine == "oracle":
+    if fig != "fig1" and cfg.engine in ("oracle", "both"):
         raise SystemExit(f"{fig} is produced from the closed forms; use --engine analytic/auto")
     # negativity is the one figure the oracle reproduces
     engine = ("auto" if cfg.engine == "both" else cfg.engine) if fig == "fig1" else "analytic"
@@ -290,8 +295,6 @@ def cmd_negativity(args: argparse.Namespace) -> int:
 
 def cmd_average(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    if cfg.engine in ("oracle", "both"):
-        raise SystemExit("averages are closed-form only; the oracle cross-check lives in `verify`")
     alphas = cfg.alphas or (1.0,)
     try:
         directions = ([Direction.parse(args.direction)] if args.direction != "all"
@@ -349,9 +352,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
     if direction.coherent and params.alpha == 0.0:
         raise SystemExit(f"{direction.value} needs alpha > 0: the two coherent basis states coincide at 0")
-    engine = cfg.engine if cfg.engine != "auto" else "analytic"
-    if engine in ("oracle", "both") and params.alpha > ORACLE_ALPHA_MAX:
-        raise SystemExit(f"oracle engine is limited to alpha <= {ORACLE_ALPHA_MAX:g}")
+    engine = "analytic" if cfg.engine == "auto" else _resolve_engine(cfg.engine, params.alpha)
     if engine in ("oracle", "both") and direction.coherent:
         _check_truncation(cfg.truncation, params.alpha, even=direction is Direction.C_TO_P)
 
@@ -415,10 +416,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    for key, (parse, settings) in _COMMON_OPTIONS.items():
-        parser.add_argument("--" + key.replace("_", "-"), type=parse, **settings)
+# name -> (handler, help, own arguments as (flag, argparse settings), the common options
+# it reads); argparse and _build_config refuse any other common option, flag or key
+_COMMANDS = {
+    "figure": (cmd_figure, "CSV data behind one reference figure",
+               (("id", {"choices": list(_FIGURES)}),),
+               ("out", "alpha", "r_min", "r_max", "r_steps", "engine", "truncation")),
+    "negativity": (cmd_negativity, "negativity sweep (long-format CSV)", (),
+                   ("out", "alpha", "r_min", "r_max", "r_steps", "engine", "truncation")),
+    "average": (cmd_average, "averaged fidelity/probability sweep (CSV)",
+                (("--direction", {"default": "all",
+                                  "help": "p-to-c, c-to-p, p-to-s, s-to-p or all"}),),
+                ("out", "alpha", "r_min", "r_max", "r_steps")),
+    "teleport": (cmd_teleport, "single teleportation evaluation (JSON)",
+                 (("--direction", {"required": True}),
+                  ("--theta", {"type": float, "required": True}),
+                  ("--phi", {"type": float, "required": True}),
+                  ("--t", {"type": float}), ("--r", {"type": float}),
+                  ("--postselected", {"action": "store_true"})),
+                 ("out", "alpha", "engine", "truncation")),
+    "verify": (cmd_verify, "oracle-vs-closed-form battery",
+               (("--quick", {"action": "store_true",
+                             "help": "reduced pipeline grid for smoke runs"}),),
+               ("out", "alpha", "r_min", "r_max", "r_steps", "quad_theta", "quad_phi")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,38 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="teleportation between polarization and field-mode qubits under photon loss",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = sub.add_parser("figure", help="CSV data behind one reference figure")
-    p_fig.add_argument("id", choices=list(_FIGURES))
-    _add_common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_neg = sub.add_parser("negativity", help="negativity sweep (long-format CSV)")
-    _add_common(p_neg)
-    p_neg.set_defaults(func=cmd_negativity)
-
-    p_avg = sub.add_parser("average", help="averaged fidelity/probability sweep (CSV)")
-    p_avg.add_argument("--direction", default="all",
-                       help="p-to-c, c-to-p, p-to-s, s-to-p or all")
-    _add_common(p_avg)
-    p_avg.set_defaults(func=cmd_average)
-
-    p_tel = sub.add_parser("teleport", help="single teleportation evaluation (JSON)")
-    p_tel.add_argument("--direction", required=True)
-    p_tel.add_argument("--theta", type=float, required=True)
-    p_tel.add_argument("--phi", type=float, required=True)
-    p_tel.add_argument("--t", type=float)
-    p_tel.add_argument("--r", type=float)
-    p_tel.add_argument("--postselected", action="store_true")
-    _add_common(p_tel)
-    p_tel.set_defaults(func=cmd_teleport)
-
-    p_ver = sub.add_parser("verify", help="oracle-vs-closed-form battery")
-    p_ver.add_argument("--quick", action="store_true",
-                       help="reduced pipeline grid for smoke runs")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
+    for name, (handler, help_text, arguments, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, settings in arguments:
+            command.add_argument(flag, **settings)
+        command.add_argument("--config", help="flat key = value config file")
+        for key in keys:
+            parse, settings = _COMMON_OPTIONS[key]
+            command.add_argument("--" + key.replace("_", "-"), type=parse, **settings)
+        command.set_defaults(func=handler, keys=keys)
     return parser
 
 

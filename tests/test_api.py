@@ -1,5 +1,7 @@
 """The public surface: what the package exports and how the CLI reads its options."""
 
+from pathlib import Path
+
 import pytest
 
 import hybrid_teleport
@@ -34,9 +36,10 @@ def namespace(command, *argv):
     return cli.build_parser().parse_args([command, *REQUIRED[command], *argv])
 
 
-# the options every subcommand takes, read off the parser
-COMMON = sorted(set.intersection(*(set(vars(namespace(c))) for c in REQUIRED))
-                - {"command", "func", "config"})
+# (command, common option key) for every option a command reads
+READ = [(command, key) for command, (*_, keys) in cli._COMMANDS.items() for key in keys]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -71,16 +74,51 @@ def test_test_only_methods_are_gone():
     assert not hasattr(fock.ModeLayout, "select")
 
 
-def test_common_options_are_the_documented_ones():
-    assert COMMON == sorted(SAMPLES)
+@pytest.mark.parametrize("command", REQUIRED)
+def test_each_parser_takes_the_common_options_of_its_table_entry(command):
+    taken = set(vars(namespace(command))) & set(cli._COMMON_OPTIONS)
+    assert sorted(taken) == sorted(cli._COMMANDS[command][3])
 
 
-@pytest.mark.parametrize("key", COMMON)
-def test_every_common_flag_is_a_config_key_with_the_same_effect(key, tmp_path):
+def test_every_common_option_is_read_by_some_command():
+    assert {key for _, key in READ} == set(SAMPLES) == set(cli._COMMON_OPTIONS)
+    assert len(READ) == 30
+
+
+@pytest.mark.parametrize("command, key", READ)
+def test_every_common_flag_is_a_config_key_with_the_same_effect(command, key, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {SAMPLES[key]}\n")
     flag = "--" + key.replace("_", "-")
-    for command in REQUIRED:
-        from_file = cli._build_config(namespace(command, "--config", str(path)))
-        from_flag = cli._build_config(namespace(command, flag, SAMPLES[key]))
-        assert from_file == from_flag != cli.SweepConfig()
+    from_file = cli._build_config(namespace(command, "--config", str(path)))
+    from_flag = cli._build_config(namespace(command, flag, SAMPLES[key]))
+    assert from_file == from_flag != cli.SweepConfig()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("teleport", "r_min"), ("verify", "engine"), ("verify", "truncation"),
+    ("average", "quad_theta"), ("average", "engine"), ("teleport", "quad_phi")])
+def test_an_option_the_command_does_not_read_is_refused(command, key, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED[command], flag, SAMPLES[key]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {SAMPLES[key]}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED[command], "--config", str(path)])
+    assert str(exc.value.code) == f"unknown config key {key!r}"
+
+
+def test_readme_table_is_the_command_table():
+    # the README's "common options it reads" table, row by row
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | common options it reads |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command] = tuple(key.strip() for key in keys.split(","))
+    assert rows == {command: keys for command, (*_, keys) in cli._COMMANDS.items()}

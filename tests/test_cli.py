@@ -116,6 +116,16 @@ class TestFigureCommand:
             run("figure", "fig1", "--alpha", "10", "--engine", "oracle",
                 "--out", str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize("engine", ["oracle", "both"])
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5"])
+    def test_closed_form_figures_refuse_the_oracle(self, fig, engine, tmp_path):
+        # only fig1 has an oracle engine; the others must not write closed-form CSVs
+        with pytest.raises(SystemExit) as exc:
+            run("figure", fig, "--engine", engine, "--out", str(tmp_path / "x.csv"))
+        assert str(exc.value.code) == (f"{fig} is produced from the closed forms; "
+                                       "use --engine analytic/auto")
+        assert not any(tmp_path.iterdir())
+
     def test_figures_match_pinned_digests(self, tmp_path):
         # the figure CSVs are byte-identical to the digests the benchmark pins
         pinned = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
@@ -267,6 +277,25 @@ class TestSweepCommands:
             run("negativity", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert str(exc.value) == "unknown config key 'nonsense'"
 
+    def test_unreadable_config_file_exits_naming_it(self, tmp_path):
+        for path, reason in ((tmp_path / "missing.cfg", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            with pytest.raises(SystemExit) as exc:
+                run("negativity", "--config", str(path), "--out", str(tmp_path / "x.csv"))
+            assert str(exc.value.code) == f"cannot read config file {path}: {reason}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("r_steps = abc", "invalid value for config key 'r_steps': 'abc'"),
+        ("alpha = 0.5, x", "invalid value for config key 'alpha': '0.5, x'"),
+        ("r_min =", "invalid value for config key 'r_min': ''"),
+    ])
+    def test_bad_config_value_exits_naming_the_key(self, line, message, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run("negativity", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert str(exc.value.code) == message
+
     @pytest.mark.parametrize("argv, message", [
         (("negativity", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
         (("figure", "fig1", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
@@ -353,6 +382,14 @@ class TestTeleportCommand:
             with pytest.raises(SystemExit) as exc:
                 run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0", *source)
             assert str(exc.value.code) == "teleport takes one amplitude, got 2: 0.5,2"
+
+    @pytest.mark.parametrize("engine", ["oracle", "both"])
+    def test_oracle_engines_are_limited_in_amplitude(self, engine):
+        with pytest.raises(SystemExit) as exc:
+            run("teleport", "--engine", engine, "--direction", "p-to-c", "--alpha", "3",
+                "--theta", "1", "--phi", "1")
+        assert str(exc.value.code) == ("oracle engine is limited to alpha <= 2 (got alpha=3); "
+                                       "use --engine analytic")
 
     def test_exclusive_t_and_r(self):
         with pytest.raises(SystemExit):
