@@ -58,8 +58,7 @@ from .teleport import (
     BlochInput,
     Direction,
     bell_state_polarization,
-    per_input_fidelity,
-    per_input_success_probability,
+    closed_summary,
     pipeline_summary,
     postselect_polarization,
     teleport_c_to_p,
@@ -113,8 +112,7 @@ __all__ = [
     "BlochInput",
     "Direction",
     "bell_state_polarization",
-    "per_input_fidelity",
-    "per_input_success_probability",
+    "closed_summary",
     "pipeline_summary",
     "postselect_polarization",
     "teleport_c_to_p",

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import ChannelParams
-from .teleport import (Direction, _angle_terms, _fidelity_from_terms, _success_from_terms,
-                       check_postselection)
+from .teleport import (Direction, _bloch_terms, check_postselection, fidelity_kernel,
+                       success_kernel)
 
 _SERIES_TERMS = 14
 _MOMENT_SERIES_CUT = 1e-3  # moment_integral switches to its series below this
@@ -75,9 +75,9 @@ def bloch_average(f, spec: QuadratureSpec | None = None) -> float:
 
 @lru_cache(maxsize=16)
 def _grid_terms(n_theta: int, n_phi: int) -> tuple:
-    """Read-only :func:`teleport._angle_terms` over the whole quadrature grid, built when used."""
+    """Read-only :func:`teleport._bloch_terms` over the whole quadrature grid, built when used."""
     theta, _, phi, _ = _nodes(n_theta, n_phi)
-    terms = _angle_terms(theta[:, None], phi[None, :])
+    terms = _bloch_terms(theta[:, None], phi[None, :])
     for term in terms:
         term.setflags(write=False)
     return terms
@@ -164,7 +164,10 @@ def _pc_average(params: ChannelParams) -> float:
         # degenerate coherent basis (alpha = 0): the infidelity vanishes
         return 1.0
     q = params.coherence_factor
-    return 1.0 - 2.0 * params.basis_gap * (1.0 + s) * (_pc_moment(s) - q * _pc_moment(q * s))
+    # m_2(x) = <|a|^2 |b|^2 / (1 - x^2 u^2)> grows with x and q <= 1, so the difference
+    # is >= 0 exactly; rounding in the two moments can take it below, and F above 1
+    difference = max(_pc_moment(s) - q * _pc_moment(q * s), 0.0)
+    return 1.0 - 2.0 * params.basis_gap * (1.0 + s) * difference
 
 
 def _success_weighted_moments(t: float) -> tuple[float, float, float]:
@@ -218,7 +221,7 @@ def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
                             spec: QuadratureSpec | None = None,
                             postselected: bool = False) -> float:
     """Quadrature of the per-input fidelity (the source of truth)."""
-    return _grid_average(lambda terms: _fidelity_from_terms(direction, terms, params, postselected),
+    return _grid_average(lambda terms: fidelity_kernel(direction, terms, params, postselected),
                          spec)
 
 
@@ -284,8 +287,7 @@ def avg_success_probability(direction: Direction, params: ChannelParams,
 def avg_success_quadrature(direction: Direction, params: ChannelParams,
                            spec: QuadratureSpec | None = None,
                            postselected: bool = False) -> float:
-    return _grid_average(lambda terms: _success_from_terms(direction, terms, params, postselected),
-                         spec)
+    return _grid_average(lambda terms: success_kernel(direction, terms, params, postselected), spec)
 
 
 def fidelity_gap_large_alpha(params: ChannelParams) -> float:

@@ -34,10 +34,8 @@ from .fock import COHERENT_TAIL_TOL, coherent_tail_mass, default_fock_dim
 from .teleport import (
     BlochInput,
     Direction,
-    branch_probabilities_analytic,
     check_postselection,
-    per_input_fidelity,
-    per_input_success_probability,
+    closed_summary,
     pipeline_summary,
 )
 
@@ -366,21 +364,18 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         "engine": engine,
         "postselected": post,
     }
-    if engine in ("analytic", "both"):
-        record["analytic"] = {
-            "fidelity": per_input_fidelity(direction, inp, params, postselected=post),
-            "success_probability": per_input_success_probability(direction, inp, params,
-                                                                 postselected=post),
-            "outcomes": branch_probabilities_analytic(direction, inp, params),
-        }
-    if engine in ("oracle", "both"):
+    for name in ("analytic", "oracle"):
+        if engine not in (name, "both"):
+            continue
         try:
-            summary = pipeline_summary(direction, inp, params, dim=cfg.truncation,
-                                       postselected=post)
+            summary = (closed_summary(direction, inp, params, postselected=post)
+                       if name == "analytic" else
+                       pipeline_summary(direction, inp, params, dim=cfg.truncation,
+                                        postselected=post))
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-        record["oracle"] = {key: summary[key]
-                            for key in ("fidelity", "success_probability", "outcomes")}
+        record[name] = {key: summary[key]
+                        for key in ("fidelity", "success_probability", "outcomes")}
     text = json.dumps(record, indent=2, sort_keys=True)
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)

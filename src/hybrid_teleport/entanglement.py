@@ -8,13 +8,13 @@ from .channels import ChannelParams
 from .fock import DensityOperator, hermitian_eigenvalues, partial_transpose
 
 
-def negativity_numeric(rho: DensityOperator, split_mode: int = 1) -> float:
-    """Twice the absolute sum of negative partial-transpose eigenvalues.
+def negativity_numeric(rho: DensityOperator) -> float:
+    """Twice the absolute sum of negative eigenvalues of the partial transpose on mode 1.
 
-    ``split_mode`` is the mode that gets transposed; for the two-mode channel
-    states here the result does not depend on which side is chosen.
+    The spectrum of a two-mode partial transpose does not depend on which mode
+    is transposed.
     """
-    ev = hermitian_eigenvalues(partial_transpose(rho, split_mode))
+    ev = hermitian_eigenvalues(partial_transpose(rho, 1))
     return float(-2.0 * ev[ev < 0].sum())
 
 

@@ -1,9 +1,11 @@
 """Teleportation protocols between polarization and field-mode qubits.
 
-Each of the four directions has a numeric pipeline and closed forms for the
-per-input fidelity and branch probabilities. One outcome table lists each
-direction's branches as (label, correction, success); both engines read it,
-and the success probability is the sum of the success branches. Pipelines
+Each of the four directions has a numeric pipeline and closed forms. Both
+answer one input in the same keys, through :func:`pipeline_summary` and
+:func:`closed_summary`; the closed forms read every input, scalar or grid,
+through its Bloch terms, with one kernel per quantity. One outcome table lists
+each direction's branches as (label, correction, success); both engines read
+it, and the success probability is the sum of the success branches. Pipelines
 read every outcome through its own rows: Bell bras and the lost-photon rows on
 a polarization pair, the parity readout rows of a balanced beam splitter on a
 coherent pair, single-photon Bell bras and the unresolved rows |00>, |11> on a
@@ -472,21 +474,17 @@ def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelPar
     return np.array((inp.a, inp.b) + (0.0,) * (dim - 2), dtype=complex)  # H, V or |0>, |1>
 
 
-def _bloch_terms(a, b) -> tuple:
-    """|a|^2, |b|^2, u = 2 Re(a b*) and |a + b|^2 of input amplitudes; scalars or arrays."""
+def _bloch_terms(theta, phi) -> tuple:
+    """|a|^2, |b|^2, u = 2 Re(a b*) and |a + b|^2 of Bloch angles; scalars or arrays."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    a = np.cos(theta / 2) * np.exp(1j * phi / 2)
+    b = np.sin(theta / 2) * np.exp(-1j * phi / 2)
     return abs(a) ** 2, abs(b) ** 2, 2.0 * (a * b.conjugate()).real, abs(a + b) ** 2
 
 
-def _angle_terms(theta, phi) -> tuple:
-    """:func:`_bloch_terms` of arrays of Bloch angles."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return _bloch_terms(np.cos(theta / 2) * np.exp(1j * phi / 2),
-                        np.sin(theta / 2) * np.exp(-1j * phi / 2))
-
-
-def _fidelity_from_terms(direction: Direction, terms: tuple, params: ChannelParams,
-                         postselected: bool = False):
+def fidelity_kernel(direction: Direction, terms: tuple, params: ChannelParams,
+                    postselected: bool = False):
     """Per-input fidelity of :func:`_bloch_terms`, one minus a nonnegative infidelity."""
     check_postselection(direction, postselected)
     p, q2, _, w = terms
@@ -507,12 +505,6 @@ def _fidelity_from_terms(direction: Direction, terms: tuple, params: ChannelPara
     else:
         fidelity = 1.0 - q2 * (1.0 - t) * (1.0 + t - 2.0 * t * p) / (t * t * p + (2.0 - t * t) * q2)
     return fidelity if postselected else t * t * fidelity
-
-
-def fidelity_kernel(direction: Direction, theta, phi, params: ChannelParams,
-                    postselected: bool = False):
-    """Vectorized per-input fidelity; arrays of Bloch angles in, arrays out."""
-    return _fidelity_from_terms(direction, _angle_terms(theta, phi), params, postselected)
 
 
 def _branch_probabilities(direction: Direction, terms: tuple, params: ChannelParams) -> tuple:
@@ -539,8 +531,8 @@ def _branch_probabilities(direction: Direction, terms: tuple, params: ChannelPar
     return half, half, 1.0 - 2.0 * half
 
 
-def _success_from_terms(direction: Direction, terms: tuple, params: ChannelParams,
-                        postselected: bool = False):
+def success_kernel(direction: Direction, terms: tuple, params: ChannelParams,
+                   postselected: bool = False):
     """Per-input success probability of :func:`_bloch_terms`: the sum of the success branches."""
     check_postselection(direction, postselected)
     probs = _branch_probabilities(direction, terms, params)
@@ -550,34 +542,25 @@ def _success_from_terms(direction: Direction, terms: tuple, params: ChannelParam
     return np.broadcast_to(total, np.shape(terms[0])).copy()
 
 
-def success_kernel(direction: Direction, theta, phi, params: ChannelParams,
-                   postselected: bool = False):
-    """Vectorized per-input success probability: the sum of the success branches."""
-    return _success_from_terms(direction, _angle_terms(theta, phi), params, postselected)
-
-
-def per_input_fidelity(direction: Direction, inp: BlochInput, params: ChannelParams,
-                       postselected: bool = False) -> float:
-    return float(fidelity_kernel(direction, inp.theta, inp.phi, params, postselected))
-
-
-def per_input_success_probability(direction: Direction, inp: BlochInput,
-                                  params: ChannelParams,
-                                  postselected: bool = False) -> float:
-    return float(success_kernel(direction, inp.theta, inp.phi, params, postselected))
-
-
 def _outcome_records(direction: Direction, probs) -> list[dict]:
     """One record per branch of ``_OUTCOMES[direction]``, in order, with its probability."""
     return [{"label": label, "probability": prob, "correction": correction, "success": success}
             for prob, (label, correction, success) in zip(probs, _OUTCOMES[direction])]
 
 
-def branch_probabilities_analytic(direction: Direction, inp: BlochInput,
-                                  params: ChannelParams) -> list[dict]:
-    """Closed-form probabilities of every measurement branch (success and failure)."""
-    return _outcome_records(direction,
-                            _branch_probabilities(direction, _bloch_terms(inp.a, inp.b), params))
+def closed_summary(direction: Direction, inp: BlochInput, params: ChannelParams,
+                   postselected: bool = False) -> dict:
+    """The closed forms' answer for one input, in the keys :func:`pipeline_summary` shares.
+
+    Returns the ``fidelity`` and ``success_probability`` (postselected when
+    asked) and the ``outcomes``, every branch with its probability.
+    """
+    terms = _bloch_terms(inp.theta, inp.phi)
+    return {
+        "fidelity": float(fidelity_kernel(direction, terms, params, postselected)),
+        "success_probability": float(success_kernel(direction, terms, params, postselected)),
+        "outcomes": _outcome_records(direction, _branch_probabilities(direction, terms, params)),
+    }
 
 
 def pipeline_summary(
@@ -590,10 +573,10 @@ def pipeline_summary(
 ) -> dict:
     """Run the pipeline, looked up at call time, and reduce its branch stack.
 
-    Returns the ``stack``, its traces as ``probabilities``, the ``outcomes``
-    as :func:`branch_probabilities_analytic` lists them, the success mixture
-    (postselected when asked) as ``output``, and its ``success_probability``
-    and ``fidelity`` to the target; a zero success probability raises ValueError.
+    Returns the ``stack``, its traces as ``probabilities``, the ``outcomes`` as
+    :func:`closed_summary` lists them, the success mixture (postselected when
+    asked) as ``output``, and its ``success_probability`` and ``fidelity`` to
+    the target; a zero success probability raises ValueError.
     """
     check_postselection(direction, postselected)
     if direction.coherent:

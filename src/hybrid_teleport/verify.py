@@ -127,7 +127,7 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
 
 def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[dict], list[dict]]:
     angles = _angle_grid(n_theta, n_phi)
-    thetas, phis = (np.array(column) for column in zip(*angles))
+    terms = teleport._bloch_terms(*zip(*angles))
     fidelity = {d: [] for d in Direction}
     probability = {d: [] for d in Direction}
     branch_sum, valid, postselected, vacuum = [], [], [], []
@@ -143,8 +143,8 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             # closed-form fidelity and success probability over the whole angle grid,
             # keyed by (direction, postselected)
             closed = {
-                (d, post): (teleport.fidelity_kernel(d, thetas, phis, params, post).tolist(),
-                            teleport.success_kernel(d, thetas, phis, params, post).tolist())
+                (d, post): (teleport.fidelity_kernel(d, terms, params, post).tolist(),
+                            teleport.success_kernel(d, terms, params, post).tolist())
                 for d in Direction for post in ((False, True) if d.onto_polarization else (False,))
             }
             for i, (theta, phi) in enumerate(angles):

@@ -125,11 +125,10 @@ def test_criterion_3_closed_forms_vs_quadrature_and_pipeline():
                     for d in Direction:
                         chan = chan_pc if d.coherent else chan_ps
                         s = tp.pipeline_summary(d, inp, params, channel=chan)
-                        worst_pipe = max(worst_pipe, abs(
-                            s["fidelity"] - tp.per_input_fidelity(d, inp, params)))
-                        worst_pipe = max(worst_pipe, abs(
-                            s["success_probability"]
-                            - tp.per_input_success_probability(d, inp, params)))
+                        closed = tp.closed_summary(d, inp, params)
+                        worst_pipe = max(worst_pipe, abs(s["fidelity"] - closed["fidelity"]),
+                                         abs(s["success_probability"]
+                                             - closed["success_probability"]))
     assert worst_pipe < 1e-6
     report(3, True, f"closed vs quadrature {worst_quad:.2e} (tol 1e-8), "
                     f"per-input vs pipeline {worst_pipe:.2e} (tol 1e-6)")

@@ -11,11 +11,13 @@ AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional
               "avg_fidelity_variant_pc", "classical_limit_variant", "per_input_fidelity_variant")
 
 # removed exports and the module that held each: the branch stack made the first four
-# redundant, since each pipeline returns one array; the last three served only the
-# tests and live on in tests/oracles.py
+# redundant, since each pipeline returns one array; the next three served only the
+# tests and live on in tests/oracles.py; closed_summary answers for the last three
 REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
            "combined_success_output": teleport, "target_state": teleport,
-           "damping_kraus": channels, "fidelity_pure": fock, "partial_trace": fock}
+           "damping_kraus": channels, "fidelity_pure": fock, "partial_trace": fock,
+           "per_input_fidelity": teleport, "per_input_success_probability": teleport,
+           "branch_probabilities_analytic": teleport}
 
 # the arguments each subcommand requires
 REQUIRED = {

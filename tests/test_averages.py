@@ -63,7 +63,7 @@ class TestQuadrature:
                 for post in posts:
                     for kernel in (tp.fidelity_kernel, tp.success_kernel):
                         def f(th, ph):
-                            return kernel(direction, th, ph, params, post)
+                            return kernel(direction, tp._bloch_terms(th, ph), params, post)
                         assert av.bloch_average(f, spec) == meshgrid_average(f)
 
     @pytest.mark.parametrize("alpha", (0.1, 1.0, 10.0))
@@ -74,13 +74,15 @@ class TestQuadrature:
             for d in Direction:
                 for post in (False, True) if d.onto_polarization else (False,):
                     assert av.avg_fidelity_quadrature(d, params, spec, post) == av.bloch_average(
-                        lambda th, ph: tp.fidelity_kernel(d, th, ph, params, post), spec)
+                        lambda th, ph: tp.fidelity_kernel(d, tp._bloch_terms(th, ph), params,
+                                                          post), spec)
                     assert av.avg_success_quadrature(d, params, spec, post) == av.bloch_average(
-                        lambda th, ph: tp.success_kernel(d, th, ph, params, post), spec)
+                        lambda th, ph: tp.success_kernel(d, tp._bloch_terms(th, ph), params,
+                                                         post), spec)
             s = params.basis_overlap
 
             def classical(th, ph):
-                p, q2, u, _ = tp._angle_terms(th, ph)
+                p, q2, u, _ = tp._bloch_terms(th, ph)
                 num = p * (p + s * s * q2 + s * u) + q2 * (s * s * p + q2 + s * u)
                 return num / (1.0 + s * u)
 
@@ -190,7 +192,7 @@ class TestPCClosedFormsAtTheDegenerateEdge:
         theta, phi = math.pi / 2, math.pi
         for alpha in (1e-7, 1e-6, 1e-3, 0.5, 2.0):
             params = ch.ChannelParams.from_r(0.5, alpha)
-            lib = tp.per_input_fidelity(Direction.P_TO_C, tp.BlochInput(theta, phi), params)
+            lib = tp.closed_summary(Direction.P_TO_C, tp.BlochInput(theta, phi), params)["fidelity"]
             with mp.workdps(60):
                 t, am = mp.mpf(params.t), mp.mpf(alpha)
                 s = mp.exp(-2 * (t * am) ** 2)
@@ -457,6 +459,8 @@ def test_closed_forms_are_continuous_in_r():
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
        st.floats(min_value=0.0, max_value=10.0))
 @example(0.5, 1e-8)
+@example(1e-8, 1.0)
+@example(4.3e-8, 1.25)
 def test_averages_respect_bounds(r, alpha):
     params = ch.ChannelParams.from_r(r, alpha)
     for d in Direction:

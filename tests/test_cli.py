@@ -434,6 +434,32 @@ class TestTeleportCommand:
         text = str(exc.value.code)
         assert "alpha > 0" in text and "\n" not in text
 
+    # two inputs per direction, one postselected where allowed, and the sha256 of the
+    # analytic record each prints
+    @pytest.mark.parametrize("direction, theta, phi, channel, alpha, post, digest", [
+        ("p-to-c", "1.1", "0.4", ("--r", "0.3"), "1.5", (),
+         "8d22de31c62c71eebb466dd7f4d5bfff6dae7f162547beb160acfdecfce185b2"),
+        ("p-to-c", "1.5707963267948966", "3.141592653589793", ("--r", "0.6"), "1e-4", (),
+         "5f2940d3307c0fac715f971c22ddf61b4d8570446534cf5a98fac69587f8bec8"),
+        ("c-to-p", "2.0", "5.5", ("--r", "0.8"), "0.7", (),
+         "98ffecc8535dff51732a220cbb4819e7511903b97a33d20362beaf663eca920f"),
+        ("c-to-p", "0.3", "1.0", ("--t", "0.55"), "3", ("--postselected",),
+         "78ae20b5c320033d087def0d92b65cc315aa82567110c8364727945b08ed525f"),
+        ("p-to-s", "0.0", "0.0", ("--r", "0.5"), "1", (),
+         "225f3f21d607925fa5c128fb7fa876784fd538a6735269419a8d0cbe14fcdf81"),
+        ("p-to-s", "2.9", "6.0", ("--t", "0.99"), "1", (),
+         "61c749c780e30eafbcc6ad686bd55fb9a7456943aefe5ad27f87f94be5321caa"),
+        ("s-to-p", "1.3", "2.2", ("--r", "0.95"), "1", (),
+         "39e3a6c7342ec323a0d7ff3c87d95f3ad4e09551e4eeee4d152e8043a3a12850"),
+        ("s-to-p", "3.141592653589793", "0.7", ("--t", "0.3"), "1", ("--postselected",),
+         "884a46832ff13653f362cabf17ed5b7a78083203e0c79669a1ad8942bc4ad607"),
+    ])
+    def test_analytic_record_matches_pinned_digest(self, direction, theta, phi, channel, alpha,
+                                                   post, digest, capsys):
+        assert run("teleport", "--engine", "analytic", "--direction", direction, "--theta", theta,
+                   "--phi", phi, *channel, "--alpha", alpha, *post) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_postselected_record(self, capsys):
         assert run("teleport", "--direction", "s-to-p", "--theta", "1.0",
                    "--phi", "0.0", "--t", "0.8", "--postselected") == 0

@@ -27,9 +27,9 @@ class TestNumericNegativity:
     def test_split_side_is_irrelevant_here(self):
         params = ch.ChannelParams.from_r(0.4, 1.0)
         rho = ch.rho_pc_analytic(params, 22)
-        a = ent.negativity_numeric(rho, split_mode=0)
-        b = ent.negativity_numeric(rho, split_mode=1)
-        assert a == pytest.approx(b, abs=1e-12)
+        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 0))
+        a = float(-2.0 * ev[ev < 0].sum())
+        assert a == pytest.approx(ent.negativity_numeric(rho), abs=1e-12)
 
 
 class TestSingleRailChannel:

@@ -259,8 +259,8 @@ class TestCoherentToPolarization:
         t = math.sqrt(math.log(2.0) / 2.0)
         params = ch.ChannelParams(t=t, alpha=1.0)
         assert params.basis_overlap == pytest.approx(0.5, abs=1e-15)
-        assert tp.per_input_success_probability(
-            tp.Direction.C_TO_P, EQUATOR, params) == pytest.approx(1 / 3, abs=1e-12)
+        assert tp.closed_summary(tp.Direction.C_TO_P, EQUATOR, params)[
+            "success_probability"] == pytest.approx(1 / 3, abs=1e-12)
         s = tp.pipeline_summary(tp.Direction.C_TO_P, EQUATOR, params)
         assert s["success_probability"] == pytest.approx(1 / 3, abs=1e-10)
 
@@ -391,11 +391,9 @@ class TestPostselection:
         inp = tp.BlochInput(1.0, 1.0)
         params = ch.ChannelParams(t=t, alpha=1.0)
         post = tp.pipeline_summary(direction, inp, params, postselected=True)
-        assert abs(post["fidelity"]
-                   - tp.per_input_fidelity(direction, inp, params, postselected=True)) < 1e-10
-        assert abs(post["success_probability"]
-                   - tp.per_input_success_probability(direction, inp, params,
-                                                      postselected=True)) < 1e-10
+        closed = tp.closed_summary(direction, inp, params, postselected=True)
+        assert abs(post["fidelity"] - closed["fidelity"]) < 1e-10
+        assert abs(post["success_probability"] - closed["success_probability"]) < 1e-10
 
     def test_rejects_other_layouts(self):
         with pytest.raises(ValueError):
@@ -403,36 +401,30 @@ class TestPostselection:
 
 
 class TestClosedFormsAgainstPipeline:
-    @pytest.mark.parametrize("direction", list(tp.Direction))
-    def test_ideal_channel_grid(self, direction):
-        # 12x12 angle grid at t = 1
-        params = ch.ChannelParams(t=1.0, alpha=1.0)
+    @pytest.mark.parametrize("direction, post", [
+        (d, post) for d in tp.Direction for post in ((False, True) if d.onto_polarization
+                                                     else (False,))])
+    def test_closed_summary_matches_pipeline_summary(self, direction, post):
+        # a 12x12 angle grid on the ideal channel, then the tilted input on a lossy one
         thetas = np.linspace(0.0, math.pi, 14)[1:-1]
         phis = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
-        dim = fk.default_fock_dim(1.0)
-        chan_pc = ch.evolve(ch.hybrid_pc_initial(1.0, dim).density(), 1.0)
-        chan_ps = ch.evolve(ch.hybrid_ps_initial().density(), 1.0)
-        chan = chan_pc if direction.coherent else chan_ps
-        for theta in thetas:
-            for phi in phis:
-                inp = tp.BlochInput(float(theta), float(phi))
-                s = tp.pipeline_summary(direction, inp, params, channel=chan)
-                assert abs(s["fidelity"]
-                           - tp.per_input_fidelity(direction, inp, params)) < 1e-8
-                assert abs(s["success_probability"]
-                           - tp.per_input_success_probability(direction, inp, params)) < 1e-8
-
-    def test_branch_probabilities_analytic_match_pipeline(self):
-        params = ch.ChannelParams.from_r(0.5, 1.0)
-        for direction in tp.Direction:
-            analytic = tp.branch_probabilities_analytic(direction, TILTED, params)
-            closed = {d["label"]: d["probability"] for d in analytic}
-            summary = tp.pipeline_summary(direction, TILTED, params)
-            for o in summary["outcomes"]:
-                assert o["probability"] == pytest.approx(closed[o["label"]], abs=1e-10)
-            # both engines list the same branches in the same order
-            assert [(o["label"], o["correction"], o["success"]) for o in summary["outcomes"]] == \
-                [(d["label"], d["correction"], d["success"]) for d in analytic]
+        grid = [tp.BlochInput(float(theta), float(phi)) for theta in thetas for phi in phis]
+        for params, inputs in ((ch.ChannelParams(t=1.0, alpha=1.0), grid),
+                               (ch.ChannelParams.from_r(0.5, 1.0), [TILTED])):
+            initial = (ch.hybrid_pc_initial(1.0, fk.default_fock_dim(1.0)) if direction.coherent
+                       else ch.hybrid_ps_initial())
+            chan = ch.evolve(initial.density(), params.t)
+            for inp in inputs:
+                closed = tp.closed_summary(direction, inp, params, postselected=post)
+                oracle = tp.pipeline_summary(direction, inp, params, channel=chan,
+                                             postselected=post)
+                # both engines list the same branches in the same order
+                assert [(o["label"], o["correction"], o["success"]) for o in oracle["outcomes"]] \
+                    == [(c["label"], c["correction"], c["success"]) for c in closed["outcomes"]]
+                assert all(abs(o["probability"] - c["probability"]) < 1e-10
+                           for o, c in zip(oracle["outcomes"], closed["outcomes"]))
+                assert abs(oracle["fidelity"] - closed["fidelity"]) < 1e-8
+                assert abs(oracle["success_probability"] - closed["success_probability"]) < 1e-8
 
     def test_summary_resolves_each_pipeline_at_call_time(self, monkeypatch):
         params = ch.ChannelParams.from_r(0.5, 1.0)
@@ -463,13 +455,17 @@ class TestClosedFormsAgainstPipeline:
         params = ch.ChannelParams.from_r(0.5, 1.0)
         # swapped-conjugation variant agrees on the real-amplitude meridian only
         real_input = tp.BlochInput(1.1, 0.0)
+
+        def fidelity(direction, inp):
+            return tp.closed_summary(direction, inp, params)["fidelity"]
+
         assert audits.per_input_fidelity_variant(
             tp.Direction.P_TO_C, real_input, params) == pytest.approx(
-            tp.per_input_fidelity(tp.Direction.P_TO_C, real_input, params), abs=1e-14)
+            fidelity(tp.Direction.P_TO_C, real_input), abs=1e-14)
         assert abs(audits.per_input_fidelity_variant(tp.Direction.P_TO_C, TILTED, params)
-                   - tp.per_input_fidelity(tp.Direction.P_TO_C, TILTED, params)) > 1e-3
+                   - fidelity(tp.Direction.P_TO_C, TILTED)) > 1e-3
         assert abs(audits.per_input_fidelity_variant(tp.Direction.C_TO_P, TILTED, params)
-                   - tp.per_input_fidelity(tp.Direction.C_TO_P, TILTED, params)) > 1e-3
+                   - fidelity(tp.Direction.C_TO_P, TILTED)) > 1e-3
 
 
 class TestClosedFormBranches:
@@ -483,8 +479,8 @@ class TestClosedFormBranches:
         import mpmath as mp
         inp = tp.BlochInput(theta, phi)
         params = ch.ChannelParams.from_r(r, alpha)
-        branches = tp.branch_probabilities_analytic(tp.Direction.C_TO_P, inp, params)
-        success = tp.per_input_success_probability(tp.Direction.C_TO_P, inp, params)
+        closed = tp.closed_summary(tp.Direction.C_TO_P, inp, params)
+        branches, success = closed["outcomes"], closed["success_probability"]
         with mp.workdps(50):
             a = mp.cos(mp.mpf(theta) / 2) * mp.expj(mp.mpf(phi) / 2)
             b = mp.sin(mp.mpf(theta) / 2) * mp.expj(-mp.mpf(phi) / 2)
@@ -508,18 +504,19 @@ class TestClosedFormBranches:
 def test_closed_form_branches_are_probabilities(direction, theta, phi, alpha, r):
     inp = tp.BlochInput(theta, phi)
     params = ch.ChannelParams.from_r(r, alpha)
-    assert 0.0 <= tp.per_input_fidelity(direction, inp, params) <= 1.0
+    closed = tp.closed_summary(direction, inp, params)
+    assert 0.0 <= closed["fidelity"] <= 1.0
     if direction.onto_polarization:
-        assert 0.0 <= tp.per_input_fidelity(direction, inp, params, postselected=True) <= 1.0
-    branches = tp.branch_probabilities_analytic(direction, inp, params)
+        post = tp.closed_summary(direction, inp, params, postselected=True)
+        assert 0.0 <= post["fidelity"] <= 1.0
+    branches = closed["outcomes"]
     probs = [d["probability"] for d in branches]
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
     assert abs(sum(probs) - 1.0) < 1e-12
     wins = sum(d["probability"] for d in branches if d["success"])
-    assert abs(wins - tp.per_input_success_probability(direction, inp, params)) < 1e-15
+    assert abs(wins - closed["success_probability"]) < 1e-15
     if direction.onto_polarization:
-        post = tp.per_input_success_probability(direction, inp, params, postselected=True)
-        assert abs(wins * params.t ** 2 / 2.0 - post) < 1e-15
+        assert abs(wins * params.t ** 2 / 2.0 - post["success_probability"]) < 1e-15
 
 
 class TestReadoutMaps:
@@ -555,10 +552,10 @@ class TestReadoutMaps:
             for d in order:
                 for inp in (TILTED, EQUATOR):
                     summary = tp.pipeline_summary(d, inp, self.PARAMS, channel=channel)
-                    assert abs(summary["fidelity"]
-                               - tp.per_input_fidelity(d, inp, self.PARAMS)) < 1e-12
+                    closed = tp.closed_summary(d, inp, self.PARAMS)
+                    assert abs(summary["fidelity"] - closed["fidelity"]) < 1e-12
                     assert abs(summary["success_probability"]
-                               - tp.per_input_success_probability(d, inp, self.PARAMS)) < 1e-12
+                               - closed["success_probability"]) < 1e-12
             maps = tp._READOUT_MAPS[channel]
             beta = self.PARAMS.t * self.PARAMS.alpha
             assert set(maps) == {(tp.Direction.P_TO_C, 0.0), (tp.Direction.C_TO_P, beta)}
@@ -677,13 +674,12 @@ class TestReadoutMaps:
                 for post in (False, True):
                     summary = tp.pipeline_summary(tp.Direction.C_TO_P, inp, params,
                                                   channel=channel, postselected=post)
-                    assert abs(summary["success_probability"] - tp.per_input_success_probability(
-                        tp.Direction.C_TO_P, inp, params, post)) <= 1e-14
-                    closed = tp.branch_probabilities_analytic(tp.Direction.C_TO_P, inp, params)
+                    closed = tp.closed_summary(tp.Direction.C_TO_P, inp, params, post)
+                    assert abs(summary["success_probability"]
+                               - closed["success_probability"]) <= 1e-14
                     assert max(abs(o["probability"] - c["probability"])
-                               for o, c in zip(summary["outcomes"], closed)) <= 1e-14
-                    assert abs(summary["fidelity"] - tp.per_input_fidelity(
-                        tp.Direction.C_TO_P, inp, params, post)) <= 1e-10
+                               for o, c in zip(summary["outcomes"], closed["outcomes"])) <= 1e-14
+                    assert abs(summary["fidelity"] - closed["fidelity"]) <= 1e-10
 
     def test_one_map_build_per_channel_and_direction(self, monkeypatch):
         builds = []
