@@ -4,9 +4,11 @@ The closed forms reduce to four basic moments of the input distribution,
 m_k(x) = <f_k / (1 + x u)> with u = sin(theta) cos(phi) and
 f in {|a|^4, |a|^2 |b|^2, u, a^2 b*^2 + a*^2 b^2}. The p->c average needs only
 m_2: its infidelity splits by partial fractions into m_2 at the two decay
-scales, so it is the classical limit plus a coherence term. Wherever a closed
-form and the quadrature disagree beyond tolerance, the quadrature wins;
-`verify` enforces this.
+scales, so it is the classical limit plus a coherence term. A closed form runs
+over a grid, a ChannelParams whose t is an array, each seam a mask; a point is
+the grid of its one t, answered as a float. Wherever a closed form and the
+quadrature disagree beyond tolerance, the quadrature wins; `verify` enforces
+this.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChannelParams
+from .channels import ChannelParams, _all, _each
 from .teleport import (Direction, _bloch_terms, check_postselection, fidelity_kernel,
                        success_kernel)
 
@@ -25,9 +27,26 @@ _SERIES_TERMS = 14
 _MOMENT_SERIES_CUT = 1e-3  # moment_integral switches to its series below this
 
 
-def _artanh(x: float) -> float:
-    # stable for x in [0, 1): log1p keeps precision near both ends
-    return 0.5 * (math.log1p(x) - math.log1p(-x))
+def _artanh(x):
+    # stable for x in [0, 1): log1p keeps precision near both ends; x a float or an array
+    return 0.5 * (_each(math.log1p, x) - _each(math.log1p, -x))
+
+
+def _grid(params: ChannelParams) -> tuple:
+    if isinstance(params.t, np.ndarray):
+        return params, lambda values: values
+    return ChannelParams(np.array([params.t]), params.alpha), lambda values: float(values[0])
+
+
+def _select(x: np.ndarray, cases) -> np.ndarray:
+    # per element, the first (condition, formula) that holds, the formula fed only its mask
+    out, left = np.empty_like(x), np.ones(x.shape, dtype=bool)
+    for condition, formula in cases:
+        mask = left & condition
+        if np.count_nonzero(mask):
+            out[mask] = formula(mask)
+        left &= ~mask
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +129,7 @@ _SERIES_COEFFS = {kind: tuple(_series_coeff(kind, k) for k in range(1, _SERIES_T
                   for kind in (1, 2, 3, 4)}
 
 
-def _moment_series(kind: int, x: float) -> float:
+def _moment_series(kind: int, x):
     x2 = x * x
     total = 0.0
     power = 1.0  # x^(2(k-1)) for kinds 1,2,4; for kind 3 an extra factor x
@@ -120,19 +139,25 @@ def _moment_series(kind: int, x: float) -> float:
     return total
 
 
-def _moment_closed(kind: int, x: float) -> float:
+def _moment_closed(kind: int, x):
     at = _artanh(x)
     if kind == 1:
-        return (x + (3 * x * x - 1) * at) / (8 * x**3)
+        return (x + (3 * x * x - 1) * at) / (8 * _each(pow, x, 3))
     if kind == 2:
-        return (-x + (1 + x * x) * at) / (8 * x**3)
+        return (-x + (1 + x * x) * at) / (8 * _each(pow, x, 3))
     if kind == 3:
         return 1.0 / x - at / (x * x)
-    return (3 - x * x) * at / (4 * x**3) - 3.0 / (4 * x * x)
+    return (3 - x * x) * at / (4 * _each(pow, x, 3)) - 3.0 / (4 * x * x)
 
 
-def moment_integral(kind: int, x: float) -> float:
-    """Closed form of <f_kind / (1 + x u)> for 0 <= x < 1.
+def _moment(kind: int, x: np.ndarray, cut: float) -> np.ndarray:
+    # the series below the cut, where the closed form cancels; the closed form from it on
+    return _select(x, ((x < cut, lambda m: _moment_series(kind, x[m])),
+                       (True, lambda m: _moment_closed(kind, x[m]))))
+
+
+def moment_integral(kind: int, x):
+    """Closed form of <f_kind / (1 + x u)> for 0 <= x < 1, at a float or a 1-d array of x.
 
     Kinds: 1 -> |a|^4, 2 -> |a|^2|b|^2, 3 -> u, 4 -> a^2 b*^2 + a*^2 b^2.
     A series expansion takes over below x = 1e-3 where the closed forms
@@ -140,38 +165,32 @@ def moment_integral(kind: int, x: float) -> float:
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError("moment kind must be 1..4")
-    if not 0.0 <= x < 1.0:
+    if not _all((0.0 <= x) & (x < 1.0)):
         raise ValueError(f"x must be in [0, 1), got {x!r}")
-    if x < _MOMENT_SERIES_CUT:
-        return _moment_series(kind, x)
-    return _moment_closed(kind, x)
-
-
-def _pc_moment(x: float) -> float:
-    # m_2(x) = <|a|^2 |b|^2 / (1 + x u)>; below 0.03 the series is exact to rounding
-    return _moment_series(2, x) if x < 0.03 else _moment_closed(2, x)
+    values = _moment(kind, np.array(x, dtype=float, ndmin=1), _MOMENT_SERIES_CUT)
+    return values if isinstance(x, np.ndarray) else float(values[0])
 
 
 # ---------------------------------------------------------------------------
 # averaged fidelities
 
 
-def _pc_average(params: ChannelParams) -> float:
+def _pc_average(g: ChannelParams) -> np.ndarray:
     # 1 - F = 2 (1 - s^2)(1 - q) |a|^2 |b|^2 / ((1 + s u)(1 + q s u)); partial
     # fractions in u leave one moment at two scales, and 1 - s^2 = gap (1 + s)
-    s = params.basis_overlap
-    if s >= 1.0:
-        # degenerate coherent basis (alpha = 0): the infidelity vanishes
-        return 1.0
-    q = params.coherence_factor
-    # m_2(x) = <|a|^2 |b|^2 / (1 - x^2 u^2)> grows with x and q <= 1, so the difference
-    # is >= 0 exactly; rounding in the two moments can take it below, and F above 1
-    difference = max(_pc_moment(s) - q * _pc_moment(q * s), 0.0)
-    return 1.0 - 2.0 * params.basis_gap * (1.0 + s) * difference
+    s, q = g.basis_overlap, g.coherence_factor
+
+    def assembled(m):
+        # m_2(x) = <|a|^2 |b|^2 / (1 - x^2 u^2)> (series below 0.03) grows with x and q <= 1, so
+        # the difference is >= 0 exactly; rounding in the moments can take it below, F above 1
+        difference = np.maximum(_moment(2, s[m], 0.03) - q[m] * _moment(2, q[m] * s[m], 0.03), 0.0)
+        return 1.0 - 2.0 * g.basis_gap[m] * (1.0 + s[m]) * difference
+
+    return _select(s, ((s >= 1.0, lambda m: 1.0), (True, assembled)))  # s = 1 (alpha = 0): F = 1
 
 
-def _success_weighted_moments(t: float) -> tuple[float, float, float]:
-    """Averages of |a|^4, |b|^4, |a|^2|b|^2 against the s->p success weight.
+def _success_weighted_moments(t: np.ndarray) -> np.ndarray:
+    """Averages of |a|^4, |b|^4, |a|^2|b|^2 against the s->p success weight, one row each.
 
     The weight is c1 |a|^2 + c2 |b|^2 with c1 = t^2, c2 = 2 - t^2; the log
     closed forms degenerate at c1 = c2 (t = 1) and lose digits to cancellation
@@ -181,8 +200,10 @@ def _success_weighted_moments(t: float) -> tuple[float, float, float]:
     c1 = t * t
     c2 = 2.0 - c1
     d = c1 - c2
-    if abs(d) < 4e-3:
-        ratio = -d / c2
+    moments = np.empty((3,) + t.shape)
+    near = np.abs(d) < 4e-3
+    if np.count_nonzero(near):
+        ratio = -d[near] / c2[near]
         a1 = a2 = a3 = 0.0
         power = 1.0
         for j in range(0, 8):
@@ -190,31 +211,33 @@ def _success_weighted_moments(t: float) -> tuple[float, float, float]:
             a2 += power * (1.0 / (j + 1) - 2.0 / (j + 2) + 1.0 / (j + 3))
             a3 += power * (1.0 / (j + 2) - 1.0 / (j + 3))
             power *= ratio
-        return a1 / c2, a2 / c2, a3 / c2
-    log_ratio = math.log(c1 / c2)
-    den = 2.0 * d**3
-    a1 = (c1 * c1 - 4 * c1 * c2 + 3 * c2 * c2 + 2 * c2 * c2 * log_ratio) / den
-    a2 = (-3 * c1 * c1 + 4 * c1 * c2 - c2 * c2 + 2 * c1 * c1 * log_ratio) / den
-    a3 = (c1 * c1 - c2 * c2 - 2 * c1 * c2 * log_ratio) / den
-    return a1, a2, a3
+        moments[:, near] = a1 / c2[near], a2 / c2[near], a3 / c2[near]
+    c1, c2, d = c1[~near], c2[~near], d[~near]
+    log_ratio = _each(math.log, c1 / c2)
+    den = 2.0 * _each(pow, d, 3)
+    moments[:, ~near] = ((c1 * c1 - 4 * c1 * c2 + 3 * c2 * c2 + 2 * c2 * c2 * log_ratio) / den,
+                         (-3 * c1 * c1 + 4 * c1 * c2 - c2 * c2 + 2 * c1 * c1 * log_ratio) / den,
+                         (c1 * c1 - c2 * c2 - 2 * c1 * c2 * log_ratio) / den)
+    return moments
 
 
 def avg_fidelity(direction: Direction, params: ChannelParams,
-                 postselected: bool = False) -> float:
-    """Closed-form Bloch average of the per-input teleportation fidelity."""
+                 postselected: bool = False):
+    """Closed-form Bloch average of the per-input fidelity: a float, or an array on a grid."""
     check_postselection(direction, postselected)
-    t = params.t
+    g, answer = _grid(params)
+    t = g.t
     if direction is Direction.P_TO_C:
-        return _pc_average(params)
+        return answer(_pc_average(g))
     if direction is Direction.C_TO_P:
-        q = params.coherence_factor
-        return (2.0 + q) / 3.0 if postselected else t * t * (2.0 + q) / 3.0
+        q = g.coherence_factor
+        return answer((2.0 + q) / 3.0 if postselected else t * t * (2.0 + q) / 3.0)
     if direction is Direction.P_TO_S:
-        return (t * t + 2.0 * t + 3.0) / 6.0
+        return answer((t * t + 2.0 * t + 3.0) / 6.0)
     a1, a2, a3 = _success_weighted_moments(t)
     if postselected:
-        return t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3
-    return t**4 * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3
+        return answer(t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3)
+    return answer(_each(pow, t, 4) * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3)
 
 
 def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
@@ -229,18 +252,18 @@ def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
 # classical limits
 
 
-def classical_limit(direction: Direction, params: ChannelParams) -> float:
+def classical_limit(direction: Direction, params: ChannelParams):
     """Best average fidelity of a measure-and-prepare strategy (no entanglement).
 
     2/3 for orthogonal qubit targets; teleporting onto the overlapping
     coherent basis allows more, approaching 1 as the basis states merge.
     """
+    g, answer = _grid(params)
+    s = g.basis_overlap
     if direction is not Direction.P_TO_C:
-        return 2.0 / 3.0
-    s = params.basis_overlap
-    if s >= 1.0:
-        return 1.0
-    return 1.0 - 2.0 * (1.0 - s * s) * moment_integral(2, s)
+        return answer(np.full(s.shape, 2.0 / 3.0))
+    return answer(_select(s, ((s >= 1.0, lambda m: 1.0), (True, lambda m: (
+        1.0 - 2.0 * (1.0 - s[m] * s[m]) * moment_integral(2, s[m]))))))
 
 
 def classical_limit_quadrature(params: ChannelParams,
@@ -260,28 +283,28 @@ def classical_limit_quadrature(params: ChannelParams,
 # averaged success probabilities
 
 
-def _overlap_success(params: ChannelParams) -> float:
+def _overlap_success(g: ChannelParams) -> np.ndarray:
     # <(1 - s)/(1 + s u)> = (1 - s) artanh(s)/s, with removable endpoints; near s = 1
     # the exact gap = 1 - s stands in for the subtraction, artanh(s) = log((2 - gap)/gap)/2
-    s, gap = params.basis_overlap, params.basis_gap
-    if gap <= 0.0:
-        return 0.0
-    if s < 1e-8:
-        return (1.0 - s) * (1.0 + s * s / 3.0)
-    if gap < 1e-3:
-        return gap * 0.5 * (math.log(2.0 - gap) - math.log(gap)) / s
-    return (1.0 - s) * _artanh(s) / s
+    s, gap = g.basis_overlap, g.basis_gap
+    return _select(s, (
+        (gap <= 0.0, lambda m: 0.0),
+        (s < 1e-8, lambda m: (1.0 - s[m]) * (1.0 + s[m] * s[m] / 3.0)),
+        (gap < 1e-3, lambda m: gap[m] * 0.5 * (_each(math.log, 2.0 - gap[m])
+                                               - _each(math.log, gap[m])) / s[m]),
+        (True, lambda m: (1.0 - s[m]) * _artanh(s[m]) / s[m]),
+    ))
 
 
 def avg_success_probability(direction: Direction, params: ChannelParams,
-                            postselected: bool = False) -> float:
-    """Closed-form Bloch average of the per-input success probability."""
+                            postselected: bool = False):
+    """Closed-form Bloch average of the per-input success probability, as avg_fidelity."""
     check_postselection(direction, postselected)
-    t = params.t
+    g, answer = _grid(params)
     if not direction.onto_polarization:
-        return t * t / 2.0
-    base = _overlap_success(params) if direction is Direction.C_TO_P else 0.5
-    return base * t * t / 2.0 if postselected else base
+        return answer(g.t * g.t / 2.0)
+    base = _overlap_success(g) if direction is Direction.C_TO_P else np.full(g.t.shape, 0.5)
+    return answer(base * g.t * g.t / 2.0 if postselected else base)
 
 
 def avg_success_quadrature(direction: Direction, params: ChannelParams,

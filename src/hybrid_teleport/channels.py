@@ -36,36 +36,47 @@ from .fock import (
 ALPHA_MAX = math.sqrt(sys.float_info.max / 2)  # largest alpha whose 2 alpha^2 is finite
 
 
+def _all(ok) -> bool:
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def _each(fn, x, *args):
+    # fn(x, *args), element by element for an array: numpy's exp, log and pow can round an ulp off
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist(), *([a] * x.size for a in args)), float, x.size)
+    return fn(x, *args)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Decoherence point: amplitude decay t in (0, 1], coherent amplitude, their decay factors."""
 
-    t: float
-    alpha: float
+    t: float  # or a 1-d array: a grid of points, each decay factor then an array
+    alpha: float  # one amplitude for every point, or an array as long as t
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t <= 1.0:
+        if not _all((0.0 < self.t) & (self.t <= 1.0)):
             raise ValueError(f"t must be in (0, 1], got {self.t!r}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        if not _all(np.isfinite(self.alpha) & (self.alpha >= 0.0)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if self.alpha > ALPHA_MAX:
+        if not _all(self.alpha <= ALPHA_MAX):
             raise ValueError(f"alpha must be at most {ALPHA_MAX!r}, where 2 alpha^2 is still "
                              f"finite, got {self.alpha!r}")
         # the decay factors, once: coherence_factor suppresses the cross coherent dyadic,
         # exp(-2 alpha^2 (1 - t^2)); basis_overlap is <t a|-t a> = exp(-2 t^2 alpha^2);
         # each gap is 1 minus its factor through expm1, exact as alpha -> 0
-        log_q = -2.0 * self.alpha**2 * (1.0 - self.t**2)
-        log_s = -2.0 * (self.t * self.alpha) ** 2
-        object.__setattr__(self, "coherence_factor", math.exp(log_q))
-        object.__setattr__(self, "coherence_gap", -math.expm1(log_q))
-        object.__setattr__(self, "basis_overlap", math.exp(log_s))
-        object.__setattr__(self, "basis_gap", -math.expm1(log_s))
+        log_q = -2.0 * _each(pow, self.alpha, 2) * (1.0 - _each(pow, self.t, 2))
+        log_s = -2.0 * _each(pow, self.t * self.alpha, 2)
+        object.__setattr__(self, "coherence_factor", _each(math.exp, log_q))
+        object.__setattr__(self, "coherence_gap", -_each(math.expm1, log_q))
+        object.__setattr__(self, "basis_overlap", _each(math.exp, log_s))
+        object.__setattr__(self, "basis_gap", -_each(math.expm1, log_s))
 
     @classmethod
     def from_r(cls, r: float, alpha: float) -> "ChannelParams":
-        if not 0.0 <= r < 1.0:
+        if not _all((0.0 <= r) & (r < 1.0)):
             raise ValueError(f"r must be in [0, 1), got {r!r}")
-        return cls(t=math.sqrt(1.0 - r * r), alpha=alpha)
+        return cls(t=_each(math.sqrt, 1.0 - r * r), alpha=alpha)
 
     @property
     def r(self) -> float:

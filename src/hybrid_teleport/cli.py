@@ -79,18 +79,28 @@ class SweepConfig:
         return QuadratureSpec(self.quad_theta, self.quad_phi)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    # one '%' template per row type signature: floats (subclasses too) at 12 digits, else str
+def _cells(values) -> list[str]:
+    # a float column at 12 significant digits; one value throughout, bit for bit, formats once
+    values = np.asarray(values, dtype=float)
+    if values.size and (values.view(np.int64) == values.view(np.int64)[0]).all():
+        return ["%.12g" % values[0]] * values.size
+    return list(map("%.12g".__mod__, values.tolist()))
+
+
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    # a row is its formatted line, or its cells: floats (subclasses too) at 12 digits, else str
     path.parent.mkdir(parents=True, exist_ok=True)
     templates = {}
     lines = [",".join(header)]
     for row in rows:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join("%.12g" if issubclass(kind, float) else "%s"
-                                                   for kind in types)
-        lines.append(template % tuple(row))
+        if not isinstance(row, str):
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = ",".join(
+                    "%.12g" if issubclass(kind, float) else "%s" for kind in types)
+            row = template % tuple(row)
+        lines.append(row)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -192,20 +202,20 @@ def _alpha_tag(alpha: float) -> str:
 # figure command
 
 
-def _half_survival(r: float, alpha: float, run) -> float:
+def _half_survival(r: np.ndarray, alpha: float, run) -> np.ndarray:
     return (1 - r * r) / 2  # t^2/2, the p->c and p->s success probability at any amplitude
 
 
 _at = ChannelParams.from_r
 
 # Each figure: (default amplitudes, one CSV per amplitude?, columns). A column is
-# (header, value at (r, alpha, run)) with run = (engine, truncation); a header with
-# "{a}" repeats for each amplitude, any other is taken at the CSV's first amplitude.
-# The values look the library functions up by name when called.
+# (header, its values over the r grid at (r, alpha, run)) with run = (engine, truncation);
+# a header with "{a}" repeats for each amplitude, any other is taken at the CSV's first
+# amplitude. The values look the library functions up by name when called.
 _FIGURES = {
     "fig1": (NEGATIVITY_ALPHAS, False, (
-        ("N_ps", lambda r, a, run: negativity_ps_analytic(math.sqrt(1 - r * r))),
-        ("N_pc_a{a}", lambda r, a, run: _negativity_value(_at(r, a), *run)),
+        ("N_ps", lambda r, a, run: list(map(negativity_ps_analytic, np.sqrt(1 - r * r).tolist()))),
+        ("N_pc_a{a}", lambda r, a, run: [_negativity_value(_at(x, a), *run) for x in r.tolist()]),
     )),
     "fig2": ((0.1, 1.0, 2.0, 10.0), True, (
         ("F_p_to_c", lambda r, a, run: avg_fidelity(Direction.P_TO_C, _at(r, a))),
@@ -252,12 +262,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     tag = engines[alphas[0]] if len(set(engines.values())) == 1 else "mixed"
     csvs = ([(out.with_name(f"{out.stem}_alpha{_alpha_tag(a)}{out.suffix}"), (a,))
              for a in alphas] if panels else [(out, alphas)])
+    r = np.array(cfg.r_grid())
     for path, amps in csvs:
         cols = [(name.format(a=_alpha_tag(a)), value, a) for name, value in columns
                 for a in (amps if "{a}" in name else amps[:1])]
-        rows = [[r] + [value(r, a, (engines[a], cfg.truncation)) for _, value, a in cols]
-                + [tag] for r in cfg.r_grid()]
-        _write_csv(path, ["r"] + [name for name, _, _ in cols] + ["engine"], rows)
+        cells = [_cells(value(r, a, (engines[a], cfg.truncation))) for _, value, a in cols]
+        _write_csv(path, ["r"] + [name for name, _, _ in cols] + ["engine"],
+                   list(map(",".join, zip(_cells(r), *cells, [tag] * r.size))))
     print("\n".join(str(path) for path, _ in csvs))
     return 0
 
@@ -303,24 +314,21 @@ def cmd_average(args: argparse.Namespace) -> int:
     header = ["r", "alpha", "direction", "avg_fidelity", "avg_success_probability",
               "classical_limit", "avg_fidelity_postselected",
               "avg_success_postselected", "engine"]
-    named = [(d, d.value) for d in directions]
-    rows = []
-    for r in cfg.r_grid():
-        for a in alphas:
-            params = ChannelParams.from_r(r, a)
-            for d, name in named:
-                post_f = post_p = ""
-                if d.onto_polarization:
-                    post_f = avg_fidelity(d, params, postselected=True)
-                    post_p = avg_success_probability(d, params, postselected=True)
-                rows.append([
-                    r, a, name,
-                    avg_fidelity(d, params),
-                    avg_success_probability(d, params),
-                    classical_limit(d, params),
-                    post_f, post_p, "analytic",
-                ])
-    _write_csv(out, header, rows)
+    r = np.array(cfg.r_grid())
+    r_cells, n = _cells(r), r.size
+    # a block of rows per (alpha, direction), each column formatted once; rows go r by r
+    blocks = []
+    for a in alphas:
+        grid = ChannelParams.from_r(r, a)
+        for d in directions:
+            post = ([_cells(avg_fidelity(d, grid, postselected=True)),
+                     _cells(avg_success_probability(d, grid, postselected=True))]
+                    if d.onto_polarization else [[""] * n] * 2)
+            blocks.append(list(map(",".join, zip(
+                r_cells, _cells(np.full(n, a)), [d.value] * n, _cells(avg_fidelity(d, grid)),
+                _cells(avg_success_probability(d, grid)), _cells(classical_limit(d, grid)),
+                *post, ["analytic"] * n))))
+    _write_csv(out, header, [row for rows_at_r in zip(*blocks) for row in rows_at_r])
     print(out)
     return 0
 

@@ -247,25 +247,23 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
         3: lambda th, ph: np.sin(th) * np.cos(ph),
         4: lambda th, ph: 2.0 * (np.cos(th / 2) * np.sin(th / 2)) ** 2 * np.cos(2 * ph),
     }
+    xs = [0.05 * i for i in range(1, 20)]
     quadrature = [
         (abs(averages.bloch_average(lambda th, ph: kernels[kind](th, ph)
-                                    / (1.0 + x * np.sin(th) * np.cos(ph)), spec)
-             - averages.moment_integral(kind, x)),
+                                    / (1.0 + x * np.sin(th) * np.cos(ph)), spec) - closed),
          {"kind": kind, "x": x})
         for kind in (1, 2, 3, 4)
-        for x in (0.05 * i for i in range(1, 20))
+        for x, closed in zip(xs, averages.moment_integral(kind, np.array(xs)).tolist())
     ]
     # series and closed form must agree around the switch point; the closed
     # forms carry ~1e-11 cancellation noise this close to zero, which is the
     # point of switching
-    seam = [
-        (abs(averages._moment_series(kind, x) - averages._moment_closed(kind, x)), None)
-        for kind in (1, 2, 3, 4)
-        for x in (9e-4, 1e-3, 2e-3, 5e-3)
-    ]
+    seam = [(abs(averages._moment_series(kind, x) - averages._moment_closed(kind, x)), None)
+            for kind in (1, 2, 3, 4) for x in (9e-4, 1e-3, 2e-3, 5e-3)]
     variant_devs = {}
-    for x in (1e-3, 0.1, 0.5):
-        measured = audits.moment_integral_variant4(x) - averages.moment_integral(4, x)
+    at = (1e-3, 0.1, 0.5)
+    for x, closed in zip(at, averages.moment_integral(4, np.array(at)).tolist()):
+        measured = audits.moment_integral_variant4(x) - closed
         predicted = (1 - x * x) * math.atanh(x) / (4 * x**3) - 1.0 / (4 * x * x)
         variant_devs[x] = {"deviation": measured, "residual_vs_formula": abs(measured - predicted)}
     checks = [
@@ -285,46 +283,45 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
 
 
 def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
+    rs = np.array(r_grid)
+    # each closed form once over every (alpha, r) point, then against the quadrature point by point
+    grid = ChannelParams.from_r(np.tile(rs, len(alphas)), np.repeat(alphas, len(rs)))
+    closed = {(d, post): (averages.avg_fidelity(d, grid, postselected=post).tolist(),
+                          averages.avg_success_probability(d, grid, postselected=post).tolist())
+              for d in Direction for post in ((False, True) if d.onto_polarization else (False,))}
+    classical = averages.classical_limit(Direction.P_TO_C, grid).tolist()
     closed_vs_quadrature = []
-    for alpha in alphas:
-        for r in r_grid:
-            params = ChannelParams.from_r(r, alpha)
-            for d in Direction:
-                for post in (False, True) if d.onto_polarization else (False,):
-                    tag = f"_post_{d.value}" if post else f"_{d.value}"
-                    dev = abs(averages.avg_fidelity(d, params, postselected=post)
-                              - averages.avg_fidelity_quadrature(d, params, spec, postselected=post))
-                    closed_vs_quadrature.append((dev, {"what": "F" + tag, "r": r, "alpha": alpha}))
-                    dev = abs(averages.avg_success_probability(d, params, postselected=post)
-                              - averages.avg_success_quadrature(d, params, spec, postselected=post))
-                    closed_vs_quadrature.append((dev, {"what": "P" + tag, "r": r, "alpha": alpha}))
-            dev = abs(averages.classical_limit(Direction.P_TO_C, params)
-                      - averages.classical_limit_quadrature(params, spec))
-            closed_vs_quadrature.append((dev, {"what": "F_cl_p->c", "r": r, "alpha": alpha}))
+    for i, (alpha, r) in enumerate((alpha, r) for alpha in alphas for r in r_grid):
+        params = ChannelParams.from_r(r, alpha)
+        for (d, post), (fid, prob) in closed.items():
+            tag = f"_post_{d.value}" if post else f"_{d.value}"
+            dev = abs(fid[i] - averages.avg_fidelity_quadrature(d, params, spec, post))
+            closed_vs_quadrature.append((dev, {"what": "F" + tag, "r": r, "alpha": alpha}))
+            dev = abs(prob[i] - averages.avg_success_quadrature(d, params, spec, post))
+            closed_vs_quadrature.append((dev, {"what": "P" + tag, "r": r, "alpha": alpha}))
+        dev = abs(classical[i] - averages.classical_limit_quadrature(params, spec))
+        closed_vs_quadrature.append((dev, {"what": "F_cl_p->c", "r": r, "alpha": alpha}))
 
     # exact identities
+    half_survival = (1 - rs * rs) / 2
     p_half = ChannelParams(t=0.5, alpha=1.0)
-    exact = [(abs(averages.avg_success_probability(Direction.P_TO_C, ChannelParams.from_r(r, 1.0))
-                  - (1 - r * r) / 2), None) for r in r_grid] + [
+    exact = [(dev, None) for dev in np.abs(averages.avg_success_probability(
+        Direction.P_TO_C, ChannelParams.from_r(rs, 1.0)) - half_survival).tolist()] + [
         (abs(averages.avg_success_probability(Direction.S_TO_P, p_half) - 0.5), None),
         (abs(averages.avg_fidelity(Direction.P_TO_S, ChannelParams(1.0, 1.0)) - 1.0), None),
         (abs(averages.avg_fidelity(Direction.P_TO_S, p_half) - 17.0 / 24.0), None),
     ]
 
     # gap approximation at large amplitude, closed forms only
-    gap = [
-        (abs(averages.avg_fidelity(Direction.P_TO_C, params)
-             - averages.avg_fidelity(Direction.C_TO_P, params)
-             - averages.fidelity_gap_large_alpha(params)), None)
-        for params in (ChannelParams.from_r(r, 10.0) for r in r_grid if r <= 0.5)
-    ]
+    large = ChannelParams.from_r(rs[rs <= 0.5], 10.0)
+    gap = [(dev, None) for dev in np.abs(averages.avg_fidelity(Direction.P_TO_C, large)
+                                         - averages.avg_fidelity(Direction.C_TO_P, large)
+                                         - averages.fidelity_gap_large_alpha(large)).tolist()]
 
     # amplitude making the two success probabilities closest in sup norm
-    sups = {
-        a: max(abs(averages.avg_success_probability(Direction.C_TO_P, ChannelParams.from_r(r, a))
-                   - (1 - r * r) / 2) for r in r_grid)
-        for a in (0.30 + 0.01 * k for k in range(61))
-    }
+    sups = {a: float(np.abs(averages.avg_success_probability(
+                Direction.C_TO_P, ChannelParams.from_r(rs, a)) - half_survival).max())
+            for a in (0.30 + 0.01 * k for k in range(61))}
     best_alpha = min(sups, key=sups.get)
     star = {"alpha_star": best_alpha, "sup_at_star": sups[best_alpha]}
 
@@ -341,13 +338,12 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
                       - averages.avg_fidelity_quadrature(Direction.P_TO_C, ref, spec))
     variant_cl = abs(audits.classical_limit_variant(ref)
                      - averages.classical_limit_quadrature(ref, spec))
-    gap_fn = lambda r: abs(
-        averages.avg_fidelity(Direction.P_TO_S, ChannelParams.from_r(r, 1.0))
-        - averages.avg_fidelity(Direction.S_TO_P, ChannelParams.from_r(r, 1.0), postselected=True)
-    )
-    gaps = [(r, gap_fn(r)) for r in np.linspace(0.01, 0.99, 99)]
-    max_r, max_gap = max(gaps, key=lambda kv: kv[1])
-    r_below = [r for r, g in gaps if g < 0.01]
+    gap_r = np.linspace(0.01, 0.99, 99)
+    sp = ChannelParams.from_r(gap_r, 1.0)
+    gaps = np.abs(averages.avg_fidelity(Direction.P_TO_S, sp)
+                  - averages.avg_fidelity(Direction.S_TO_P, sp, postselected=True))
+    max_r, max_gap = gap_r[gaps.argmax()], gaps.max()
+    r_below = gap_r[gaps < 0.01]
     ledger = [
         _audit(
             "pc_average_assembly",
@@ -368,7 +364,7 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
             "postselected s->p average fidelity over r; stays below 0.01 only "
             "on the small-r side",
             {"max_gap": float(max_gap), "at_r": float(max_r),
-             "largest_r_with_gap_below_0.01": float(max(r_below)) if r_below else None},
+             "largest_r_with_gap_below_0.01": float(r_below.max()) if r_below.size else None},
         ),
     ]
     return checks, ledger

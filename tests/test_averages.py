@@ -242,7 +242,7 @@ class TestAveragedFidelities:
 
     def test_sp_moments_match_scipy_integration(self):
         t = 0.55
-        a1, a2, a3 = av._success_weighted_moments(t)
+        a1, a2, a3 = av._success_weighted_moments(np.array([t]))[:, 0]
         c1, c2 = t * t, 2 - t * t
         den = lambda p: c1 * p + c2 * (1 - p)
         assert a1 == pytest.approx(oracles.segment_average(lambda p: p**2 / den(p)), abs=1e-12)
@@ -256,7 +256,7 @@ class TestAveragedFidelities:
         # the log closed forms cancel badly here; the series branch must take over
         params = ch.ChannelParams.from_r(r, 1.0)
         t = params.t
-        a1, a2, a3 = av._success_weighted_moments(t)
+        a1, a2, a3 = av._success_weighted_moments(np.array([t]))[:, 0]
         c1, c2 = t * t, 2 - t * t
         den = lambda p: c1 * p + c2 * (1 - p)
         assert a1 == pytest.approx(oracles.segment_average(lambda p: p**2 / den(p)), abs=1e-10)
@@ -470,3 +470,38 @@ def test_averages_respect_bounds(r, alpha):
             values += [av.avg_fidelity(d, params, postselected=True),
                        av.avg_success_probability(d, params, postselected=True)]
         assert all(0.0 <= v <= 1.0 for v in values), (d, values)
+
+
+def _seam_alpha(overlap):
+    # the amplitude whose basis overlap at r = 0 is `overlap`: exp(-2 alpha^2) = overlap
+    return math.sqrt(-math.log(overlap) / 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(min_value=-9.0, max_value=1.0).map(lambda e: 10.0**e)),
+       st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=12).map(sorted))
+@example(_seam_alpha(0.0299), [0.0, 0.03, 0.06, 0.1])  # s and q s = 0.03, the p->c m_2 cut
+@example(_seam_alpha(0.00099), [0.0, 0.05, 0.1])  # s = 1e-3, the moment_integral cut
+@example(math.sqrt(1.001e-3 / 2), [0.0, 0.05, 0.1])  # basis gap = 1e-3 (c->p success)
+@example(_seam_alpha(9.2e-9), [0.0, 0.05, 0.1])  # s = 1e-8 (c->p success)
+@example(1.0, [0.0447, 0.04472, 0.044721, 0.0447214, 0.04473, 0.045])  # |c1 - c2| = 4e-3 (s->p)
+def test_a_grid_gives_each_point_bit_for_bit(alpha, rs):
+    # one amplitude for the whole grid, and one per point (here alpha, then 1 at the same r)
+    grid = ch.ChannelParams.from_r(np.array(rs), alpha)
+    mixed = ch.ChannelParams.from_r(np.array(rs * 2), np.array([alpha] * len(rs) + [1.0] * len(rs)))
+    points = [ch.ChannelParams.from_r(r, alpha) for r in rs]
+    others = [ch.ChannelParams.from_r(r, 1.0) for r in rs]
+    forms = [(av.classical_limit, d, {}) for d in Direction] + [
+        (form, d, {"postselected": post}) for form in (av.avg_fidelity, av.avg_success_probability)
+        for d in Direction for post in ((False, True) if d.onto_polarization else (False,))]
+    for form, d, kwargs in forms:
+        at_points = [form(d, point, **kwargs) for point in points]
+        assert all(type(value) is float for value in at_points)
+        assert form(d, grid, **kwargs).tolist() == at_points, (form.__name__, d, kwargs)
+        assert form(d, mixed, **kwargs).tolist() == at_points + [
+            form(d, point, **kwargs) for point in others], (form.__name__, d, kwargs)
+    xs = np.concatenate([grid.basis_overlap, grid.coherence_factor * grid.basis_overlap])
+    xs = xs[xs < 1.0]
+    for kind in (1, 2, 3, 4):
+        assert av.moment_integral(kind, xs).tolist() == [av.moment_integral(kind, x)
+                                                        for x in xs.tolist()]
