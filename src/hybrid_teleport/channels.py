@@ -51,21 +51,21 @@ def _each(fn, x, *args):
 class ChannelParams:
     """Decoherence point: amplitude decay t in (0, 1], coherent amplitude, their decay factors."""
 
-    t: float  # or a 1-d array: a grid of points, each decay factor then an array
-    alpha: float  # one amplitude for every point, or an array as long as t
+    t: float  # or a 1-d array: a grid of points at one alpha, each decay factor then an array
+    alpha: float
 
     def __post_init__(self) -> None:
         if not _all((0.0 < self.t) & (self.t <= 1.0)):
             raise ValueError(f"t must be in (0, 1], got {self.t!r}")
-        if not _all(np.isfinite(self.alpha) & (self.alpha >= 0.0)):
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not _all(self.alpha <= ALPHA_MAX):
+        if self.alpha > ALPHA_MAX:
             raise ValueError(f"alpha must be at most {ALPHA_MAX!r}, where 2 alpha^2 is still "
                              f"finite, got {self.alpha!r}")
         # the decay factors, once: coherence_factor suppresses the cross coherent dyadic,
         # exp(-2 alpha^2 (1 - t^2)); basis_overlap is <t a|-t a> = exp(-2 t^2 alpha^2);
         # each gap is 1 minus its factor through expm1, exact as alpha -> 0
-        log_q = -2.0 * _each(pow, self.alpha, 2) * (1.0 - _each(pow, self.t, 2))
+        log_q = -2.0 * self.alpha**2 * (1.0 - _each(pow, self.t, 2))
         log_s = -2.0 * _each(pow, self.t * self.alpha, 2)
         object.__setattr__(self, "coherence_factor", _each(math.exp, log_q))
         object.__setattr__(self, "coherence_gap", -_each(math.expm1, log_q))
@@ -81,7 +81,7 @@ class ChannelParams:
     @property
     def r(self) -> float:
         """Normalized time, r = sqrt(1 - t^2)."""
-        return math.sqrt(max(0.0, 1.0 - self.t * self.t))
+        return _each(lambda x: math.sqrt(max(0.0, x)), 1.0 - self.t * self.t)
 
 
 def _loss_runs(kind: ModeKind, t: float):

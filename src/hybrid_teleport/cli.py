@@ -87,21 +87,10 @@ def _cells(values) -> list[str]:
     return list(map("%.12g".__mod__, values.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    # a row is its formatted line, or its cells: floats (subclasses too) at 12 digits, else str
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    # one formatted line per row, its floats at 12 significant digits (see _cells)
     path.parent.mkdir(parents=True, exist_ok=True)
-    templates = {}
-    lines = [",".join(header)]
-    for row in rows:
-        if not isinstance(row, str):
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = ",".join(
-                    "%.12g" if issubclass(kind, float) else "%s" for kind in types)
-            row = template % tuple(row)
-        lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    path.write_text("\n".join([",".join(header), *lines, ""]), encoding="ascii")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -290,14 +279,15 @@ def cmd_negativity(args: argparse.Namespace) -> int:
         if "oracle" in engines[a]:
             _check_truncation(cfg.truncation, a)
     header = ["r", "channel", "alpha", "negativity", "engine"]
-    rows = []
+    lines = []
     for r in cfg.r_grid():
-        rows.append([r, "ps", "", negativity_ps_analytic(math.sqrt(1 - r * r)), "analytic"])
+        lines.append("%.12g,ps,,%.12g,analytic" % (r, negativity_ps_analytic(math.sqrt(1 - r * r))))
         for a in alphas:
             params = ChannelParams.from_r(r, a)
             for eng in engines[a]:
-                rows.append([r, "pc", a, _negativity_value(params, eng, cfg.truncation), eng])
-    _write_csv(out, header, rows)
+                value = _negativity_value(params, eng, cfg.truncation)
+                lines.append("%.12g,pc,%.12g,%.12g,%s" % (r, a, value, eng))
+    _write_csv(out, header, lines)
     print(out)
     return 0
 

@@ -247,6 +247,7 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
         3: lambda th, ph: np.sin(th) * np.cos(ph),
         4: lambda th, ph: 2.0 * (np.cos(th / 2) * np.sin(th / 2)) ** 2 * np.cos(2 * ph),
     }
+    # each closed form once over x, then against the quadrature point by point
     xs = [0.05 * i for i in range(1, 20)]
     quadrature = [
         (abs(averages.bloch_average(lambda th, ph: kernels[kind](th, ph)
@@ -258,8 +259,11 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
     # series and closed form must agree around the switch point; the closed
     # forms carry ~1e-11 cancellation noise this close to zero, which is the
     # point of switching
-    seam = [(abs(averages._moment_series(kind, x) - averages._moment_closed(kind, x)), None)
-            for kind in (1, 2, 3, 4) for x in (9e-4, 1e-3, 2e-3, 5e-3)]
+    seam = [
+        (abs(averages._moment_series(kind, x) - averages._moment_closed(kind, x)), None)
+        for kind in (1, 2, 3, 4)
+        for x in (9e-4, 1e-3, 2e-3, 5e-3)
+    ]
     variant_devs = {}
     at = (1e-3, 0.1, 0.5)
     for x, closed in zip(at, averages.moment_integral(4, np.array(at)).tolist()):
@@ -284,23 +288,25 @@ def _moment_checks(spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
 
 def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], list[dict]]:
     rs = np.array(r_grid)
-    # each closed form once over every (alpha, r) point, then against the quadrature point by point
-    grid = ChannelParams.from_r(np.tile(rs, len(alphas)), np.repeat(alphas, len(rs)))
-    closed = {(d, post): (averages.avg_fidelity(d, grid, postselected=post).tolist(),
-                          averages.avg_success_probability(d, grid, postselected=post).tolist())
-              for d in Direction for post in ((False, True) if d.onto_polarization else (False,))}
-    classical = averages.classical_limit(Direction.P_TO_C, grid).tolist()
     closed_vs_quadrature = []
-    for i, (alpha, r) in enumerate((alpha, r) for alpha in alphas for r in r_grid):
-        params = ChannelParams.from_r(r, alpha)
-        for (d, post), (fid, prob) in closed.items():
-            tag = f"_post_{d.value}" if post else f"_{d.value}"
-            dev = abs(fid[i] - averages.avg_fidelity_quadrature(d, params, spec, post))
-            closed_vs_quadrature.append((dev, {"what": "F" + tag, "r": r, "alpha": alpha}))
-            dev = abs(prob[i] - averages.avg_success_quadrature(d, params, spec, post))
-            closed_vs_quadrature.append((dev, {"what": "P" + tag, "r": r, "alpha": alpha}))
-        dev = abs(classical[i] - averages.classical_limit_quadrature(params, spec))
-        closed_vs_quadrature.append((dev, {"what": "F_cl_p->c", "r": r, "alpha": alpha}))
+    for alpha in alphas:
+        # each closed form once over r, then against the quadrature point by point
+        grid = ChannelParams.from_r(rs, alpha)
+        closed = [(d, post, averages.avg_fidelity(d, grid, postselected=post).tolist(),
+                   averages.avg_success_probability(d, grid, postselected=post).tolist())
+                  for d in Direction
+                  for post in ((False, True) if d.onto_polarization else (False,))]
+        classical = averages.classical_limit(Direction.P_TO_C, grid).tolist()
+        for i, r in enumerate(r_grid):
+            params = ChannelParams.from_r(r, alpha)
+            for d, post, fid, prob in closed:
+                tag = f"_post_{d.value}" if post else f"_{d.value}"
+                dev = abs(fid[i] - averages.avg_fidelity_quadrature(d, params, spec, post))
+                closed_vs_quadrature.append((dev, {"what": "F" + tag, "r": r, "alpha": alpha}))
+                dev = abs(prob[i] - averages.avg_success_quadrature(d, params, spec, post))
+                closed_vs_quadrature.append((dev, {"what": "P" + tag, "r": r, "alpha": alpha}))
+            dev = abs(classical[i] - averages.classical_limit_quadrature(params, spec))
+            closed_vs_quadrature.append((dev, {"what": "F_cl_p->c", "r": r, "alpha": alpha}))
 
     # exact identities
     half_survival = (1 - rs * rs) / 2

@@ -413,7 +413,7 @@ def decay_factors(params) -> DecayFactors:
 
 
 def csv_text(header, rows) -> str:
-    """CSV text formatted value by value, the reference for the CLI's row templates.
+    """CSV text formatted value by value, the reference for the CLI's CSV cells.
 
     Floats, subclasses included, take 12 significant digits; anything else is ``str``.
     """

@@ -33,6 +33,11 @@ class TestChannelParams:
             ch.ChannelParams(t=1.2, alpha=1.0)
         with pytest.raises(ValueError):
             ch.ChannelParams.from_r(1.0, 1.0)
+        with pytest.raises(ValueError):
+            ch.ChannelParams(t=np.array([0.5, 1.2]), alpha=1.0)
+        for t in (0.5, np.array([0.5, 1.0])):  # a grid of t takes one amplitude
+            with pytest.raises(TypeError):
+                ch.ChannelParams(t=t, alpha=np.array([1.0, 2.0]))
 
     def test_rejects_an_amplitude_whose_decay_exponent_overflows(self):
         largest = ch.ChannelParams(t=1.0, alpha=ch.ALPHA_MAX)
