@@ -5,7 +5,8 @@ teleport, verify): each one's handler, help, own arguments and the common option
 it reads, as flags or config-file keys; any other common option is refused.
 
 All CSV output is deterministic: fixed column order, floats at 12 significant
-digits, '\\n' line endings. Oracle (brute-force) evaluations are limited to
+digits, '\\n' line endings, every CSV's rows formatted by ``_csv_lines`` in one
+``%`` pass over a row template. Oracle (brute-force) evaluations are limited to
 alpha <= 2; larger amplitudes are served by the closed forms and marked
 engine=analytic.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,18 +79,34 @@ class SweepConfig:
         return QuadratureSpec(self.quad_theta, self.quad_phi)
 
 
-def _cells(values) -> list[str]:
-    # a float column at 12 significant digits; one value throughout, bit for bit, formats once
-    values = np.asarray(values, dtype=float)
-    if values.size and (values.view(np.int64) == values.view(np.int64)[0]).all():
-        return ["%.12g" % values[0]] * values.size
-    return list(map("%.12g".__mod__, values.tolist()))
+def _csv_lines(n: int, rows: list[list]) -> list[str]:
+    # at each of n points, a line per row of cells: fixed text, a formatted column (list of
+    # str) or a float column, written into the template once if it holds one value, bit for bit
+    from itertools import chain
+    template, columns = [], []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, str):
+                cells.append(cell.replace("%", "%%"))
+            elif isinstance(cell, list):
+                cells.append("%s")
+                columns.append(cell)
+            else:
+                cell = np.asarray(cell, dtype=float)
+                if cell.size and (cell.view(np.int64) == cell.view(np.int64)[0]).all():
+                    cells.append("%.12g" % cell[0])
+                else:
+                    cells.append("%.12g")
+                    columns.append(cell.tolist())
+        template.append(",".join(cells) + "\n")
+    return ("".join(template) * n % tuple(chain.from_iterable(zip(*columns)))).split("\n")[:-1]
 
 
-def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
-    # one formatted line per row, its floats at 12 significant digits (see _cells)
+def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
+    # one data line per row, as _csv_lines formats them
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([",".join(header), *lines, ""]), encoding="ascii")
+    path.write_text("\n".join([",".join(header), *rows, ""]), encoding="ascii")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -240,6 +256,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out = Path(cfg.out or f"{fig}.csv")
     defaults, panels, columns = _FIGURES[fig]
     alphas = cfg.alphas or defaults
+    if len(set(map(_alpha_tag, alphas))) < len(alphas):
+        raise SystemExit(f"{fig} amplitudes must differ in 6 significant digits, the "
+                         f"precision of its file and column names: {','.join(map(repr, alphas))}")
     if fig != "fig1" and cfg.engine in ("oracle", "both"):
         raise SystemExit(f"{fig} is produced from the closed forms; use --engine analytic/auto")
     # negativity is the one figure the oracle reproduces
@@ -255,9 +274,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     for path, amps in csvs:
         cols = [(name.format(a=_alpha_tag(a)), value, a) for name, value in columns
                 for a in (amps if "{a}" in name else amps[:1])]
-        cells = [_cells(value(r, a, (engines[a], cfg.truncation))) for _, value, a in cols]
+        row = [r, *(np.asarray(value(r, a, (engines[a], cfg.truncation)))
+                    for _, value, a in cols), tag]
         _write_csv(path, ["r"] + [name for name, _, _ in cols] + ["engine"],
-                   list(map(",".join, zip(_cells(r), *cells, [tag] * r.size))))
+                   _csv_lines(r.size, [row]))
     print("\n".join(str(path) for path, _ in csvs))
     return 0
 
@@ -278,16 +298,13 @@ def cmd_negativity(args: argparse.Namespace) -> int:
     for a in alphas:
         if "oracle" in engines[a]:
             _check_truncation(cfg.truncation, a)
-    header = ["r", "channel", "alpha", "negativity", "engine"]
-    lines = []
-    for r in cfg.r_grid():
-        lines.append("%.12g,ps,,%.12g,analytic" % (r, negativity_ps_analytic(math.sqrt(1 - r * r))))
-        for a in alphas:
-            params = ChannelParams.from_r(r, a)
-            for eng in engines[a]:
-                value = _negativity_value(params, eng, cfg.truncation)
-                lines.append("%.12g,pc,%.12g,%.12g,%s" % (r, a, value, eng))
-    _write_csv(out, header, lines)
+    r = np.array(cfg.r_grid())
+    r_cells = _csv_lines(r.size, [[r]])  # formatted once, shared by every row at a point
+    ps, pc = (value for _, value in _FIGURES["fig1"][2])  # fig1's two columns, in long format
+    rows = [[r_cells, "ps", "", np.asarray(ps(r, None, None)), "analytic"]]
+    rows += [[r_cells, "pc", "%.12g" % a, np.asarray(pc(r, a, (eng, cfg.truncation))), eng]
+             for a in alphas for eng in engines[a]]
+    _write_csv(out, ["r", "channel", "alpha", "negativity", "engine"], _csv_lines(r.size, rows))
     print(out)
     return 0
 
@@ -305,20 +322,18 @@ def cmd_average(args: argparse.Namespace) -> int:
               "classical_limit", "avg_fidelity_postselected",
               "avg_success_postselected", "engine"]
     r = np.array(cfg.r_grid())
-    r_cells, n = _cells(r), r.size
-    # a block of rows per (alpha, direction), each column formatted once; rows go r by r
-    blocks = []
+    r_cells = _csv_lines(r.size, [[r]])  # formatted once, shared by every row at a point
+    rows = []
     for a in alphas:
         grid = ChannelParams.from_r(r, a)
         for d in directions:
-            post = ([_cells(avg_fidelity(d, grid, postselected=True)),
-                     _cells(avg_success_probability(d, grid, postselected=True))]
-                    if d.onto_polarization else [[""] * n] * 2)
-            blocks.append(list(map(",".join, zip(
-                r_cells, _cells(np.full(n, a)), [d.value] * n, _cells(avg_fidelity(d, grid)),
-                _cells(avg_success_probability(d, grid)), _cells(classical_limit(d, grid)),
-                *post, ["analytic"] * n))))
-    _write_csv(out, header, [row for rows_at_r in zip(*blocks) for row in rows_at_r])
+            post = ([avg_fidelity(d, grid, postselected=True),
+                     avg_success_probability(d, grid, postselected=True)]
+                    if d.onto_polarization else ["", ""])
+            rows.append([r_cells, "%.12g" % a, d.value, avg_fidelity(d, grid),
+                         avg_success_probability(d, grid), classical_limit(d, grid), *post,
+                         "analytic"])
+    _write_csv(out, header, _csv_lines(r.size, rows))
     print(out)
     return 0
 

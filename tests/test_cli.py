@@ -24,7 +24,7 @@ def read_csv(path):
 
 
 # the float cells the commands write, numpy's float64 included; a column may hold one value
-# throughout, which _cells formats once
+# throughout, which _csv_lines puts into its row template once
 FLOATS = st.one_of(st.floats(), st.floats().map(np.float64))
 
 
@@ -43,7 +43,8 @@ class TestCsvWriter:
 
     @staticmethod
     def _written(out, header, columns):
-        cli._write_csv(out, header, list(map(",".join, zip(*map(cli._cells, columns)))))
+        row = [np.array(column, dtype=float) for column in columns]
+        cli._write_csv(out, header, cli._csv_lines(len(columns[0]), [row]))
         return out.read_bytes()
 
     def test_float_columns_match_the_per_value_reference(self, tmp_path):
@@ -51,6 +52,20 @@ class TestCsvWriter:
         out = tmp_path / "sub" / "columns.csv"
         assert (self._written(out, header, self.COLUMNS)
                 == oracles.csv_text(header, zip(*self.COLUMNS)).encode("ascii"))
+
+    def test_row_groups_match_the_per_value_reference(self, tmp_path):
+        # several rows per grid point, with fixed text (a '%' included), a formatted column
+        # shared by both rows, a constant column and one of +-0.0 that is not constant
+        n = 5
+        formatted = [f"p{i}" for i in range(n)]
+        rows = [[formatted, "ps", "", np.array(self.COLUMNS[0]), "100%"],
+                [formatted, "pc", np.array(self.COLUMNS[3]), np.array(self.COLUMNS[4]), "oracle"]]
+        cells = [[cell if isinstance(cell, str) else cell[i] for cell in row]
+                 for i in range(n) for row in rows]
+        header = ["r", "channel", "alpha", "value", "engine"]
+        out = tmp_path / "groups.csv"
+        cli._write_csv(out, header, cli._csv_lines(n, rows))
+        assert out.read_bytes() == oracles.csv_text(header, cells).encode("ascii")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=8).flatmap(_columns))
@@ -133,6 +148,21 @@ class TestFigureCommand:
                                        "use --engine analytic/auto")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fig", ["fig2", "fig3"], ids=["panels", "columns"])
+    def test_amplitudes_that_share_a_name_fail_early(self, fig, monkeypatch, tmp_path):
+        # fig2 names a file per amplitude and fig3 a column, both at 6 significant digits
+        def never(*args, **kwargs):
+            raise AssertionError("figure ran")
+
+        for name in ("avg_fidelity", "avg_success_probability", "classical_limit"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exc:
+            run("figure", fig, "--alpha", "0.5,1.0000001,1.0000002",
+                "--out", str(tmp_path / "x.csv"))
+        text = str(exc.value.code)
+        assert "1.0000001,1.0000002" in text and "\n" not in text
+        assert not any(tmp_path.iterdir())
+
     def test_figures_match_pinned_digests(self, tmp_path):
         # the figure CSVs are byte-identical to the digests the benchmark pins
         pinned = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
@@ -152,6 +182,19 @@ class TestFigureCommand:
             assert run(*pinned["argv"], "--alpha", alpha, "--out", str(out)) == 0
             written[alpha] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert written == pinned["digests"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "133990feb7b5ec1af230d350058694477a9d2e2f3ce3465fdb7292fee615cba3"),
+        (("--engine", "both", "--alpha", "0.5,1,3", "--r-steps", "40", "--r-max", "0.999"),
+         "6b7327ffbf437833aed86548fa38a31e4070d49922814df42c0322065435a393"),
+        (("--engine", "analytic"),
+         "c5de506d9577f70db952a7101dc8e690d2b07e55c1fd18d3733e9879ae6f2660"),
+    ], ids=["default", "both", "analytic"])
+    def test_negativity_matches_pinned_digests(self, argv, digest, tmp_path):
+        # the long-format sweep, oracle and closed-form rows alike, byte for byte
+        out = tmp_path / "negativity.csv"
+        assert run("negativity", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_float_formatting_is_12_digits(self, tmp_path):
         out = tmp_path / "fig4.csv"
