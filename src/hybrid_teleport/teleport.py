@@ -9,9 +9,11 @@ it, and the success probability is the sum of the success branches. Pipelines
 read every outcome through its own rows: Bell bras and the lost-photon rows on
 a polarization pair, the parity readout rows of a balanced beam splitter on a
 coherent pair, single-photon Bell bras and the unresolved rows |00>, |11> on a
-single-rail pair. Each branch is the channel compressed by its outcome's rows.
-Each pipeline returns its corrected, unnormalized branches as one read-only
-(outcomes, d, d) stack in table order; a branch's probability is its trace.
+single-rail pair. Each branch is the channel compressed by its outcome's rows
+and conjugated by its correction. The four pipelines forward to one
+measure-and-correct routine, ``_pipeline``, which returns the corrected,
+unnormalized branches as one read-only (outcomes, d, d) stack in table order;
+a branch's probability is its trace.
 """
 
 from __future__ import annotations
@@ -207,28 +209,6 @@ _UNITARIES = {
 }
 
 
-def _corrections(direction: Direction, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each outcome's correction U as ``(gather, phases)`` over a stack of branch matrices.
-
-    Every correction permutes the kept basis up to phases, U[i, order[i]] = u_i,
-    so (U M U^dag)[i, j] = u_i conj(u_j) M[order[i], order[j]]: for a stack M
-    of shape (outcomes, dim, dim), ``np.take(M, gather) * phases`` is each
-    branch conjugated by its own correction, exactly.
-    """
-    unitaries = np.stack([parity_operator(dim) if correction == "parity_flip"
-                          else _UNITARIES.get(correction, np.eye(dim, dtype=complex))
-                          for _, correction, _ in _OUTCOMES[direction]])
-    outcome, row, order = np.nonzero(unitaries)  # one nonzero per row, in row order
-    u = unitaries[outcome, row, order].reshape(-1, dim)
-    order = order.reshape(-1, dim)
-    gather = (np.arange(len(order))[:, None, None] * dim * dim
-              + order[:, :, None] * dim + order[:, None, :])
-    phases = u[:, :, None] * u.conj()[:, None, :]
-    gather.setflags(write=False)
-    phases.setflags(write=False)
-    return gather, phases
-
-
 # rows e_0, e_1 = (e_H ± e_V)/2 over qubit levels: a e_H + b e_V = (a + b) e_0 + (a - b) e_1
 _SUM_DIFF = np.array([[0.5, 0.5], [0.5, -0.5]])
 
@@ -254,8 +234,10 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
     of a_i[r, m] conj(a_j[r, M]) traced against rho[m k, M K]. The read-only
     (2, 2, k, k) leftover, <e_j|e_i> times the kept mode's reduced state minus
     every branch, is what the rows leave: rounding where they are complete,
-    and for c->p what truncation leaves. Corrections (``_corrections``) are
-    applied here, once. Returns ``(maps, leftover)``.
+    and for c->p what truncation leaves. Then each branch is conjugated by its
+    correction u (``_UNITARIES``), u M u^dag, once; u permutes the kept basis
+    up to phases ±1, ±i, so each entry is one exact product. Returns
+    ``(maps, leftover)``.
     """
     entry = _READOUT_MAPS.get(channel, {}).get((direction, beta))
     if entry is None:
@@ -280,9 +262,11 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
             np.einsum("xymM,mkMK->xykK", effect, rho, out=mats[:, :, i])
         leftover = (np.multiply.outer(basis @ basis.conj().T, np.einsum("mkmK->kK", rho))
                     - mats.sum(axis=2))
-        gather, phases = _corrections(direction, kept)
-        maps = np.take(mats.reshape(4, -1), gather.ravel(), axis=1)
-        maps *= phases.ravel()  # in place: a second array of the maps' size raises peak memory
+        for i, (_, correction, _) in enumerate(outcomes):
+            u = parity_operator(kept) if correction == "parity_flip" else _UNITARIES.get(correction)
+            if u is not None:
+                mats[:, :, i] = u @ mats[:, :, i] @ u.conj().T
+        maps = mats.reshape(4, -1)
         maps.setflags(write=False)
         leftover.setflags(write=False)
         entry = _READOUT_MAPS.setdefault(channel, {})[direction, beta] = maps, leftover
@@ -308,30 +292,6 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
     return np.einsum("ix,jy,ijmn->xmyn", back, back, leftover).reshape(size, size)
 
 
-def _measure(channel: DensityOperator, direction: Direction, inp: BlochInput,
-             beta: float) -> np.ndarray:
-    """Measure the input jointly with one channel mode and correct the other.
-
-    One product of the input's coefficient products with the channel's readout
-    maps (:func:`_readout_maps`) at ``beta``; for c->p, the input is normalized
-    by the even and odd parts' squared norms. Returns the corrected,
-    unnormalized branches as one read-only (outcomes, d, d) stack in
-    ``_OUTCOMES`` order; each branch's probability is its trace.
-    """
-    a, b = inp.a, inp.b
-    x, y = a + b, a - b
-    if direction is Direction.C_TO_P:
-        _, (even, odd) = _cat_parts(beta, channel.layout.dims[1])
-        norm = math.sqrt(abs(x) ** 2 * even + abs(y) ** 2 * odd)
-        x, y = x / norm, y / norm
-    cx, cy = x.conjugate(), y.conjugate()
-    kept = channel.layout.dims[0 if direction.onto_polarization else 1]
-    maps = _readout_maps(channel, direction, beta)[0]
-    stack = (np.array((x * cx, x * cy, y * cx, y * cy)) @ maps).reshape(-1, kept, kept)
-    stack.setflags(write=False)
-    return stack
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -352,18 +312,41 @@ def _cat_parts(beta: float, dim: int) -> tuple[np.ndarray, tuple[float, float]]:
     return parts, (float(np.vdot(parts[0], parts[0]).real), float(np.vdot(parts[1], parts[1]).real))
 
 
-def _default_pc_channel(params: ChannelParams, dim: int | None) -> DensityOperator:
-    if dim is None:
-        dim = default_fock_dim(params.alpha)
-    return evolve(hybrid_pc_initial(params.alpha, dim).density(), params.t)
+def _pipeline(direction: Direction, inp: BlochInput, params: ChannelParams,
+              dim: int | None = None, channel: DensityOperator | None = None) -> np.ndarray:
+    """Measure the input jointly with one channel mode and correct the other.
+
+    The channel defaults to the direction's initial state evolved to t, on
+    Fock(dim) for the coherent pair. The measured levels are |±t alpha> for
+    c->p, whose input is normalized by the even and odd parts' squared norms,
+    and the photon levels (beta = 0) otherwise. One product of the input's
+    coefficient products with the readout maps (:func:`_readout_maps`) gives
+    the corrected, unnormalized branches as one read-only (outcomes, d, d)
+    stack in ``_OUTCOMES`` order; each branch's probability is its trace.
+    """
+    beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
+    if direction is Direction.C_TO_P and beta <= 0.0:
+        raise ValueError("c->p needs alpha > 0")
+    if channel is None:
+        dim = default_fock_dim(params.alpha) if dim is None else dim
+        initial = hybrid_pc_initial(params.alpha, dim) if direction.coherent else hybrid_ps_initial()
+        channel = evolve(initial.density(), params.t)
+    a, b = inp.a, inp.b
+    x, y = a + b, a - b
+    if direction is Direction.C_TO_P:
+        _, (even, odd) = _cat_parts(beta, channel.layout.dims[1])
+        norm = math.sqrt(abs(x) ** 2 * even + abs(y) ** 2 * odd)
+        x, y = x / norm, y / norm
+    cx, cy = x.conjugate(), y.conjugate()
+    kept = channel.layout.dims[0 if direction.onto_polarization else 1]
+    maps = _readout_maps(channel, direction, beta)[0]
+    stack = (np.array((x * cx, x * cy, y * cx, y * cy)) @ maps).reshape(-1, kept, kept)
+    stack.setflags(write=False)
+    return stack
 
 
-def teleport_p_to_c(
-    inp: BlochInput,
-    params: ChannelParams,
-    dim: int | None = None,
-    channel: DensityOperator | None = None,
-) -> np.ndarray:
+def teleport_p_to_c(inp: BlochInput, params: ChannelParams, dim: int | None = None,
+                    channel: DensityOperator | None = None) -> np.ndarray:
     """Teleport a polarization qubit onto the coherent-state qubit.
 
     The Bell measurement on the polarization pair identifies two of the four
@@ -371,17 +354,11 @@ def teleport_p_to_c(
     are implementable: identity and the coherent sign flip). The other two
     Bell outcomes and the loss-detected vacuum branch are failures.
     """
-    if channel is None:
-        channel = _default_pc_channel(params, dim)
-    return _measure(channel, Direction.P_TO_C, inp, 0.0)
+    return _pipeline(Direction.P_TO_C, inp, params, dim, channel)
 
 
-def teleport_c_to_p(
-    inp: BlochInput,
-    params: ChannelParams,
-    dim: int | None = None,
-    channel: DensityOperator | None = None,
-) -> np.ndarray:
+def teleport_c_to_p(inp: BlochInput, params: ChannelParams, dim: int | None = None,
+                    channel: DensityOperator | None = None) -> np.ndarray:
     """Teleport a coherent-state qubit (in the decayed basis) onto polarization.
 
     The input rides mode one into the balanced beam splitter together with
@@ -389,44 +366,29 @@ def teleport_c_to_p(
     four Bell-like outcomes, each fixed by a Pauli on the polarization side.
     Only the no-click outcome fails.
     """
-    if channel is None:
-        channel = _default_pc_channel(params, dim)
-    if params.t * params.alpha <= 0.0:
-        raise ValueError("c->p needs alpha > 0")
-    # the beam splitter mixes (input, channel); each parity outcome keeps a block of its rows
-    return _measure(channel, Direction.C_TO_P, inp, params.t * params.alpha)
+    return _pipeline(Direction.C_TO_P, inp, params, dim, channel)
 
 
-def teleport_p_to_s(
-    inp: BlochInput,
-    params: ChannelParams,
-    channel: DensityOperator | None = None,
-) -> np.ndarray:
+def teleport_p_to_s(inp: BlochInput, params: ChannelParams,
+                    channel: DensityOperator | None = None) -> np.ndarray:
     """Teleport a polarization qubit onto the single-rail qubit.
 
     Success outcomes are the two Bell states whose corrections are trivial
     (identity) or a phase shift on the single-rail mode; the bit-flip pair
     and the loss-detected vacuum branch fail.
     """
-    if channel is None:
-        channel = evolve(hybrid_ps_initial().density(), params.t)
-    return _measure(channel, Direction.P_TO_S, inp, 0.0)
+    return _pipeline(Direction.P_TO_S, inp, params, channel=channel)
 
 
-def teleport_s_to_p(
-    inp: BlochInput,
-    params: ChannelParams,
-    channel: DensityOperator | None = None,
-) -> np.ndarray:
+def teleport_s_to_p(inp: BlochInput, params: ChannelParams,
+                    channel: DensityOperator | None = None) -> np.ndarray:
     """Teleport a single-rail qubit onto polarization.
 
     After a balanced beam splitter the two single-photon Bell states map to a
     photon in one detector or the other, so exactly those two outcomes are
     discriminated; everything else is an unresolved failure.
     """
-    if channel is None:
-        channel = evolve(hybrid_ps_initial().density(), params.t)
-    return _measure(channel, Direction.S_TO_P, inp, 0.0)
+    return _pipeline(Direction.S_TO_P, inp, params, channel=channel)
 
 
 def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:

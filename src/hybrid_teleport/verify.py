@@ -35,9 +35,14 @@ PIPELINE_R = (0.0, 0.3, 0.6, 0.8)
 
 
 def _largest(deviations) -> tuple:
-    """The largest deviation and its first location, (0.0, None) if none is above 0."""
+    """The largest deviation and its first location, (0.0, None) if none is above 0.
+
+    A NaN deviation is larger than any number, and the first NaN is the largest.
+    """
     dev, at = 0.0, None
     for d, where in deviations:
+        if math.isnan(d):
+            return d, where
         if d > dev:
             dev, at = d, where
     return dev, at
@@ -119,7 +124,8 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
             "closed-form variant over numeric negativity; a constant scale, "
             "the variant must be divided by this factor to match",
             {"ratio_min": float(min(ratios)), "ratio_max": float(max(ratios)),
-             "ratio_mean": float(np.mean(ratios))},
+             "ratio_mean": float(np.mean(ratios))} if ratios
+            else dict.fromkeys(("ratio_min", "ratio_max", "ratio_mean")),
         )
     ]
     return checks, ledger

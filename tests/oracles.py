@@ -254,13 +254,14 @@ def _label_maps(channel, direction):
 
 
 def measure_per_label(channel, direction, input_amplitudes):
-    """``teleport._measure`` one outcome at a time, with no cache and dense corrections.
+    """``teleport._pipeline`` on a given channel, one outcome at a time, with no cache.
 
     Each label's map (:func:`_label_maps`) collapses the input, and the branch
-    is conjugated by the correction's dense unitary. It takes the library's
-    readout rows, outcome table and correction unitaries, which have their own
-    tests, and checks only how ``_measure`` stacks and applies them. Returns
-    the same (outcomes, d, d) stack of corrected, unnormalized branches.
+    is conjugated by the correction's dense unitary, as ``_readout_maps``
+    conjugates it. It takes the library's readout rows, outcome table and
+    correction unitaries, which have their own tests, and checks only how
+    ``_pipeline`` stacks and applies them. Returns the same (outcomes, d, d)
+    stack of corrected, unnormalized branches.
     """
     maps, marginal = _label_maps(channel, direction)
     kept_dim = marginal.layout.dims[0]

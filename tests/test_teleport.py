@@ -681,11 +681,10 @@ class TestReadoutMaps:
                                for o, c in zip(summary["outcomes"], closed["outcomes"])) <= 1e-14
                     assert abs(summary["fidelity"] - closed["fidelity"]) <= 1e-10
 
-    def test_one_map_build_per_channel_and_direction(self, monkeypatch):
-        builds = []
-        corrections = tp._corrections
-        monkeypatch.setattr(tp, "_corrections",
-                            lambda d, dim: builds.append(d) or corrections(d, dim))
+    def test_one_map_build_per_channel_and_direction(self):
+        # a build stores a new entry, so every entry keeps the identity it had
+        # when its (channel, direction) was first run
+        first = {}
         params = ch.ChannelParams.from_r(0.6, 1.0)
         pc = ch.evolve(ch.hybrid_pc_initial(1.0, fk.default_fock_dim(1.0)).density(), params.t)
         ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
@@ -693,10 +692,12 @@ class TestReadoutMaps:
             for phi in np.linspace(0.0, 6.0, 4):
                 inp = tp.BlochInput(float(theta), float(phi))
                 for d in tp.Direction:
+                    chan = pc if d.coherent else ps
                     for post in (False, True) if d.onto_polarization else (False,):
-                        tp.pipeline_summary(d, inp, params, channel=pc if d.coherent else ps,
-                                            postselected=post)
-        assert sorted(builds, key=list(tp.Direction).index) == list(tp.Direction)
+                        tp.pipeline_summary(d, inp, params, channel=chan, postselected=post)
+                        for key, entry in tp._READOUT_MAPS[chan].items():
+                            assert first.setdefault((id(chan), key), entry) is entry
+        assert sorted(d.value for _, (d, _) in first) == sorted(d.value for d in tp.Direction)
         assert len(tp._READOUT_MAPS[pc]) == len(tp._READOUT_MAPS[ps]) == 2
 
     def test_cat_parts_add_up_to_the_coherent_pair_bit_for_bit_and_are_read_only(self):
@@ -725,6 +726,34 @@ class TestReadoutMaps:
         del channel
         gc.collect()
         assert alive() is None
+
+
+class TestPipelineEntries:
+    PARAMS = ch.ChannelParams.from_r(0.6, 2.0)
+
+    @staticmethod
+    def pc_channel(params, dim):
+        return ch.evolve(ch.hybrid_pc_initial(params.alpha, dim).density(), params.t)
+
+    def test_no_channel_runs_on_the_default_evolved_channel(self):
+        pc = self.pc_channel(self.PARAMS, fk.default_fock_dim(self.PARAMS.alpha))
+        ps = ch.evolve(ch.hybrid_ps_initial().density(), self.PARAMS.t)
+        for run, channel in ((tp.teleport_p_to_c, pc), (tp.teleport_c_to_p, pc),
+                             (tp.teleport_p_to_s, ps), (tp.teleport_s_to_p, ps)):
+            assert np.array_equal(run(TILTED, self.PARAMS),
+                                  run(TILTED, self.PARAMS, channel=channel))
+
+    def test_the_coherent_directions_build_their_channel_on_fock_dim(self):
+        small = self.pc_channel(self.PARAMS, 28)  # default_fock_dim(2) is 36
+        for run in (tp.teleport_p_to_c, tp.teleport_c_to_p):
+            stack = run(TILTED, self.PARAMS, dim=28)
+            assert np.array_equal(stack, run(TILTED, self.PARAMS, channel=small))
+            assert not np.array_equal(stack[:, :3, :3], run(TILTED, self.PARAMS)[:, :3, :3])
+        assert tp.teleport_p_to_c(TILTED, self.PARAMS, dim=28).shape[-1] == 28
+
+    def test_c_to_p_refuses_a_vacuum_channel(self):
+        with pytest.raises(ValueError, match=r"^c->p needs alpha > 0$"):
+            tp.teleport_c_to_p(TILTED, ch.ChannelParams(1.0, 0.0))
 
 
 class TestInputsAndParsing:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 from pathlib import Path
 
 from hybrid_teleport import teleport as tp
@@ -53,6 +54,49 @@ class TestWorst:
     def test_a_deviation_equal_to_the_tolerance_passes(self):
         assert vf._worst("c", 1e-6, [(1e-6, None)])["pass"]
         assert not vf._worst("c", 1e-6, [(2e-6, None)])["pass"]
+
+    def test_the_first_nan_is_the_largest_deviation_and_fails(self):
+        entry = vf._worst("x", 1e-9, [(float("nan"), {"r": 0.1})])
+        assert math.isnan(entry["max_abs_deviation"]) and not entry["pass"]
+        assert entry["worst_at"] == {"r": 0.1}
+        pairs = [(0.2, "a"), (float("nan"), "b"), (3.0, "c"), (float("nan"), "d"), (0.1, "e")]
+        # also after the pipeline phase's per-channel carry, at every cut
+        for cut in range(len(pairs) + 1):
+            entry = vf._worst("x", 1.0, [vf._largest(pairs[:cut])] + pairs[cut:])
+            assert math.isnan(entry["max_abs_deviation"]) and not entry["pass"]
+            assert entry["worst_at"] == "b"
+
+
+def test_a_nan_pipeline_fidelity_fails_its_check_where_it_arose(monkeypatch):
+    # one p->c fidelity turns NaN on the first channel; later channels are finite
+    summary = tp.pipeline_summary
+    calls = []
+
+    def first_nan(direction, *args, **kwargs):
+        result = summary(direction, *args, **kwargs)
+        if direction is tp.Direction.P_TO_C:
+            calls.append(None)
+            if len(calls) == 3:
+                result["fidelity"] = float("nan")
+        return result
+
+    monkeypatch.setattr(tp, "pipeline_summary", first_nan)
+    checks, _ = vf._pipeline_checks((0.0, 0.6), (0.5,), 2, 2)
+    check = next(c for c in checks if c["name"] == "pipeline_vs_closed_fidelity_p->c")
+    assert math.isnan(check["max_abs_deviation"]) and not check["pass"]
+    # the third input of the first channel: theta = 2 pi / 3, phi = 0
+    assert check["worst_at"] == {"r": 0.0, "alpha": 0.5, "theta": 2 * math.pi / 3, "phi": 0.0,
+                                 "direction": "p->c"}
+
+
+def test_negativity_audit_reads_null_when_no_point_is_entangled_enough():
+    # near r = 1 no numeric negativity exceeds 1e-6, so there is no ratio to report
+    checks, (audit,) = vf._negativity_checks((0.9999999, 0.99999999), (0.5,))
+    assert [check["name"] for check in checks] == [
+        "negativity_ps_numeric_vs_quartic", "negativity_pc_numeric_vs_closed",
+        "negativity_pc_schmidt_point"]
+    assert audit["name"] == "negativity_pc_variant_scale"
+    assert audit["measured"] == {"ratio_min": None, "ratio_max": None, "ratio_mean": None}
 
 
 def test_quick_battery_makes_the_pinned_checks_in_order():
