@@ -284,6 +284,25 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
+@lru_cache(maxsize=8)
+def beam_splitter_edge_rows(dim: int) -> np.ndarray:
+    """Read-only (dim, dim) table of the beam splitter's rows (N, 0), N < dim.
+
+    Row N holds <N, 0|U|n1, N - n1> = sqrt(C(N, n1) / 2^N) on n1 = 0..N and
+    zeros beyond; row (0, N) is the same row times (-1)^n1. Each entry is
+    the square root of the correctly rounded quotient of exact integers,
+    the binomials taken from Pascal's triangle; no eigensolver is involved.
+    """
+    table = np.zeros((dim, dim))
+    binomials = [1]
+    for photons in range(dim):
+        total = 1 << photons
+        table[photons, :photons + 1] = [math.sqrt(c / total) for c in binomials]
+        binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
+    table.setflags(write=False)
+    return table
+
+
 def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
     """One photon-number sector of the balanced beam splitter on Fock(dim) x Fock(dim).
 
@@ -294,8 +313,11 @@ def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray
     with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)); it is exponentiated
     through an eigendecomposition of its Hermitian form, so the block is
     unitary to roundoff (Campos, Saleh & Teich, PRA 40, 1371, 1989).
-    Sectors with N < dim are exact; those above the cut miss the states
-    beyond it and equal the exponential of the truncated generator there.
+    Sectors with N < dim are exact, and their two edge rows, (N, 0) last and
+    (0, N) first, are overwritten with the exact binomial rows of
+    :func:`beam_splitter_edge_rows`, which the parity readout reads; those
+    above the cut miss the states beyond it and equal the exponential of the
+    truncated generator there.
     """
     if dim < 2:
         raise ValueError("fock mode needs dim >= 2")
@@ -305,7 +327,12 @@ def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray
     off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (photons - n1[:-1]))
     generator = np.diag(off, k=-1) - np.diag(off, k=1)
     w, v = np.linalg.eigh(1j * generator)
-    return n1 * dim + (photons - n1), (v * np.exp(-1j * w)) @ v.conj().T
+    block = (v * np.exp(-1j * w)) @ v.conj().T
+    if photons < dim:
+        row = beam_splitter_edge_rows(dim)[photons, :photons + 1]
+        block[-1] = row
+        block[0] = row * (-1.0) ** n1
+    return n1 * dim + (photons - n1), block
 
 
 @lru_cache(maxsize=8)

@@ -37,7 +37,7 @@ from .fock import (
     ModeLayout,
     StateVector,
     _overlap_fidelity,
-    beam_splitter_sector,
+    beam_splitter_edge_rows,
     coherent_ket,
     default_fock_dim,
     fock_mode,
@@ -172,31 +172,51 @@ _SINGLE_PHOTON_BRAS = {
 
 @lru_cache(maxsize=8)
 def _parity_readout(dim: int) -> MappingProxyType:
-    """Beam-splitter rows each parity outcome keeps, over flattened (n_first, n_second).
+    """Beam-splitter rows each parity outcome keeps, stored per photon-number sector.
 
     Every outcome leaves at least one arm empty, so it keeps rows (N, 0) or
-    (0, N) with N < dim. Those lie in the exact sectors of the beam splitter,
-    each row on its own sector only, so they are built from the sector blocks
-    into two read-only (dim, dim^2) arrays, never the dense unitary. The
-    outcome blocks are strided views of them.
+    (0, N) with N < dim, and each such row lives on its own sector N, the
+    states (n_first, N - n_first). Each outcome maps to ``(photons, rows)``:
+    the sector numbers N and the read-only (len(photons), dim) rows over
+    n_first, zero beyond N, taken from the exact binomial rows of
+    :func:`beam_splitter_edge_rows`. That is 2 dim^2 numbers in all, with no
+    eigensolver and no (dim, dim^2) row array.
     """
     if dim % 2 != 0:
         raise ValueError("parity readout needs an even truncation dimension")
-    first = np.zeros((dim, dim * dim), dtype=complex)  # rows (N, 0)
-    second = np.zeros((dim, dim * dim), dtype=complex)  # rows (0, N)
-    for photons in range(dim):
-        states, block = beam_splitter_sector(dim, photons)  # states in ascending n_first
-        first[photons, states] = block[-1]
-        second[photons, states] = block[0]
-    first.setflags(write=False)
+    first = beam_splitter_edge_rows(dim)  # rows (N, 0)
+    second = first * (-1.0) ** np.arange(dim)  # rows (0, N)
     second.setflags(write=False)
+    photons = np.arange(dim)
+    photons.setflags(write=False)
     return MappingProxyType({
-        "first_even": first[2::2],  # n_first = 2, 4, ..., n_second = 0
-        "first_odd": first[1::2],  # n_first = 1, 3, ..., n_second = 0
-        "second_even": second[2::2],  # n_first = 0, n_second = 2, 4, ...
-        "second_odd": second[1::2],  # n_first = 0, n_second = 1, 3, ...
-        "no_click": first[:1],
+        "first_even": (photons[2::2], first[2::2]),  # n_first = 2, 4, ..., n_second = 0
+        "first_odd": (photons[1::2], first[1::2]),  # n_first = 1, 3, ..., n_second = 0
+        "second_even": (photons[2::2], second[2::2]),  # n_first = 0, n_second = 2, 4, ...
+        "second_odd": (photons[1::2], second[1::2]),  # n_first = 0, n_second = 1, 3, ...
+        "no_click": (photons[:1], first[:1]),
     })
+
+
+def _collapsed_rows(direction: Direction, label: str, basis: np.ndarray, dim: int) -> np.ndarray:
+    """One outcome's readout rows with the input levels collapsed, a[x, r, m].
+
+    a[x, r, m] = sum_i basis[x, i] row_r[i, m] over (input level, row,
+    measured level), for the input levels e_0, e_1 as the rows of ``basis``
+    and a measured mode of dimension ``dim``. The Bell and single-photon bras
+    are dense over (input, measured). A parity row r of sector N_r lives on
+    the states (N_r - m, m), so its collapse is basis[x, N_r - m]
+    row_r[N_r - m] on m <= N_r and zero above: O(dim^2) numbers, never a
+    (rows, dim, dim) block.
+    """
+    if direction is Direction.C_TO_P:
+        photons, rows = _parity_readout(dim)[label]
+        n_first = photons[:, None] - np.arange(dim)  # N - m, negative off the sector
+        inside = n_first >= 0
+        n_first = np.where(inside, n_first, 0)
+        return np.where(inside, basis[:, n_first] * np.take_along_axis(rows, n_first, axis=1), 0.0)
+    bras = _SINGLE_PHOTON_BRAS if direction is Direction.S_TO_P else _BELL_BRAS
+    return np.einsum("xi,rim->xrm", basis, bras[label].reshape(-1, basis.shape[1], dim))
 
 
 # correction unitaries on the kept mode; "parity_flip" is built per cutoff, and
@@ -242,21 +262,20 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
     entry = _READOUT_MAPS.get(channel, {}).get((direction, beta))
     if entry is None:
         dims = channel.layout.dims
-        # the channel mode measured jointly with the input, that readout's rows, and the basis
+        # the channel mode measured jointly with the input, and the input levels
         if direction is Direction.C_TO_P:
-            measured, rows, basis = 1, _parity_readout(dims[1]), _cat_parts(beta, dims[1])[0]
+            measured, basis = 1, _cat_parts(beta, dims[1])[0]
         elif direction is Direction.S_TO_P:
-            measured, rows, basis = 1, _SINGLE_PHOTON_BRAS, _SUM_DIFF
+            measured, basis = 1, _SUM_DIFF
         else:
-            measured, rows, basis = 0, _BELL_BRAS, _SUM_DIFF @ np.eye(2, 3)
+            measured, basis = 0, _SUM_DIFF @ np.eye(2, 3)
         kept = dims[1 - measured]
         # the channel over (measured, kept, measured, kept), a view
         rho = np.moveaxis(channel.matrix.reshape(dims + dims), (measured, 2 + measured), (0, 2))
         outcomes = _OUTCOMES[direction]
         mats = np.empty((2, 2, len(outcomes), kept, kept), dtype=complex)
         for i, (label, _, _) in enumerate(outcomes):
-            block = rows[label].reshape(-1, basis.shape[1], dims[measured])  # (rows, input, measured)
-            collapsed = np.einsum("xi,rim->xrm", basis, block)
+            collapsed = _collapsed_rows(direction, label, basis, dims[measured])
             # the outcome's effect on the measured mode between input levels x and y
             effect = collapsed.transpose(0, 2, 1)[:, None] @ collapsed.conj()[None]
             np.einsum("xymM,mkMK->xykK", effect, rho, out=mats[:, :, i])

@@ -330,9 +330,12 @@ def _average_checks(r_grid, alphas, spec: QuadratureSpec) -> tuple[list[dict], l
                                          - averages.avg_fidelity(Direction.C_TO_P, large)
                                          - averages.fidelity_gap_large_alpha(large)).tolist()]
 
-    # amplitude making the two success probabilities closest in sup norm
+    # amplitude making the two success probabilities closest in sup norm over the
+    # paper's r grid, whatever grid the other checks run on
+    paper_rs = np.array(DEFAULT_R_GRID)
+    paper_half_survival = (1 - paper_rs * paper_rs) / 2
     sups = {a: float(np.abs(averages.avg_success_probability(
-                Direction.C_TO_P, ChannelParams.from_r(rs, a)) - half_survival).max())
+                Direction.C_TO_P, ChannelParams.from_r(paper_rs, a)) - paper_half_survival).max())
             for a in (0.30 + 0.01 * k for k in range(61))}
     best_alpha = min(sups, key=sups.get)
     star = {"alpha_star": best_alpha, "sup_at_star": sups[best_alpha]}

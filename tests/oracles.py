@@ -140,6 +140,34 @@ def beam_splitter_dense(dim: int) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
+def parity_outcome_states(dim: int) -> dict[str, list[tuple[int, int]]]:
+    """(n_first, n_second) of each c->p outcome's rows, in outcome order: one arm empty, N < dim."""
+    odd, even = range(1, dim, 2), range(2, dim, 2)
+    return {"first_even": [(n, 0) for n in even], "first_odd": [(n, 0) for n in odd],
+            "second_even": [(0, n) for n in even], "second_odd": [(0, n) for n in odd],
+            "no_click": [(0, 0)]}
+
+
+def parity_readout_dense(dim: int) -> dict[str, np.ndarray]:
+    """Each c->p outcome's rows of the dense ``fk.beam_splitter_50_50``, over flattened (n1, n2)."""
+    u = fk.beam_splitter_50_50(dim)
+    return {label: u[[n1 * dim + n2 for n1, n2 in states]]
+            for label, states in parity_outcome_states(dim).items()}
+
+
+def beam_splitter_edge_row(photons: int, first_arm: bool = True) -> np.ndarray:
+    """<N, 0|U|n1, N - n1> (first arm) or <0, N|U|n1, N - n1> over n1 = 0..N, by math.comb.
+
+    The coherent convention |g1, g2> -> |(g1+g2)/sqrt2, (g2-g1)/sqrt2> means
+    U a1^dag U^dag = (b1^dag - b2^dag)/sqrt2 and U a2^dag U^dag =
+    (b1^dag + b2^dag)/sqrt2. Expanding a1^dag^n1 a2^dag^(N-n1)|0> / sqrt(n1! (N-n1)!)
+    leaves sqrt(C(N, n1) / 2^N) on |N, 0> and (-1)^n1 times it on |0, N>.
+    """
+    return np.array([(1.0 if first_arm else (-1.0) ** n1)
+                     * math.sqrt(math.comb(photons, n1) / 2 ** photons)
+                     for n1 in range(photons + 1)])
+
+
 def damping_kraus_dense(kind, t: float) -> list[np.ndarray]:
     """Photon-loss Kraus family of one mode, entry by entry into dense operators.
 
@@ -238,7 +266,7 @@ def _label_maps(channel, direction):
     and the kept mode's reduced state.
     """
     if direction is tp.Direction.C_TO_P:
-        measured, rows = 1, tp._parity_readout(channel.layout.dims[1])
+        measured, rows = 1, parity_readout_dense(channel.layout.dims[1])
     elif direction is tp.Direction.S_TO_P:
         measured, rows = 1, tp._SINGLE_PHOTON_BRAS
     else:
@@ -258,9 +286,11 @@ def measure_per_label(channel, direction, input_amplitudes):
 
     Each label's map (:func:`_label_maps`) collapses the input, and the branch
     is conjugated by the correction's dense unitary, as ``_readout_maps``
-    conjugates it. It takes the library's readout rows, outcome table and
-    correction unitaries, which have their own tests, and checks only how
-    ``_pipeline`` stacks and applies them. Returns the same (outcomes, d, d)
+    conjugates it. It takes the library's Bell and single-photon bras, outcome
+    table and correction unitaries, which have their own tests, and the c->p
+    rows of the dense ``fk.beam_splitter_50_50`` (:func:`parity_readout_dense`),
+    not the library's sector-stored readout; it checks how ``_pipeline``
+    collapses, stacks and applies them. Returns the same (outcomes, d, d)
     stack of corrected, unnormalized branches.
     """
     maps, marginal = _label_maps(channel, direction)

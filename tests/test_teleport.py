@@ -107,34 +107,46 @@ class TestParityProjectors:
 
 class TestParityReadout:
     @staticmethod
-    def outcome_rows(dim):
-        """(n_first, n_second) of each outcome's rows: one arm empty, N < dim photons."""
-        odd, even = range(1, dim, 2), range(2, dim, 2)
-        return {"no_click": [(0, 0)],
-                "first_odd": [(n, 0) for n in odd], "first_even": [(n, 0) for n in even],
-                "second_odd": [(0, n) for n in odd], "second_even": [(0, n) for n in even]}
+    def dense_rows(photons, rows, dim):
+        """Sector rows scattered back over flattened (n_first, n_second): row r on (n1, N_r - n1)."""
+        dense = np.zeros((len(photons), dim * dim), dtype=rows.dtype)
+        for r, total in enumerate(photons):
+            n1 = np.arange(total + 1)
+            dense[r, n1 * dim + total - n1] = rows[r, :total + 1]
+        return dense
 
     @pytest.mark.parametrize("dim", [4, 8, 18, 22, 36])
     def test_rows_equal_the_dense_beam_splitter_rows(self, dim):
-        rows = tp._parity_readout(dim)
-        bs = fk.beam_splitter_50_50(dim)
-        for label, pairs in self.outcome_rows(dim).items():
-            assert np.array_equal(rows[label], bs[[n1 * dim + n2 for n1, n2 in pairs]])
-            assert not rows[label].flags.writeable
+        readout = tp._parity_readout(dim)
+        dense = oracles.parity_readout_dense(dim)
+        assert list(readout) == list(dense)
+        for label, (photons, rows) in readout.items():
+            assert rows.shape == (len(photons), dim)
+            assert np.array_equal(self.dense_rows(photons, rows, dim), dense[label])
+            assert not rows.flags.writeable and not photons.flags.writeable
+
+    @pytest.mark.parametrize("dim", [4, 36, 166])
+    def test_rows_are_the_binomial_rows_bit_for_bit(self, dim):
+        # pins the sign convention: (N, 0) positive, (0, N) alternating in n_first
+        for label, (photons, rows) in tp._parity_readout(dim).items():
+            for total, row in zip(photons, rows):
+                ref = oracles.beam_splitter_edge_row(int(total), not label.startswith("second"))
+                assert np.array_equal(row[:total + 1], ref), (label, total)
+                assert not row[total + 1:].any()
 
     def test_large_cut_rows_are_orthonormal_on_their_own_sectors(self):
-        # d = 60 without the 207 MB dense unitary: 2d - 1 rows of length d^2
+        # d = 60 without the 207 MB dense unitary: 2d - 1 rows, two per sector N > 0
         dim = 60
-        rows = tp._parity_readout.__wrapped__(dim)
-        pairs = self.outcome_rows(dim)
-        built = np.vstack([rows[label] for label in pairs])
-        assert built.shape == (2 * dim - 1, dim * dim)
-        assert np.max(np.abs(built @ built.conj().T - np.eye(2 * dim - 1))) < 1e-12
-        n = np.arange(dim)
-        total = np.add.outer(n, n).reshape(-1)
-        photons = [n1 + n2 for label in pairs for n1, n2 in pairs[label]]
-        for row, count in zip(built, photons):
-            assert np.max(np.abs(row[total != count])) == 0.0
+        sectors = {}
+        for photons, rows in tp._parity_readout.__wrapped__(dim).values():
+            for total, row in zip(photons, rows):
+                sectors.setdefault(int(total), []).append(row)
+        assert sorted(sectors) == list(range(dim))
+        assert sum(map(len, sectors.values())) == 2 * dim - 1
+        for total, rows in sectors.items():
+            gram = np.array(rows) @ np.array(rows).conj().T
+            assert len(rows) == (1 if total == 0 else 2)
+            assert np.max(np.abs(gram - np.eye(len(rows)))) < 1e-12
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -167,8 +179,26 @@ class TestPeakAllocation:
         assert dim == 36
         channel = ch.evolve(ch.hybrid_pc_initial(2.0, dim).density(), params.t)
         tp._parity_readout.cache_clear()
+        fk.beam_splitter_edge_rows.cache_clear()
         peak = traced_peak_bytes(lambda: tp.teleport_c_to_p(TILTED, params, channel=channel))
         assert peak < self.LIMIT
+
+    def test_cold_c_to_p_call_at_alpha_7_without_an_eigensolver(self, monkeypatch):
+        # d = 166: a readout of two (d, d^2) row arrays would be 146 MB, and the
+        # readout maps read the 4 MB channel in place
+        params = ch.ChannelParams.from_r(0.5, 7.0)
+        dim = fk.default_fock_dim(7.0)
+        assert dim == 166
+        channel = ch.evolve(ch.hybrid_pc_initial(7.0, dim).density(), params.t)
+        tp._parity_readout.cache_clear()
+        fk.beam_splitter_edge_rows.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the c->p readout diagonalized a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        peak = traced_peak_bytes(lambda: tp.teleport_c_to_p(TILTED, params, channel=channel))
+        assert peak < 8e6
 
     def test_cold_p_to_c_call(self):
         # the first call on a channel builds its p->c maps, (4, 5 d^2) complex: 415 kB
@@ -569,7 +599,8 @@ class TestReadoutMaps:
     def test_no_pipeline_diagonalizes_its_channel(self, monkeypatch):
         params = ch.ChannelParams.from_r(0.5, 1.0)
         dim = fk.default_fock_dim(1.0)
-        tp._parity_readout(dim)  # the beam splitter's sectors are diagonalized once, beforehand
+        tp._parity_readout.cache_clear()  # the readout is built under the patch too
+        fk.beam_splitter_edge_rows.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a pipeline diagonalized a matrix")

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+from hybrid_teleport import cli
 from hybrid_teleport import teleport as tp
 from hybrid_teleport import verify as vf
 
@@ -97,6 +98,18 @@ def test_negativity_audit_reads_null_when_no_point_is_entangled_enough():
         "negativity_pc_schmidt_point"]
     assert audit["name"] == "negativity_pc_variant_scale"
     assert audit["measured"] == {"ratio_min": None, "ratio_max": None, "ratio_mean": None}
+
+
+def test_crossing_reads_the_paper_grid_whatever_r_range_is_given(tmp_path):
+    # alpha* is a property of the paper's r grid; a narrowed range must not move it
+    out = tmp_path / "report.json"
+    cli.main(["verify", "--quick", "--r-min", "0.9999999", "--r-max", "0.99999999",
+              "--r-steps", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["grid"]["r"] == [0.9999999, 0.99999999]
+    crossing = next(c for c in report["checks"] if c["name"] == "crossing_alpha_star")
+    assert crossing["pass"]
+    assert crossing["worst_at"]["alpha_star"] == 0.49
 
 
 def test_quick_battery_makes_the_pinned_checks_in_order():
