@@ -221,23 +221,29 @@ def _success_weighted_moments(t: np.ndarray) -> np.ndarray:
     return moments
 
 
+def _fidelity_pair(direction: Direction, g: ChannelParams) -> tuple:
+    # (plain, postselected) averaged fidelity over the grid g, postselected None where it does
+    # not apply: s->p's two share one evaluation of the success-weighted moments
+    t = g.t
+    if direction is Direction.P_TO_C:
+        return _pc_average(g), None
+    if direction is Direction.C_TO_P:
+        q = g.coherence_factor
+        return t * t * (2.0 + q) / 3.0, (2.0 + q) / 3.0
+    if direction is Direction.P_TO_S:
+        return (t * t + 2.0 * t + 3.0) / 6.0, None
+    a1, a2, a3 = _success_weighted_moments(t)
+    return (_each(pow, t, 4) * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3,
+            t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3)
+
+
 def avg_fidelity(direction: Direction, params: ChannelParams,
                  postselected: bool = False):
     """Closed-form Bloch average of the per-input fidelity: a float, or an array on a grid."""
     check_postselection(direction, postselected)
     g, answer = _grid(params)
-    t = g.t
-    if direction is Direction.P_TO_C:
-        return answer(_pc_average(g))
-    if direction is Direction.C_TO_P:
-        q = g.coherence_factor
-        return answer((2.0 + q) / 3.0 if postselected else t * t * (2.0 + q) / 3.0)
-    if direction is Direction.P_TO_S:
-        return answer((t * t + 2.0 * t + 3.0) / 6.0)
-    a1, a2, a3 = _success_weighted_moments(t)
-    if postselected:
-        return answer(t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3)
-    return answer(_each(pow, t, 4) * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3)
+    plain, post = _fidelity_pair(direction, g)
+    return answer(post if postselected else plain)
 
 
 def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
@@ -296,15 +302,23 @@ def _overlap_success(g: ChannelParams) -> np.ndarray:
     ))
 
 
+def _success_pair(direction: Direction, g: ChannelParams) -> tuple:
+    # (plain, postselected) averaged success probability over the grid g, as _fidelity_pair:
+    # c->p's two share one evaluation of the overlap success
+    t = g.t
+    if not direction.onto_polarization:
+        return t * t / 2.0, None
+    base = _overlap_success(g) if direction is Direction.C_TO_P else np.full(t.shape, 0.5)
+    return base, base * t * t / 2.0
+
+
 def avg_success_probability(direction: Direction, params: ChannelParams,
                             postselected: bool = False):
     """Closed-form Bloch average of the per-input success probability, as avg_fidelity."""
     check_postselection(direction, postselected)
     g, answer = _grid(params)
-    if not direction.onto_polarization:
-        return answer(g.t * g.t / 2.0)
-    base = _overlap_success(g) if direction is Direction.C_TO_P else np.full(g.t.shape, 0.5)
-    return answer(base * g.t * g.t / 2.0 if postselected else base)
+    plain, post = _success_pair(direction, g)
+    return answer(post if postselected else plain)
 
 
 def avg_success_quadrature(direction: Direction, params: ChannelParams,

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hybrid_teleport import cli
+from hybrid_teleport import averages, cli
 
 
 def run(*argv):
@@ -24,13 +24,16 @@ def read_csv(path):
 
 
 # the float cells the commands write, numpy's float64 included; a column may hold one value
-# throughout, which _csv_lines puts into its row template once
+# throughout, which _csv_lines puts into its row template once, or repeat an earlier column,
+# which it formats once
 FLOATS = st.one_of(st.floats(), st.floats().map(np.float64))
 
 
 def _columns(n_rows):
-    return st.lists(st.one_of(st.lists(FLOATS, min_size=n_rows, max_size=n_rows),
-                              FLOATS.map(lambda value: [value] * n_rows)), min_size=1, max_size=6)
+    drawn = st.lists(st.one_of(st.lists(FLOATS, min_size=n_rows, max_size=n_rows),
+                               FLOATS.map(lambda value: [value] * n_rows)), min_size=1, max_size=6)
+    return drawn.flatmap(lambda columns: st.lists(st.sampled_from(columns), max_size=3).map(
+        lambda repeats: columns + repeats))
 
 
 class TestCsvWriter:
@@ -53,28 +56,183 @@ class TestCsvWriter:
         assert (self._written(out, header, self.COLUMNS)
                 == oracles.csv_text(header, zip(*self.COLUMNS)).encode("ascii"))
 
-    def test_row_groups_match_the_per_value_reference(self, tmp_path):
-        # several rows per grid point, with fixed text (a '%' included), a formatted column
-        # shared by both rows, a constant column and one of +-0.0 that is not constant
-        n = 5
-        formatted = [f"p{i}" for i in range(n)]
-        rows = [[formatted, "ps", "", np.array(self.COLUMNS[0]), "100%"],
-                [formatted, "pc", np.array(self.COLUMNS[3]), np.array(self.COLUMNS[4]), "oracle"]]
+    @staticmethod
+    def _rows_written(out, n, rows):
+        # the bytes written from _csv_lines' rows, and those of the per-value reference
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        cli._write_csv(out, header, cli._csv_lines(n, rows))
         cells = [[cell if isinstance(cell, str) else cell[i] for cell in row]
                  for i in range(n) for row in rows]
-        header = ["r", "channel", "alpha", "value", "engine"]
-        out = tmp_path / "groups.csv"
-        cli._write_csv(out, header, cli._csv_lines(n, rows))
-        assert out.read_bytes() == oracles.csv_text(header, cells).encode("ascii")
+        return out.read_bytes(), oracles.csv_text(header, cells).encode("ascii")
+
+    def test_row_groups_match_the_per_value_reference(self, tmp_path):
+        # several rows per grid point, with fixed text (a '%' included), a float column
+        # shared by both rows, a constant column and one of +-0.0 that is not constant
+        r = np.linspace(0.0, 0.95, 5)
+        rows = [[r, "ps", "", np.array(self.COLUMNS[0]), "100%"],
+                [r, "pc", np.array(self.COLUMNS[3]), np.array(self.COLUMNS[4]), "oracle"]]
+        written, expected = self._rows_written(tmp_path / "groups.csv", 5, rows)
+        assert written == expected
+
+    X = np.array([0.1, 1 / 3, -7.0, 5e-324])
+    ZEROS = np.array([0.0, 1.0, 0.0, 2.0])  # equal to NEG_ZEROS, but not bit for bit
+    NEG_ZEROS = np.array([-0.0, 1.0, -0.0, 2.0])
+    NANS = np.array([math.nan, 1.0, -math.nan, math.inf])
+
+    @pytest.mark.parametrize("rows", [
+        [[X, X, "x", X]],
+        [[X, "a"], [X.copy(), "b"], [X[::-1][::-1], "c"]],
+        [[ZEROS, NEG_ZEROS, ZEROS, NEG_ZEROS, np.zeros(4), -np.zeros(4)]],
+        [[NANS, X, NANS], [np.full(4, math.nan), NANS, X]],
+    ], ids=["one-row", "across-rows", "signed-zeros", "nan"])
+    def test_repeated_columns_match_the_per_value_reference(self, rows, tmp_path):
+        written, expected = self._rows_written(tmp_path / "repeated.csv", 4, rows)
+        assert written == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_each_repeated_column_is_formatted_once(self, n, monkeypatch):
+        # a repeated column is formatted by a call of its own, shared by every cell it fills;
+        # one of one value goes into the template instead, and at n = 0 x and y are bit-equal
+        calls = []
+        original = cli._csv_lines
+
+        def counted(m, rows):
+            calls.append(rows)
+            return original(m, rows)
+
+        monkeypatch.setattr(cli, "_csv_lines", counted)
+        x, y = np.arange(n) + 0.5, np.arange(n) - 0.5
+        lines = cli._csv_lines(n, [[x, y, x], [y, np.full(n, 2.0), np.full(n, 2.0)]])
+        assert lines == [line for a, b in zip(x, y)
+                         for line in ("%.12g,%.12g,%.12g" % (a, b, a), "%.12g,2,2" % b)]
+        assert all(len(rows) == 1 and len(rows[0]) == 1 for rows in calls[1:])
+        formatted = {rows[0][0].tobytes() for rows in calls[1:]}
+        assert len(formatted) == len(calls) - 1
+        assert formatted == (set() if n == 1 else {x.tobytes(), y.tobytes()})
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=8).flatmap(_columns))
+    @example([[], []])
     def test_any_float_columns_match_the_per_value_reference(self, tmp_path_factory, columns):
         header = [f"c{i}" for i in range(len(columns))]
         out = tmp_path_factory.mktemp("csv") / "columns.csv"
         assert (self._written(out, header, columns)
                 == oracles.csv_text(header, zip(*columns)).encode("ascii"))
 
+
+# the parser's help, usage and error texts, at an 80-column terminal
+TOP_USAGE = "usage: hybrid-teleport [-h] {figure,negativity,average,teleport,verify} ...\n"
+TOP_HELP = TOP_USAGE + """
+teleportation between polarization and field-mode qubits under photon loss
+
+positional arguments:
+  {figure,negativity,average,teleport,verify}
+    figure              CSV data behind one reference figure
+    negativity          negativity sweep (long-format CSV)
+    average             averaged fidelity/probability sweep (CSV)
+    teleport            single teleportation evaluation (JSON)
+    verify              oracle-vs-closed-form battery
+
+options:
+  -h, --help            show this help message and exit
+"""
+AVERAGE_HELP = """\
+usage: hybrid-teleport average [-h] [--direction DIRECTION] [--config CONFIG]
+                               [--out OUT] [--alpha ALPHA] [--r-min R_MIN]
+                               [--r-max R_MAX] [--r-steps R_STEPS]
+
+options:
+  -h, --help            show this help message and exit
+  --direction DIRECTION
+                        p-to-c, c-to-p, p-to-s, s-to-p or all
+  --config CONFIG       flat key = value config file
+  --out OUT             output path
+  --alpha ALPHA         comma-separated amplitude list
+  --r-min R_MIN
+  --r-max R_MAX
+  --r-steps R_STEPS
+"""
+TELEPORT_MISSING = """\
+usage: hybrid-teleport teleport [-h] --direction DIRECTION --theta THETA --phi
+                                PHI [--t T] [--r R] [--postselected]
+                                [--config CONFIG] [--out OUT] [--alpha ALPHA]
+                                [--engine {auto,analytic,oracle,both}]
+                                [--truncation TRUNCATION]
+hybrid-teleport teleport: error: the following arguments are required: --direction, --theta, --phi
+"""
+# case -> (argv, exit status, stdout, stderr)
+PARSER_TEXTS = {
+    "help": (("--help",), 0, TOP_HELP, ""),
+    "average-help": (("average", "--help"), 0, AVERAGE_HELP, ""),
+    "unknown-command": (("bogus",), 2, "", TOP_USAGE + (
+        "hybrid-teleport: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'figure', 'negativity', 'average', 'teleport', 'verify')\n")),
+    "teleport-bogus": (("teleport", "--bogus"), 2, "", TELEPORT_MISSING),
+    "teleport-missing": (("teleport",), 2, "", TELEPORT_MISSING),
+    "teleport-unrecognized": (
+        ("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0", "--bogus"), 2, "",
+        TOP_USAGE + "hybrid-teleport: error: unrecognized arguments: --bogus\n"),
+}
+
+def outcome(argv, capsys, parser=None):
+    """(exit status, stdout, stderr) of the command argv, run by main or through ``parser``."""
+    try:
+        if parser is None:
+            code = cli.main(list(argv))
+        else:
+            args = parser.parse_args(list(argv))
+            code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+class TestParser:
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+
+    @pytest.mark.parametrize("case", list(PARSER_TEXTS))
+    def test_texts_are_pinned(self, case, capsys):
+        argv, *expected = PARSER_TEXTS[case]
+        assert outcome(argv, capsys) == outcome(argv, capsys, cli.build_parser()) == tuple(expected)
+
+    def test_no_state_carries_over_between_calls(self, monkeypatch, tmp_path, capsys):
+        # main's one parser gives what a fresh parser gives, call after call
+        out = tmp_path / "x.csv"
+
+        def written():
+            data = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return data
+
+        commands = [
+            ("average", "--direction", "p-to-s", "--alpha", "0.5", "--r-steps", "3",
+             "--out", str(out)),
+            ("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0"),
+            ("teleport", "--direction", "p-to-s", "--theta", "1", "--bogus"),
+        ]
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv in commands:
+            results.append((outcome(argv, capsys), written()))
+            assert results[-1] == (outcome(argv, capsys, cli.build_parser()), written())
+        assert [code for (code, _, _), _ in results] == [0, 0, 2]
+        assert results[0][1] is not None and "required: --phi" in results[2][0][2]
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(2):
+            assert run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0") == 0
+        assert len(built) == 1
 
 class TestFigureCommand:
     def test_fig1_columns_and_determinism(self, tmp_path):
@@ -273,6 +431,33 @@ class TestSweepCommands:
         assert header[2] == "direction"
         assert all(row[2] == "c->p" for row in rows)
         assert all(row[-1] == "analytic" for row in rows)
+
+    def test_average_does_each_shared_piece_once(self, monkeypatch, tmp_path):
+        # per amplitude, one s->p moment and one c->p overlap evaluation serve the plain and the
+        # postselected columns; t^2/2 (p->c and p->s success, the same at every amplitude) and r
+        # are formatted once in all
+        counts = {"_success_weighted_moments": 0, "_overlap_success": 0}
+        for name in counts:
+            def counted(*args, original=getattr(averages, name), name=name):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(averages, name, counted)
+        calls = []
+        original = cli._csv_lines
+
+        def recorded(n, rows):
+            calls.append(rows)
+            return original(n, rows)
+
+        monkeypatch.setattr(cli, "_csv_lines", recorded)
+        assert run("average", "--direction", "all", "--alpha", "0.5,2", "--r-steps", "5",
+                   "--out", str(tmp_path / "x.csv")) == 0
+        assert counts == {"_success_weighted_moments": 2, "_overlap_success": 2}
+        r = np.linspace(0.0, 0.95, 5)
+        t = cli.ChannelParams.from_r(r, 2.0).t
+        formatted = [rows[0][0].tobytes() for rows in calls[1:]]  # after the command's own call
+        assert len(formatted) == len(set(formatted))
+        assert {r.tobytes(), (t * t / 2.0).tobytes()} <= set(formatted)
 
     @pytest.mark.parametrize("argv, name, column", [
         (("average", "--direction", "p-to-c"), "x.csv", "avg_fidelity"),
