@@ -221,20 +221,21 @@ def _success_weighted_moments(t: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _fidelity_pair(direction: Direction, g: ChannelParams) -> tuple:
-    # (plain, postselected) averaged fidelity over the grid g, postselected None where it does
-    # not apply: s->p's two share one evaluation of the success-weighted moments
+def _fidelities(direction: Direction, g: ChannelParams, postselected: tuple) -> list:
+    # the averaged fidelity over the grid g for each flag in postselected, (False,) off
+    # polarization: s->p's share one evaluation of the success-weighted moments
     t = g.t
     if direction is Direction.P_TO_C:
-        return _pc_average(g), None
+        return [_pc_average(g)]
+    if direction is Direction.P_TO_S:
+        return [(t * t + 2.0 * t + 3.0) / 6.0]
     if direction is Direction.C_TO_P:
         q = g.coherence_factor
-        return t * t * (2.0 + q) / 3.0, (2.0 + q) / 3.0
-    if direction is Direction.P_TO_S:
-        return (t * t + 2.0 * t + 3.0) / 6.0, None
+        return [(2.0 + q) / 3.0 if post else t * t * (2.0 + q) / 3.0 for post in postselected]
     a1, a2, a3 = _success_weighted_moments(t)
-    return (_each(pow, t, 4) * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3,
-            t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3)
+    return [t * t * a1 + a2 + (1.0 + 2.0 * t - t * t) * a3 if post
+            else _each(pow, t, 4) * a1 + t * t * a2 + t * t * (1.0 + 2.0 * t - t * t) * a3
+            for post in postselected]
 
 
 def avg_fidelity(direction: Direction, params: ChannelParams,
@@ -242,8 +243,8 @@ def avg_fidelity(direction: Direction, params: ChannelParams,
     """Closed-form Bloch average of the per-input fidelity: a float, or an array on a grid."""
     check_postselection(direction, postselected)
     g, answer = _grid(params)
-    plain, post = _fidelity_pair(direction, g)
-    return answer(post if postselected else plain)
+    (value,) = _fidelities(direction, g, (postselected,))
+    return answer(value)
 
 
 def avg_fidelity_quadrature(direction: Direction, params: ChannelParams,
@@ -302,14 +303,14 @@ def _overlap_success(g: ChannelParams) -> np.ndarray:
     ))
 
 
-def _success_pair(direction: Direction, g: ChannelParams) -> tuple:
-    # (plain, postselected) averaged success probability over the grid g, as _fidelity_pair:
-    # c->p's two share one evaluation of the overlap success
+def _successes(direction: Direction, g: ChannelParams, postselected: tuple) -> list:
+    # the averaged success probability over the grid g for each flag in postselected, as
+    # _fidelities: c->p's share one evaluation of the overlap success
     t = g.t
     if not direction.onto_polarization:
-        return t * t / 2.0, None
+        return [t * t / 2.0]
     base = _overlap_success(g) if direction is Direction.C_TO_P else np.full(t.shape, 0.5)
-    return base, base * t * t / 2.0
+    return [base * t * t / 2.0 if post else base for post in postselected]
 
 
 def avg_success_probability(direction: Direction, params: ChannelParams,
@@ -317,8 +318,8 @@ def avg_success_probability(direction: Direction, params: ChannelParams,
     """Closed-form Bloch average of the per-input success probability, as avg_fidelity."""
     check_postselection(direction, postselected)
     g, answer = _grid(params)
-    plain, post = _success_pair(direction, g)
-    return answer(post if postselected else plain)
+    (value,) = _successes(direction, g, (postselected,))
+    return answer(value)
 
 
 def avg_success_quadrature(direction: Direction, params: ChannelParams,

@@ -6,18 +6,18 @@ it reads, as flags or config-file keys; any other common option is refused.
 
 All CSV output is deterministic: fixed column order, floats at 12 significant
 digits, '\\n' line endings, every CSV's rows formatted by ``_csv_lines`` in one
-``%`` pass over a row template, a column repeated bit for bit (r, t^2/2)
-formatted once. ``main`` parses with one parser per process, built on first use.
-Oracle (brute-force) evaluations are limited to alpha <= 2; larger amplitudes
-are served by the closed forms and marked engine=analytic.
+``%`` pass over a row template. ``main`` parses with one parser, built on its
+first call and kept until ``_parser.cache_clear()``. Oracle (brute-force)
+evaluations are limited to alpha <= 2; larger amplitudes are served by the
+closed forms and marked engine=analytic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +26,8 @@ import numpy as np
 from . import verify as verify_mod
 from .averages import (
     QuadratureSpec,
-    _fidelity_pair,
-    _success_pair,
+    _fidelities,
+    _successes,
     avg_fidelity,
     avg_success_probability,
     classical_limit,
@@ -84,38 +84,27 @@ class SweepConfig:
 
 
 def _csv_lines(n: int, rows: list[list]) -> list[str]:
-    # at each of n points, a line per row of cells: fixed text or a float column
+    # at each of n points, a line per row of cells: fixed text, a formatted column (list of
+    # str) or a float column, written into the template once if it holds one value, bit for bit
     from itertools import chain
-    template, columns = _row_template(n, rows)
-    return (template * n % tuple(chain.from_iterable(zip(*columns)))).split("\n")[:-1]
-
-
-def _row_template(n: int, rows: list[list]) -> tuple[str, list[list]]:
-    # _csv_lines' template for one point and the columns that fill it. A column of one value
-    # goes into the template once; one bit-equal to another in the call is formatted once, by
-    # a call of _csv_lines of its own, and shared. The byte keys copy every column, so they
-    # are let go before the text is built.
-    rows = [[cell if isinstance(cell, str) else np.asarray(cell, dtype=float) for cell in row]
-            for row in rows]
-    uses = Counter(cell.tobytes() for row in rows for cell in row if not isinstance(cell, str))
-    shared, template, columns = {}, [], []
+    template, columns = [], []
     for row in rows:
         cells = []
         for cell in row:
             if isinstance(cell, str):
                 cells.append(cell.replace("%", "%%"))
-            elif cell.size and (cell.view(np.int64) == cell.view(np.int64)[0]).all():
-                cells.append("%.12g" % cell[0])
-            elif uses[key := cell.tobytes()] > 1:
-                if key not in shared:
-                    shared[key] = _csv_lines(n, [[cell]])
+            elif isinstance(cell, list):
                 cells.append("%s")
-                columns.append(shared[key])
+                columns.append(cell)
             else:
-                cells.append("%.12g")
-                columns.append(cell.tolist())
+                cell = np.asarray(cell, dtype=float)
+                if cell.size and (cell.view(np.int64) == cell.view(np.int64)[0]).all():
+                    cells.append("%.12g" % cell[0])
+                else:
+                    cells.append("%.12g")
+                    columns.append(cell.tolist())
         template.append(",".join(cells) + "\n")
-    return "".join(template), columns
+    return ("".join(template) * n % tuple(chain.from_iterable(zip(*columns)))).split("\n")[:-1]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
@@ -314,9 +303,10 @@ def cmd_negativity(args: argparse.Namespace) -> int:
         if "oracle" in engines[a]:
             _check_truncation(cfg.truncation, a)
     r = np.array(cfg.r_grid())
+    r_cells = _csv_lines(r.size, [[r]])  # formatted once, shared by every row at a point
     ps, pc = (value for _, value in _FIGURES["fig1"][2])  # fig1's two columns, in long format
-    rows = [[r, "ps", "", np.asarray(ps(r, None, None)), "analytic"]]
-    rows += [[r, "pc", "%.12g" % a, np.asarray(pc(r, a, (eng, cfg.truncation))), eng]
+    rows = [[r_cells, "ps", "", np.asarray(ps(r, None, None)), "analytic"]]
+    rows += [[r_cells, "pc", "%.12g" % a, np.asarray(pc(r, a, (eng, cfg.truncation))), eng]
              for a in alphas for eng in engines[a]]
     _write_csv(out, ["r", "channel", "alpha", "negativity", "engine"], _csv_lines(r.size, rows))
     print(out)
@@ -336,16 +326,18 @@ def cmd_average(args: argparse.Namespace) -> int:
               "classical_limit", "avg_fidelity_postselected",
               "avg_success_postselected", "engine"]
     r = np.array(cfg.r_grid())
+    r_cells = _csv_lines(r.size, [[r]])  # formatted once, shared by every row at a point
     rows = []
     for a in alphas:
         grid = ChannelParams.from_r(r, a)
         for d in directions:
-            # each pair's plain and postselected columns share their common piece
-            (fidelity, fidelity_post), (success, success_post) = (
-                _fidelity_pair(d, grid), _success_pair(d, grid))
-            post = [fidelity_post, success_post] if d.onto_polarization else ["", ""]
-            rows.append([r, "%.12g" % a, d.value, fidelity, success, classical_limit(d, grid),
-                         *post, "analytic"])
+            # a direction's plain and postselected columns share one evaluation of their
+            # common piece
+            flags = (False, True) if d.onto_polarization else (False,)
+            fidelity, success = _fidelities(d, grid, flags), _successes(d, grid, flags)
+            post = [fidelity[1], success[1]] if d.onto_polarization else ["", ""]
+            rows.append([r_cells, "%.12g" % a, d.value, fidelity[0], success[0],
+                         classical_limit(d, grid), *post, "analytic"])
     _write_csv(out, header, _csv_lines(r.size, rows))
     print(out)
     return 0
@@ -481,18 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser, built on its first call and kept for the process: argparse keeps no state
-# between parses. Not an lru_cache, which benchmarks/tracing.clear_program_caches empties: a
-# parser rebuilt after every clear stays live among the next run's allocations, and that
-# raised the peak RSS of a loop of verify batteries
-_parser: argparse.ArgumentParser | None = None
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call and kept until cache_clear(): argparse keeps no
+    # state between parses
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

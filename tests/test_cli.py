@@ -24,8 +24,7 @@ def read_csv(path):
 
 
 # the float cells the commands write, numpy's float64 included; a column may hold one value
-# throughout, which _csv_lines puts into its row template once, or repeat an earlier column,
-# which it formats once
+# throughout, which _csv_lines puts into its row template once, or repeat an earlier column
 FLOATS = st.one_of(st.floats(), st.floats().map(np.float64))
 
 
@@ -66,11 +65,11 @@ class TestCsvWriter:
         return out.read_bytes(), oracles.csv_text(header, cells).encode("ascii")
 
     def test_row_groups_match_the_per_value_reference(self, tmp_path):
-        # several rows per grid point, with fixed text (a '%' included), a float column
+        # several rows per grid point, with fixed text (a '%' included), a formatted column
         # shared by both rows, a constant column and one of +-0.0 that is not constant
-        r = np.linspace(0.0, 0.95, 5)
-        rows = [[r, "ps", "", np.array(self.COLUMNS[0]), "100%"],
-                [r, "pc", np.array(self.COLUMNS[3]), np.array(self.COLUMNS[4]), "oracle"]]
+        formatted = [f"p{i}" for i in range(5)]
+        rows = [[formatted, "ps", "", np.array(self.COLUMNS[0]), "100%"],
+                [formatted, "pc", np.array(self.COLUMNS[3]), np.array(self.COLUMNS[4]), "oracle"]]
         written, expected = self._rows_written(tmp_path / "groups.csv", 5, rows)
         assert written == expected
 
@@ -88,27 +87,6 @@ class TestCsvWriter:
     def test_repeated_columns_match_the_per_value_reference(self, rows, tmp_path):
         written, expected = self._rows_written(tmp_path / "repeated.csv", 4, rows)
         assert written == expected
-
-    @pytest.mark.parametrize("n", [0, 1, 3])
-    def test_each_repeated_column_is_formatted_once(self, n, monkeypatch):
-        # a repeated column is formatted by a call of its own, shared by every cell it fills;
-        # one of one value goes into the template instead, and at n = 0 x and y are bit-equal
-        calls = []
-        original = cli._csv_lines
-
-        def counted(m, rows):
-            calls.append(rows)
-            return original(m, rows)
-
-        monkeypatch.setattr(cli, "_csv_lines", counted)
-        x, y = np.arange(n) + 0.5, np.arange(n) - 0.5
-        lines = cli._csv_lines(n, [[x, y, x], [y, np.full(n, 2.0), np.full(n, 2.0)]])
-        assert lines == [line for a, b in zip(x, y)
-                         for line in ("%.12g,%.12g,%.12g" % (a, b, a), "%.12g,2,2" % b)]
-        assert all(len(rows) == 1 and len(rows[0]) == 1 for rows in calls[1:])
-        formatted = {rows[0][0].tobytes() for rows in calls[1:]}
-        assert len(formatted) == len(calls) - 1
-        assert formatted == (set() if n == 1 else {x.tobytes(), y.tobytes()})
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=8).flatmap(_columns))
@@ -174,6 +152,7 @@ PARSER_TEXTS = {
         TOP_USAGE + "hybrid-teleport: error: unrecognized arguments: --bogus\n"),
 }
 
+
 def outcome(argv, capsys, parser=None):
     """(exit status, stdout, stderr) of the command argv, run by main or through ``parser``."""
     try:
@@ -212,7 +191,7 @@ class TestParser:
             ("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0"),
             ("teleport", "--direction", "p-to-s", "--theta", "1", "--bogus"),
         ]
-        monkeypatch.setattr(cli, "_parser", None)
+        cli._parser.cache_clear()
         results = []
         for argv in commands:
             results.append((outcome(argv, capsys), written()))
@@ -229,10 +208,11 @@ class TestParser:
             return original()
 
         monkeypatch.setattr(cli, "build_parser", counted)
-        monkeypatch.setattr(cli, "_parser", None)
+        cli._parser.cache_clear()
         for _ in range(2):
             assert run("teleport", "--direction", "p-to-s", "--theta", "1", "--phi", "0") == 0
         assert len(built) == 1
+
 
 class TestFigureCommand:
     def test_fig1_columns_and_determinism(self, tmp_path):
@@ -434,30 +414,16 @@ class TestSweepCommands:
 
     def test_average_does_each_shared_piece_once(self, monkeypatch, tmp_path):
         # per amplitude, one s->p moment and one c->p overlap evaluation serve the plain and the
-        # postselected columns; t^2/2 (p->c and p->s success, the same at every amplitude) and r
-        # are formatted once in all
+        # postselected columns
         counts = {"_success_weighted_moments": 0, "_overlap_success": 0}
         for name in counts:
             def counted(*args, original=getattr(averages, name), name=name):
                 counts[name] += 1
                 return original(*args)
             monkeypatch.setattr(averages, name, counted)
-        calls = []
-        original = cli._csv_lines
-
-        def recorded(n, rows):
-            calls.append(rows)
-            return original(n, rows)
-
-        monkeypatch.setattr(cli, "_csv_lines", recorded)
         assert run("average", "--direction", "all", "--alpha", "0.5,2", "--r-steps", "5",
                    "--out", str(tmp_path / "x.csv")) == 0
         assert counts == {"_success_weighted_moments": 2, "_overlap_success": 2}
-        r = np.linspace(0.0, 0.95, 5)
-        t = cli.ChannelParams.from_r(r, 2.0).t
-        formatted = [rows[0][0].tobytes() for rows in calls[1:]]  # after the command's own call
-        assert len(formatted) == len(set(formatted))
-        assert {r.tobytes(), (t * t / 2.0).tobytes()} <= set(formatted)
 
     @pytest.mark.parametrize("argv, name, column", [
         (("average", "--direction", "p-to-c"), "x.csv", "avg_fidelity"),
