@@ -25,9 +25,7 @@ from .fock import (
     LayoutError,
     ModeKind,
     ModeLayout,
-    StateVector,
     TruncationError,
-    basis_ket,
     beam_splitter_50_50,
     coherent_ket,
     coherent_tail_mass,
@@ -39,7 +37,6 @@ from .fock import (
     partial_transpose,
     polarization_mode,
     qubit_mode,
-    tensor,
     trace_distance,
 )
 from .averages import (
@@ -57,10 +54,8 @@ from .averages import (
 from .teleport import (
     BlochInput,
     Direction,
-    bell_state_polarization,
     closed_summary,
     pipeline_summary,
-    postselect_polarization,
     teleport_c_to_p,
     teleport_p_to_c,
     teleport_p_to_s,
@@ -83,9 +78,7 @@ __all__ = [
     "LayoutError",
     "ModeKind",
     "ModeLayout",
-    "StateVector",
     "TruncationError",
-    "basis_ket",
     "beam_splitter_50_50",
     "coherent_ket",
     "coherent_tail_mass",
@@ -97,7 +90,6 @@ __all__ = [
     "partial_transpose",
     "polarization_mode",
     "qubit_mode",
-    "tensor",
     "trace_distance",
     "QuadratureSpec",
     "avg_fidelity",
@@ -111,10 +103,8 @@ __all__ = [
     "moment_integral",
     "BlochInput",
     "Direction",
-    "bell_state_polarization",
     "closed_summary",
     "pipeline_summary",
-    "postselect_polarization",
     "teleport_c_to_p",
     "teleport_p_to_c",
     "teleport_p_to_s",

@@ -22,15 +22,12 @@ from .fock import (
     VAC_IDX,
     DensityOperator,
     ModeKind,
-    StateVector,
-    basis_ket,
     coherent_ket,
     default_fock_dim,
     fock_mode,
     layout_of,
     polarization_mode,
     qubit_mode,
-    tensor,
 )
 
 ALPHA_MAX = math.sqrt(sys.float_info.max / 2)  # largest alpha whose 2 alpha^2 is finite
@@ -137,20 +134,25 @@ def evolve(rho: DensityOperator, t: float) -> DensityOperator:
     return DensityOperator(rho.layout, full.reshape(rho.matrix.shape))
 
 
-def hybrid_pc_initial(alpha: float, dim: int | None = None) -> StateVector:
-    """(|H>|a> + |V>|-a>)/sqrt(2) on polarization x Fock(dim)."""
+def _hybrid_initial(mode: ModeKind, ket_h: np.ndarray, ket_v: np.ndarray) -> DensityOperator:
+    """The pure state of (|H>|ket_h> + |V>|ket_v>), normalized, on polarization x mode."""
+    rows = np.eye(3, dtype=complex)
+    v = np.kron(rows[H_IDX], ket_h) + np.kron(rows[V_IDX], ket_v)
+    v = v / np.linalg.norm(v)
+    return DensityOperator(layout_of(polarization_mode(), mode), np.outer(v, v.conj()))
+
+
+def hybrid_pc_initial(alpha: float, dim: int | None = None) -> DensityOperator:
+    """(|H>|a> + |V>|-a>)/sqrt(2) on polarization x Fock(dim), as a pure density operator."""
     if dim is None:
         dim = default_fock_dim(alpha)
-    ket_h = tensor(basis_ket(polarization_mode(), H_IDX), coherent_ket(alpha, dim))
-    ket_v = tensor(basis_ket(polarization_mode(), V_IDX), coherent_ket(-alpha, dim))
-    return StateVector(ket_h.layout, ket_h.amplitudes + ket_v.amplitudes).normalized()
+    return _hybrid_initial(fock_mode(dim), coherent_ket(alpha, dim), coherent_ket(-alpha, dim))
 
 
-def hybrid_ps_initial() -> StateVector:
-    """(|H>|0> + |V>|1>)/sqrt(2) on polarization x qubit."""
-    ket_h = tensor(basis_ket(polarization_mode(), H_IDX), basis_ket(qubit_mode(), 0))
-    ket_v = tensor(basis_ket(polarization_mode(), V_IDX), basis_ket(qubit_mode(), 1))
-    return StateVector(ket_h.layout, ket_h.amplitudes + ket_v.amplitudes).normalized()
+def hybrid_ps_initial() -> DensityOperator:
+    """(|H>|0> + |V>|1>)/sqrt(2) on polarization x qubit, as a pure density operator."""
+    rows = np.eye(2, dtype=complex)
+    return _hybrid_initial(qubit_mode(), rows[0], rows[1])
 
 
 def _pol_dyad(i: int, j: int) -> np.ndarray:
@@ -170,8 +172,8 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
         dim = default_fock_dim(params.alpha)
     t, alpha = params.t, params.alpha
     q = params.coherence_factor
-    plus = coherent_ket(t * alpha, dim).amplitudes
-    minus = coherent_ket(-t * alpha, dim).amplitudes
+    plus = coherent_ket(t * alpha, dim)
+    minus = coherent_ket(-t * alpha, dim)
     dy_pp = np.outer(plus, plus.conj())
     dy_mm = np.outer(minus, minus.conj())
     dy_pm = np.outer(plus, minus.conj())

@@ -1,10 +1,10 @@
 """Dense complex linear algebra over truncated Fock spaces and small optical modes.
 
-States and operators are numpy arrays tagged with a :class:`ModeLayout` that
-records the tensor factors, so multi-mode reshapes such as the partial
-transpose stay explicit. Every value is immutable after construction and every
-operation is a pure function, so everything here is safe to evaluate
-concurrently.
+Pure states and operators are plain numpy arrays. Only channels, the
+:class:`DensityOperator`, are tagged with a :class:`ModeLayout` that records
+their tensor factors, so multi-mode reshapes such as the partial transpose stay
+explicit. Every value is immutable after construction and every operation is a
+pure function, so everything here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -100,40 +100,6 @@ def _check_same_layout(a, b) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Pure state: complex amplitude vector tagged with its layout.
-
-    States compare and hash by identity, as :class:`DensityOperator` does.
-    """
-
-    layout: ModeLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.layout.total_dim,):
-            raise LayoutError(
-                f"amplitude length {amps.shape} does not match layout dim "
-                f"{self.layout.total_dim}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n < 1e-150:
-            raise ValueError("cannot normalize a (numerically) zero state")
-        return StateVector(self.layout, self.amplitudes / n)
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(
-            self.layout, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Dense Hermitian PSD operator tagged with its layout.
 
@@ -153,15 +119,6 @@ class DensityOperator:
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-
-def basis_ket(kind: ModeKind, index: int) -> StateVector:
-    """Single-mode computational basis vector |index>."""
-    if not 0 <= index < kind.dim:
-        raise ValueError(f"basis index {index} out of range for dim {kind.dim}")
-    v = np.zeros(kind.dim, dtype=complex)
-    v[index] = 1.0
-    return StateVector(layout_of(kind), v)
 
 
 # Cephes lgam: log(sqrt(2 pi)) and the Stirling correction coefficients.
@@ -220,8 +177,8 @@ def coherent_tail_mass(amplitude: float, dim: int) -> float:
     return max(0.0, 1.0 - float(c @ c))
 
 
-def coherent_ket(amplitude: float, dim: int) -> StateVector:
-    """Truncated coherent state of real amplitude on a Fock(dim) mode.
+def coherent_ket(amplitude: float, dim: int) -> np.ndarray:
+    """Truncated coherent state of real amplitude on Fock(dim), as read-only complex amplitudes.
 
     The amplitudes are renormalized after truncation; if the discarded tail
     mass exceeds ``COHERENT_TAIL_TOL`` the cutoff is too small and a
@@ -236,28 +193,15 @@ def coherent_ket(amplitude: float, dim: int) -> StateVector:
             f"coherent tail mass {tail:.3e} at dim={dim} exceeds {COHERENT_TAIL_TOL:g}; "
             f"increase the truncation for amplitude {amplitude!r}"
         )
-    return StateVector(layout_of(fock_mode(dim)), c / np.linalg.norm(c))
+    ket = (c / np.linalg.norm(c)).astype(complex)
+    ket.setflags(write=False)
+    return ket
 
 
 def default_fock_dim(alpha: float) -> int:
     """Truncation rule: even cutoff with coherent tail < 1e-10 up to sqrt(2)*alpha."""
     d = max(16, math.ceil(2 * alpha * alpha + 8 * alpha + 12))
     return d + (d % 2)
-
-
-def tensor(a, b):
-    """Kronecker product with concatenated layout (states or density operators)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            ModeLayout(a.layout.modes + b.layout.modes),
-            np.kron(a.amplitudes, b.amplitudes),
-        )
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(
-            ModeLayout(a.layout.modes + b.layout.modes),
-            np.kron(a.matrix, b.matrix),
-        )
-    raise TypeError("tensor requires two StateVectors or two DensityOperators")
 
 
 def partial_transpose(rho: DensityOperator, mode: int) -> np.ndarray:

@@ -13,7 +13,9 @@ single-rail pair. Each branch is the channel compressed by its outcome's rows
 and conjugated by its correction. The four pipelines forward to one
 measure-and-correct routine, ``_pipeline``, which returns the corrected,
 unnormalized branches as one read-only (outcomes, d, d) stack in table order;
-a branch's probability is its trace.
+a branch's probability is its trace. Only the channel is a
+:class:`DensityOperator`: the bras, the stack and the success mixture that
+:func:`pipeline_summary` returns as ``output`` are plain arrays.
 """
 
 from __future__ import annotations
@@ -34,17 +36,11 @@ from .fock import (
     V_IDX,
     VAC_IDX,
     DensityOperator,
-    ModeLayout,
-    StateVector,
     _overlap_fidelity,
     beam_splitter_edge_rows,
     coherent_ket,
     default_fock_dim,
-    fock_mode,
-    layout_of,
     parity_operator,
-    polarization_mode,
-    qubit_mode,
 )
 
 
@@ -141,24 +137,14 @@ class BlochInput:
 # measurement building blocks
 
 
-def bell_state_polarization(i: int) -> StateVector:
-    """Bell state i of a polarization pair, embedded in the lossy 3x3 space.
-
-    1: (|HH>+|VV>)/sqrt2, 2: (|HH>-|VV>)/sqrt2,
-    3: (|HV>+|VH>)/sqrt2, 4: (|HV>-|VH>)/sqrt2.
-    """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("Bell index must be 1..4")
-    v = np.zeros((3, 3), dtype=complex)
-    first, second = ((H_IDX, H_IDX), (V_IDX, V_IDX)) if i < 3 else ((H_IDX, V_IDX), (V_IDX, H_IDX))
-    v[first] = 1.0
-    v[second] = 1.0 if i in (1, 3) else -1.0
-    return StateVector(layout_of(polarization_mode(), polarization_mode()), v.reshape(-1) / math.sqrt(2))
-
-
-_BELL_BRAS = {label: bell_state_polarization(i).amplitudes.conj()
-              for i, label in enumerate(("bell_phi_plus", "bell_phi_minus",
-                                         "bell_psi_plus", "bell_psi_minus"), start=1)}
+# Bell bras of a polarization pair, (<HH| ± <VV|)/sqrt2 and (<HV| ± <VH|)/sqrt2, as
+# conjugated kets flattened over (input, channel) in the lossy 3x3 space
+_BELL_BRAS = {label: (np.array(ket, dtype=complex) / math.sqrt(2)).conj() for label, ket in (
+    ("bell_phi_plus", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ("bell_phi_minus", (1, 0, 0, 0, -1, 0, 0, 0, 0)),
+    ("bell_psi_plus", (0, 1, 0, 1, 0, 0, 0, 0, 0)),
+    ("bell_psi_minus", (0, 1, 0, -1, 0, 0, 0, 0, 0)),
+)}
 # a lost photon: input H or V with the channel's polarization vacuum, two rows
 _BELL_BRAS["photon_loss"] = np.kron(np.eye(3)[[H_IDX, V_IDX]], np.eye(3)[VAC_IDX])
 # single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened,
@@ -304,8 +290,7 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
     more than the channel holds. It is rounding for p->c, p->s and s->p, whose
     rows are complete, and the truncation residue for c->p.
     """
-    beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
-    leftover = _readout_maps(channel, direction, beta)[1]
+    leftover = _readout_maps(channel, direction, _measured_amplitude(direction, params))[1]
     back = 2.0 * _SUM_DIFF  # c_i = sum_x back[i, x] (a, b)_x
     size = 2 * leftover.shape[-1]
     return np.einsum("ix,jy,ijmn->xmyn", back, back, leftover).reshape(size, size)
@@ -313,6 +298,11 @@ def _remainder_choi(direction: Direction, params: ChannelParams,
 
 # ---------------------------------------------------------------------------
 # pipelines
+
+
+def _measured_amplitude(direction: Direction, params: ChannelParams) -> float:
+    """Amplitude beta of the measured mode's qubit levels |±beta>: t alpha for c->p, else 0."""
+    return params.t * params.alpha if direction is Direction.C_TO_P else 0.0
 
 
 @lru_cache(maxsize=16)
@@ -324,7 +314,7 @@ def _cat_parts(beta: float, dim: int) -> tuple[np.ndarray, tuple[float, float]]:
     are exactly orthogonal: an input near the odd cat keeps its precision as
     beta -> 0, where |beta> and |-beta> are nearly parallel.
     """
-    amplitudes = coherent_ket(beta, dim).amplitudes
+    amplitudes = coherent_ket(beta, dim)
     odd = np.arange(dim) % 2 == 1
     parts = np.where([~odd, odd], amplitudes, 0.0)
     parts.setflags(write=False)
@@ -343,13 +333,13 @@ def _pipeline(direction: Direction, inp: BlochInput, params: ChannelParams,
     the corrected, unnormalized branches as one read-only (outcomes, d, d)
     stack in ``_OUTCOMES`` order; each branch's probability is its trace.
     """
-    beta = params.t * params.alpha if direction is Direction.C_TO_P else 0.0
+    beta = _measured_amplitude(direction, params)
     if direction is Direction.C_TO_P and beta <= 0.0:
         raise ValueError("c->p needs alpha > 0")
     if channel is None:
         dim = default_fock_dim(params.alpha) if dim is None else dim
         initial = hybrid_pc_initial(params.alpha, dim) if direction.coherent else hybrid_ps_initial()
-        channel = evolve(initial.density(), params.t)
+        channel = evolve(initial, params.t)
     a, b = inp.a, inp.b
     x, y = a + b, a - b
     if direction is Direction.C_TO_P:
@@ -410,35 +400,25 @@ def teleport_s_to_p(inp: BlochInput, params: ChannelParams,
     return _pipeline(Direction.S_TO_P, inp, params, channel=channel)
 
 
-def postselect_polarization(rho: DensityOperator) -> tuple[DensityOperator, float]:
-    """Project a polarization state onto its photon-present subspace.
+def _postselect(output: np.ndarray) -> tuple[np.ndarray, float]:
+    """Project a polarization output onto its photon-present subspace.
 
-    Returns the renormalized state and the kept probability, the photon-present
+    Returns the renormalized copy and the kept probability, the photon-present
     populations <H|rho|H> + <V|rho|V>; unlike 1 - <vac|rho|vac>, that sum does
     not cancel as t -> 0. The additional protocol overhead (factor t^2/2 on the
     success probability) is applied by the averaging layer, not here.
     """
-    if len(rho.layout) != 1 or rho.layout.modes[0].label != "polarization":
-        raise ValueError("postselection acts on a single polarization mode")
-    mat = rho.matrix.copy()
+    mat = output.copy()
     kept = float(mat[H_IDX, H_IDX].real + mat[V_IDX, V_IDX].real)
     if kept <= 0.0:
         raise ValueError("no photon-present population to keep")
     mat[VAC_IDX, :] = mat[:, VAC_IDX] = 0.0
     mat /= kept
-    return DensityOperator(rho.layout, mat), kept
+    return mat, kept
 
 
 # ---------------------------------------------------------------------------
 # targets and closed-form per-input quantities
-
-
-@lru_cache(maxsize=8)
-def _kept_layout(direction: Direction, dim: int) -> ModeLayout:
-    """Layout of a direction's output mode, of dimension ``dim``."""
-    if direction is Direction.P_TO_C:
-        return layout_of(fock_mode(dim))
-    return layout_of(polarization_mode() if direction.onto_polarization else qubit_mode())
 
 
 def _target_amplitudes(direction: Direction, inp: BlochInput, params: ChannelParams,
@@ -556,8 +536,9 @@ def pipeline_summary(
 
     Returns the ``stack``, its traces as ``probabilities``, the ``outcomes`` as
     :func:`closed_summary` lists them, the success mixture (postselected when
-    asked) as ``output``, and its ``success_probability`` and ``fidelity`` to
-    the target; a zero success probability raises ValueError.
+    asked) as the read-only (k, k) ``output`` on the kept mode, and its
+    ``success_probability`` and ``fidelity`` to the target; a zero success
+    probability raises ValueError.
     """
     check_postselection(direction, postselected)
     if direction.coherent:
@@ -575,15 +556,15 @@ def pipeline_summary(
     if prob <= 0.0:
         raise ValueError(f"{direction.value} has zero success probability at t = {params.t:g}, "
                          f"alpha = {params.alpha:g}; its output state is undefined")
-    output = DensityOperator(_kept_layout(direction, kept_dim),
-                             np.take(stack, wins, axis=0).sum(axis=0) / prob)
+    output = np.take(stack, wins, axis=0).sum(axis=0) / prob
     if postselected:
         # the photon-arrival filter, then the gadget's Bell measurement
-        output, kept = postselect_polarization(output)
+        output, kept = _postselect(output)
         prob = prob * kept * 0.5
+    output.setflags(write=False)
     target = _target_amplitudes(direction, inp, params, kept_dim)
     return {
-        "fidelity": _overlap_fidelity(target, output.matrix),
+        "fidelity": _overlap_fidelity(target, output),
         "success_probability": prob,
         "outcomes": _outcome_records(direction, listed),
         "probabilities": probs,

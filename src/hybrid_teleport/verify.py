@@ -86,12 +86,12 @@ def _channel_checks(r_grid, oracle_alphas) -> list[dict]:
     pc, ps = [], []
     for alpha in oracle_alphas:
         dim = default_fock_dim(alpha)
-        initial = hybrid_pc_initial(alpha, dim).density()
+        initial = hybrid_pc_initial(alpha, dim)
         for r in r_grid:
             params = ChannelParams.from_r(r, alpha)
             pc.append((trace_distance(evolve(initial, params.t), rho_pc_analytic(params, dim)),
                        {"r": r, "alpha": alpha}))
-    ps_initial = hybrid_ps_initial().density()
+    ps_initial = hybrid_ps_initial()
     for r in r_grid:
         params = ChannelParams.from_r(r, 1.0)
         ps.append((trace_distance(evolve(ps_initial, params.t), rho_ps_analytic(params)), {"r": r}))
@@ -148,13 +148,13 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
     branch_sum, valid, postselected, vacuum = [], [], [], []
     variant_dev = {Direction.P_TO_C: [], Direction.C_TO_P: []}
     fitted_mod, fitted_weight = [], []
-    ps_initial = hybrid_ps_initial().density()
+    ps_initial = hybrid_ps_initial()
 
     # the single-rail directions depend on t alone: first amplitude's pass only
     for k, alpha in enumerate(oracle_alphas):
         directions = tuple(d for d in Direction if k == 0 or d.coherent)
         dim = default_fock_dim(alpha)
-        pc_initial = hybrid_pc_initial(alpha, dim).density()
+        pc_initial = hybrid_pc_initial(alpha, dim)
         for r in pipeline_r:
             params = ChannelParams.from_r(r, alpha)
             chan_pc = evolve(pc_initial, params.t)
@@ -198,7 +198,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             inp = BlochInput(math.pi / 2, 0.0)
             projected = teleport.pipeline_summary(Direction.C_TO_P, inp, params, channel=chan_pc,
                                                   postselected=True)["output"]
-            vacuum.append((float(projected.matrix[VAC_IDX, VAC_IDX].real), None))
+            vacuum.append((float(projected[VAC_IDX, VAC_IDX].real), None))
             prob = teleport.pipeline_summary(Direction.P_TO_C, inp, params,
                                              channel=chan_pc)["success_probability"]
             measured_a = 2.0 * prob / params.t**2 - 1.0  # u = 1 at this input

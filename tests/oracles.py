@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles (explicit index
 loops, quadratic formulas, SVD, dense quadrature, scipy integration, dense
 operators on the whole space) and never calls back into the code paths it
-validates. The helpers at the end are test-only conveniences on the library's
-state types that the library itself does not need.
+validates. The helpers at the end are test-only conveniences on amplitude
+arrays and the library's density operators that the library itself does not
+need.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def schmidt_negativity(psi: np.ndarray, d1: int, d2: int) -> float:
     """Negativity of a pure bipartite state: (sum of Schmidt values)^2 - 1."""
     s = np.linalg.svd(psi.reshape(d1, d2), compute_uv=False)
     return float(np.sum(s) ** 2 - 1.0)
+
+
+def hybrid_pc_ket(alpha: float, dim: int) -> np.ndarray:
+    """(|H>|a> + |V>|-a>)/sqrt(2) over (polarization, Fock(dim)), flattened, from the recurrence."""
+    ket = np.zeros((3, dim), dtype=complex)
+    ket[fk.H_IDX] = coherent_amps(alpha, dim)
+    ket[fk.V_IDX] = coherent_amps(-alpha, dim)
+    ket = ket.reshape(-1)
+    return ket / np.linalg.norm(ket)
 
 
 def sym2x2_eigs(a: float, c: float, b: float) -> tuple[float, float]:
@@ -111,6 +121,22 @@ def bell_state_coherent(i: int, beta: float, dim: int) -> np.ndarray:
         v = np.outer(plus, minus) + sign * np.outer(minus, plus)
     v = v.reshape(-1).astype(complex)
     return v / np.linalg.norm(v)
+
+
+def bell_state_polarization(i: int) -> np.ndarray:
+    """Bell state i of a polarization pair, embedded in the lossy 3x3 space, flattened.
+
+    1: (|HH>+|VV>)/sqrt2, 2: (|HH>-|VV>)/sqrt2,
+    3: (|HV>+|VH>)/sqrt2, 4: (|HV>-|VH>)/sqrt2.
+    """
+    if i not in (1, 2, 3, 4):
+        raise ValueError("Bell index must be 1..4")
+    h, v = fk.H_IDX, fk.V_IDX
+    ket = np.zeros((3, 3), dtype=complex)
+    first, second = ((h, h), (v, v)) if i < 3 else ((h, v), (v, h))
+    ket[first] = 1.0
+    ket[second] = 1.0 if i in (1, 3) else -1.0
+    return ket.reshape(-1) / math.sqrt(2)
 
 
 def parity_projectors(dim: int) -> tuple[np.ndarray, ...]:
@@ -234,8 +260,8 @@ def rho_pc_kron(params, dim: int):
         return m
 
     t, q = params.t, params.coherence_factor
-    plus = fk.coherent_ket(t * params.alpha, dim).amplitudes
-    minus = fk.coherent_ket(-t * params.alpha, dim).amplitudes
+    plus = fk.coherent_ket(t * params.alpha, dim)
+    minus = fk.coherent_ket(-t * params.alpha, dim)
     dy_pp = np.outer(plus, plus.conj())
     dy_mm = np.outer(minus, minus.conj())
     dy_pm = np.outer(plus, minus.conj())
@@ -331,36 +357,53 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
+def pure(ket, *modes):
+    """The pure density operator |ket><ket| on the layout of ``modes``."""
+    ket = np.asarray(ket, dtype=complex)
+    return fk.DensityOperator(fk.layout_of(*modes), np.outer(ket, ket.conj()))
+
+
 def overlap(a, b) -> complex:
-    """Inner product <a|b> of two states on the same layout."""
-    fk._check_same_layout(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    """Inner product <a|b> of two amplitude vectors of one length."""
+    if a.shape != b.shape:
+        raise fk.LayoutError(f"amplitude shapes {a.shape} and {b.shape} differ")
+    return complex(np.vdot(a, b))
+
+
+def _matrix(rho) -> np.ndarray:
+    """The matrix of a density operator, or a bare matrix as it is."""
+    return rho.matrix if isinstance(rho, fk.DensityOperator) else np.asarray(rho)
 
 
 def trace(rho) -> float:
-    return float(np.trace(rho.matrix).real)
+    return float(np.trace(_matrix(rho)).real)
 
 
 def fidelity_pure(psi, rho) -> float:
-    """Overlap <psi|rho|psi> of a state and an operator on the same layout, clamped to [0, 1]."""
-    fk._check_same_layout(psi, rho)
-    return fk._overlap_fidelity(psi.amplitudes, rho.matrix)
+    """Overlap <psi|rho|psi> of amplitudes and an operator of their dimension, clamped to [0, 1]."""
+    if psi.shape != (rho.layout.total_dim,):
+        raise fk.LayoutError(f"amplitude shape {psi.shape} does not match layout dim "
+                             f"{rho.layout.total_dim}")
+    return fk._overlap_fidelity(psi, rho.matrix)
 
 
 def purity(rho) -> float:
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    m = _matrix(rho)
+    return float(np.trace(m @ m).real)
 
 
 def hermiticity_defect(rho) -> float:
-    return float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
+    m = _matrix(rho)
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def min_eigenvalue(rho) -> float:
-    return float(np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2)[0])
+    m = _matrix(rho)
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
 def validate(rho, normalized: bool = True):
-    """Check Hermiticity, positivity and (optionally) unit trace; return rho."""
+    """Check Hermiticity, positivity and (optionally) unit trace of rho or a matrix; return it."""
     herm = hermiticity_defect(rho)
     if herm > HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
@@ -384,8 +427,8 @@ def cat_ket(amplitude: float, sign: int, dim: int):
         tail = 1.0 - float(c @ c)
         if tail > fk.COHERENT_TAIL_TOL:
             raise fk.TruncationError(f"coherent tail mass {tail:.3e} at dim={dim}")
-    v = plus + sign * minus
-    return fk.StateVector(fk.layout_of(fk.fock_mode(dim)), v.astype(complex)).normalized()
+    v = (plus + sign * minus).astype(complex)
+    return v / np.linalg.norm(v)
 
 
 def partial_trace(rho, keep):
@@ -407,23 +450,18 @@ def partial_trace(rho, keep):
     return fk.DensityOperator(layout, reduced.reshape(d, d))
 
 
-def permute_modes(obj, order):
-    """Reorder tensor factors; ``order[i]`` is the old index of new mode i."""
+def permute_modes(rho, order):
+    """Reorder a density operator's tensor factors; ``order[i]`` is the old index of new mode i."""
     order = tuple(int(i) for i in order)
-    n = len(obj.layout)
+    n = len(rho.layout)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = obj.layout.dims
-    new_layout = fk.ModeLayout(tuple(obj.layout.modes[i] for i in order))
-    if isinstance(obj, fk.StateVector):
-        arr = obj.amplitudes.reshape(dims).transpose(order).reshape(-1)
-        return fk.StateVector(new_layout, arr)
-    if isinstance(obj, fk.DensityOperator):
-        full = obj.matrix.reshape(dims + dims)
-        axes = list(order) + [n + i for i in order]
-        d = obj.layout.total_dim
-        return fk.DensityOperator(new_layout, full.transpose(axes).reshape(d, d))
-    raise TypeError("permute_modes requires a StateVector or DensityOperator")
+    dims = rho.layout.dims
+    new_layout = fk.ModeLayout(tuple(rho.layout.modes[i] for i in order))
+    full = rho.matrix.reshape(dims + dims)
+    axes = list(order) + [n + i for i in order]
+    d = rho.layout.total_dim
+    return fk.DensityOperator(new_layout, full.transpose(axes).reshape(d, d))
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ def test_criterion_1_channel_equivalence():
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         dim = fk.default_fock_dim(alpha)
-        initial = ch.hybrid_pc_initial(alpha, dim).density()
+        initial = ch.hybrid_pc_initial(alpha, dim)
         for r in [round(0.1 * i, 1) for i in range(10)]:
             params = ch.ChannelParams.from_r(r, alpha)
             worst = max(worst, fk.trace_distance(ch.evolve(initial, params.t),
                                                  ch.rho_pc_analytic(params, dim)))
-    ps_initial = ch.hybrid_ps_initial().density()
+    ps_initial = ch.hybrid_ps_initial()
     for r in [round(0.1 * i, 1) for i in range(10)]:
         params = ch.ChannelParams.from_r(r, 1.0)
         worst = max(worst, fk.trace_distance(ch.evolve(ps_initial, params.t),
@@ -63,8 +63,7 @@ def test_criterion_2_negativity(tmp_path):
     assert worst_ps < 1e-12
 
     dim = fk.default_fock_dim(1.0)
-    pure = ch.hybrid_pc_initial(1.0, dim)
-    schmidt = oracles.schmidt_negativity(pure.amplitudes, 3, dim)
+    schmidt = oracles.schmidt_negativity(oracles.hybrid_pc_ket(1.0, dim), 3, dim)
     numeric = ent.negativity_numeric(ch.rho_pc_analytic(ch.ChannelParams(1.0, 1.0), dim))
     assert abs(numeric - math.sqrt(1.0 - math.exp(-4.0))) < 1e-9
     assert abs(numeric - schmidt) < 1e-9
@@ -117,8 +116,8 @@ def test_criterion_3_closed_forms_vs_quadrature_and_pipeline():
         dim = fk.default_fock_dim(alpha)
         for r in (0.0, 0.3, 0.6, 0.8):
             params = ch.ChannelParams.from_r(r, alpha)
-            chan_pc = ch.evolve(ch.hybrid_pc_initial(alpha, dim).density(), params.t)
-            chan_ps = ch.evolve(ch.hybrid_ps_initial().density(), params.t)
+            chan_pc = ch.evolve(ch.hybrid_pc_initial(alpha, dim), params.t)
+            chan_ps = ch.evolve(ch.hybrid_ps_initial(), params.t)
             for theta in thetas:
                 for phi in phis:
                     inp = tp.BlochInput(float(theta), float(phi))
@@ -155,7 +154,7 @@ def test_criterion_4_exact_reference_numbers():
     for r, alpha in ((0.3, 1.0), (0.6, 1.0), (0.3, 2.0)):
         params = ch.ChannelParams.from_r(r, alpha)
         dim = fk.default_fock_dim(alpha)
-        chan = ch.evolve(ch.hybrid_pc_initial(alpha, dim).density(), params.t)
+        chan = ch.evolve(ch.hybrid_pc_initial(alpha, dim), params.t)
         acc = 0.0
         for i, th in enumerate(theta):
             for j, ph in enumerate(phi):
@@ -224,7 +223,7 @@ def test_criterion_7_postselected_pipeline_and_probability():
     for r, alpha in ((0.3, 1.0), (0.7, 1.0), (0.5, 2.0)):
         params = ch.ChannelParams.from_r(r, alpha)
         dim = fk.default_fock_dim(alpha)
-        chan = ch.evolve(ch.hybrid_pc_initial(alpha, dim).density(), params.t)
+        chan = ch.evolve(ch.hybrid_pc_initial(alpha, dim), params.t)
         acc = 0.0
         for i, th in enumerate(theta):
             for j, ph in enumerate(phi):

@@ -12,12 +12,16 @@ AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional
 
 # removed exports and the module that held each: the branch stack made the first four
 # redundant, since each pipeline returns one array; the next three served only the
-# tests and live on in tests/oracles.py; closed_summary answers for the last three
+# tests and live on in tests/oracles.py; closed_summary answers for the next three;
+# the last five went with the pure-state type, since states, Bell bras and pipeline
+# outputs are plain arrays and only channels are DensityOperators
 REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
            "combined_success_output": teleport, "target_state": teleport,
            "damping_kraus": channels, "fidelity_pure": fock, "partial_trace": fock,
            "per_input_fidelity": teleport, "per_input_success_probability": teleport,
-           "branch_probabilities_analytic": teleport}
+           "branch_probabilities_analytic": teleport,
+           "StateVector": fock, "basis_ket": fock, "tensor": fock,
+           "bell_state_polarization": teleport, "postselect_polarization": teleport}
 
 # the arguments each subcommand requires
 REQUIRED = {
@@ -67,10 +71,9 @@ def test_removed_names_are_gone(name):
 
 
 def test_test_only_methods_are_gone():
-    # StateVector.overlap, DensityOperator.trace and DensityOperator.ensemble are
-    # tests/oracles.py's overlap, trace and ensemble; ModeLayout.select served only
-    # the partial trace and the mode permutation, which build their layouts directly
-    assert not hasattr(fock.StateVector, "overlap")
+    # DensityOperator.trace and DensityOperator.ensemble are tests/oracles.py's trace
+    # and ensemble; ModeLayout.select served only the partial trace and the mode
+    # permutation, which build their layouts directly
     assert not hasattr(fock.DensityOperator, "trace")
     assert not hasattr(fock.DensityOperator, "ensemble")
     assert not hasattr(fock.ModeLayout, "select")

@@ -392,6 +392,18 @@ class TestAveragedProbabilities:
                 pytest.approx(av.avg_success_probability(d, params) * params.t**2 / 2,
                               abs=1e-15)
 
+    # the success half of the paper's headline: c->p succeeds more often than p->c
+    # only above a crossover amplitude alpha_c(r), found by bisection to 4 decimals
+    @pytest.mark.parametrize("r, alpha_c", [(0.0, 0.5411), (0.3, 0.5229), (0.5, 0.4911),
+                                            (0.7, 0.4425), (0.9, 0.3638), (0.99, 0.2776)])
+    def test_cp_beats_pc_only_above_the_crossover_amplitude(self, r, alpha_c):
+        def gap(alpha):
+            params = ch.ChannelParams.from_r(r, alpha)
+            return (av.avg_success_probability(Direction.C_TO_P, params)
+                    - av.avg_success_probability(Direction.P_TO_C, params))
+
+        assert gap(alpha_c - 0.01) < 0.0 < gap(alpha_c + 0.01)
+
 
 class TestGapFormula:
     def test_vanishes_without_loss(self):

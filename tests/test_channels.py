@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -85,10 +86,10 @@ class TestKraus:
     def test_coherent_state_stays_coherent(self):
         dim = 28
         t = 0.8
-        rho = fk.coherent_ket(1.0, dim).density()
+        rho = oracles.pure(fk.coherent_ket(1.0, dim), fk.fock_mode(dim))
         ops = oracles.damping_kraus_dense(fk.fock_mode(dim), t)
         out = fk.DensityOperator(rho.layout, kraus_apply(ops, rho.matrix))
-        target = fk.coherent_ket(t * 1.0, dim).density()
+        target = oracles.pure(fk.coherent_ket(t * 1.0, dim), fk.fock_mode(dim))
         assert fk.trace_distance(out, target) < 1e-10
 
     @pytest.mark.parametrize("kind", [fk.polarization_mode(), fk.qubit_mode(), fk.fock_mode(18),
@@ -103,7 +104,7 @@ class TestKraus:
             assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
 
     def test_rejects_bad_t(self):
-        rho = fk.basis_ket(fk.fock_mode(4), 0).density()
+        rho = oracles.pure(np.eye(4)[0], fk.fock_mode(4))
         for t in (0.0, 1.5):
             with pytest.raises(ValueError, match="t must be in"):
                 ch.evolve(rho, t)
@@ -111,7 +112,7 @@ class TestKraus:
 
 class TestEvolve:
     def test_identity_at_no_loss(self):
-        rho = ch.hybrid_ps_initial().density()
+        rho = ch.hybrid_ps_initial()
         out = ch.evolve(rho, 1.0)
         assert fk.trace_distance(out, rho) < 1e-14
 
@@ -137,25 +138,25 @@ class TestEvolve:
     @pytest.mark.parametrize("alpha, dim", [(0.5, 18), (1.0, 22), (2.0, 36)])
     def test_pc_channel_matches_dense_embedding(self, alpha, dim):
         assert fk.default_fock_dim(alpha) == dim
-        rho = ch.hybrid_pc_initial(alpha, dim).density()
+        rho = ch.hybrid_pc_initial(alpha, dim)
         for r in (0.0, 0.5, 0.93):
             t = ch.ChannelParams.from_r(r, alpha).t
             assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
 
     def test_ps_channel_matches_dense_embedding_on_the_verify_grid(self):
-        rho = ch.hybrid_ps_initial().density()
+        rho = ch.hybrid_ps_initial()
         for r in cli.SweepConfig().r_grid():
             t = ch.ChannelParams.from_r(r, 1.0).t
             assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
 
     def test_fock_first_layout_matches_dense_embedding(self):
-        rho = oracles.permute_modes(ch.hybrid_pc_initial(1.0, 22).density(), (1, 0))
+        rho = oracles.permute_modes(ch.hybrid_pc_initial(1.0, 22), (1, 0))
         assert rho.layout.dims == (22, 3)
         out = ch.evolve(rho, 0.8)
         assert np.array_equal(out.matrix, oracles.evolve_dense(rho, 0.8).matrix)
         # loss on different modes commutes; only the rounding of the order differs
         swapped_back = oracles.permute_modes(out, (1, 0))
-        direct = ch.evolve(ch.hybrid_pc_initial(1.0, 22).density(), 0.8)
+        direct = ch.evolve(ch.hybrid_pc_initial(1.0, 22), 0.8)
         assert np.max(np.abs(swapped_back.matrix - direct.matrix)) < 1e-15
 
     def test_middle_mode_of_three_matches_dense_embedding(self):
@@ -171,7 +172,7 @@ class TestEvolve:
         # r = 0.999999: eta ~ 2e-12 and the ladder coefficients underflow;
         # r = 0 (t = 1): the family collapses to the identity
         t = ch.ChannelParams.from_r(r, 1.0).t
-        for rho in (ch.hybrid_pc_initial(1.0, 22).density(), ch.hybrid_ps_initial().density()):
+        for rho in (ch.hybrid_pc_initial(1.0, 22), ch.hybrid_ps_initial()):
             out = ch.evolve(rho, t)
             assert np.array_equal(out.matrix, oracles.evolve_dense(rho, t).matrix)
             if t == 1.0:
@@ -179,7 +180,7 @@ class TestEvolve:
 
     def test_matches_dense_embedding_at_alpha_5(self):
         assert fk.default_fock_dim(5.0) == 102
-        rho = ch.hybrid_pc_initial(5.0, 102).density()
+        rho = ch.hybrid_pc_initial(5.0, 102)
         t = ch.ChannelParams.from_r(0.5, 5.0).t
         assert np.array_equal(ch.evolve(rho, t).matrix, oracles.evolve_dense(rho, t).matrix)
 
@@ -198,27 +199,44 @@ class TestEvolve:
     def test_ps_coherence_coefficient(self):
         # <H,0|rho|V,1> picks up t^2 from polarization and t from the qubit
         t = 0.85
-        out = ch.evolve(ch.hybrid_ps_initial().density(), t)
+        out = ch.evolve(ch.hybrid_ps_initial(), t)
         assert out.matrix[0 * 2 + 0, 1 * 2 + 1] == pytest.approx(t**3 / 2, abs=1e-14)
 
 
 class TestInitialStates:
+    # sha256 of the matrix bytes: every channel, figure and oracle record starts from them
+    @pytest.mark.parametrize("alpha, dim, digest", [
+        (1e-4, 16, "82712209ef1edf06e410647b045be7124f660cba295b4288fd3c4a98f304dcb9"),
+        (1.0, 22, "e46affa47decd85647df86878b2879cb5d9353e3899fde552c4e70a22c879e3b"),
+        (2.0, 36, "55a46fe66d2d45aa57d8614072a2484ed221db182ae28c4fb93c80128377091e"),
+        (None, None, "7febc347c7624535c3941ce2de92380e6a217e6a5a8f2fe2fb3d6eb7ce63632d"),
+    ], ids=["pc-1e-4", "pc-1", "pc-2", "ps"])
+    def test_initial_states_are_read_only_pure_operators_with_pinned_bytes(self, alpha, dim,
+                                                                          digest):
+        rho = ch.hybrid_ps_initial() if alpha is None else ch.hybrid_pc_initial(alpha, dim)
+        assert isinstance(rho, fk.DensityOperator) and rho.matrix.dtype == complex
+        assert not rho.matrix.flags.writeable
+        assert hashlib.sha256(rho.matrix.tobytes()).hexdigest() == digest
+        assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-12)
+        oracles.validate(rho)
+
     def test_pc_zero_amplitude_is_product(self):
-        psi = ch.hybrid_pc_initial(0.0, 16)
-        rho = psi.density()
+        rho = ch.hybrid_pc_initial(0.0, 16)
         pol = oracles.partial_trace(rho, {0})
         assert oracles.purity(pol) == pytest.approx(1.0, abs=1e-12)
         expect = np.zeros(3, dtype=complex)
         expect[fk.H_IDX] = expect[fk.V_IDX] = 1 / math.sqrt(2)
-        assert abs(abs(np.vdot(expect, psi.amplitudes.reshape(3, 16)[:, 0])) - 1.0) < 1e-12
+        # the Fock-vacuum block is |expect><expect| exactly when its overlap with expect is 1
+        vacuum = rho.matrix.reshape(3, 16, 3, 16)[:, 0, :, 0]
+        assert abs(math.sqrt(np.vdot(expect, vacuum @ expect).real) - 1.0) < 1e-12
 
     def test_pc_normalized(self):
-        assert ch.hybrid_pc_initial(1.0, 24).norm() == pytest.approx(1.0, abs=1e-12)
+        assert oracles.trace(ch.hybrid_pc_initial(1.0, 24)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pc_reduced_polarization_coherence(self):
         alpha = 2.0
         dim = fk.default_fock_dim(alpha)
-        pol = oracles.partial_trace(ch.hybrid_pc_initial(alpha, dim).density(), {0})
+        pol = oracles.partial_trace(ch.hybrid_pc_initial(alpha, dim), {0})
         assert pol.matrix[fk.H_IDX, fk.H_IDX].real == pytest.approx(0.5, abs=1e-12)
         assert pol.matrix[fk.V_IDX, fk.V_IDX].real == pytest.approx(0.5, abs=1e-12)
         # off-diagonal carries the coherent overlap exp(-2 alpha^2)/2
@@ -226,7 +244,7 @@ class TestInitialStates:
             math.exp(-2 * alpha * alpha) / 2, abs=1e-12)
 
     def test_ps_reduced_states_maximally_mixed(self):
-        rho = ch.hybrid_ps_initial().density()
+        rho = ch.hybrid_ps_initial()
         pol = oracles.partial_trace(rho, {0}).matrix
         rail = oracles.partial_trace(rho, {1}).matrix
         assert pol[fk.H_IDX, fk.H_IDX].real == pytest.approx(0.5, abs=1e-15)
@@ -251,7 +269,7 @@ class TestClosedFormChannels:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_pc_matches_kraus_evolution(self, alpha):
         dim = fk.default_fock_dim(alpha)
-        initial = ch.hybrid_pc_initial(alpha, dim).density()
+        initial = ch.hybrid_pc_initial(alpha, dim)
         for r in np.linspace(0.0, 0.9, 5):
             params = ch.ChannelParams.from_r(r, alpha)
             dist = fk.trace_distance(ch.evolve(initial, params.t),
@@ -278,7 +296,7 @@ class TestClosedFormChannels:
         assert rho.matrix[idx, idx].real == pytest.approx(t**4 / 2, abs=1e-14)
 
     def test_ps_matches_kraus_evolution(self):
-        initial = ch.hybrid_ps_initial().density()
+        initial = ch.hybrid_ps_initial()
         for r in np.linspace(0.0, 0.95, 8):
             params = ch.ChannelParams.from_r(r, 1.0)
             dist = fk.trace_distance(ch.evolve(initial, params.t),

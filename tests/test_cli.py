@@ -636,28 +636,42 @@ class TestTeleportCommand:
         assert "alpha > 0" in text and "\n" not in text
 
     # two inputs per direction, one postselected where allowed, and the sha256 of the
-    # analytic record each prints
-    @pytest.mark.parametrize("direction, theta, phi, channel, alpha, post, digest", [
-        ("p-to-c", "1.1", "0.4", ("--r", "0.3"), "1.5", (),
+    # record each engine prints; the oracle runs every input with alpha <= 2
+    @pytest.mark.parametrize("engine, direction, theta, phi, channel, alpha, post, digest", [
+        ("analytic", "p-to-c", "1.1", "0.4", ("--r", "0.3"), "1.5", (),
          "8d22de31c62c71eebb466dd7f4d5bfff6dae7f162547beb160acfdecfce185b2"),
-        ("p-to-c", "1.5707963267948966", "3.141592653589793", ("--r", "0.6"), "1e-4", (),
-         "5f2940d3307c0fac715f971c22ddf61b4d8570446534cf5a98fac69587f8bec8"),
-        ("c-to-p", "2.0", "5.5", ("--r", "0.8"), "0.7", (),
+        ("analytic", "p-to-c", "1.5707963267948966", "3.141592653589793", ("--r", "0.6"), "1e-4",
+         (), "5f2940d3307c0fac715f971c22ddf61b4d8570446534cf5a98fac69587f8bec8"),
+        ("analytic", "c-to-p", "2.0", "5.5", ("--r", "0.8"), "0.7", (),
          "98ffecc8535dff51732a220cbb4819e7511903b97a33d20362beaf663eca920f"),
-        ("c-to-p", "0.3", "1.0", ("--t", "0.55"), "3", ("--postselected",),
+        ("analytic", "c-to-p", "0.3", "1.0", ("--t", "0.55"), "3", ("--postselected",),
          "78ae20b5c320033d087def0d92b65cc315aa82567110c8364727945b08ed525f"),
-        ("p-to-s", "0.0", "0.0", ("--r", "0.5"), "1", (),
+        ("analytic", "p-to-s", "0.0", "0.0", ("--r", "0.5"), "1", (),
          "225f3f21d607925fa5c128fb7fa876784fd538a6735269419a8d0cbe14fcdf81"),
-        ("p-to-s", "2.9", "6.0", ("--t", "0.99"), "1", (),
+        ("analytic", "p-to-s", "2.9", "6.0", ("--t", "0.99"), "1", (),
          "61c749c780e30eafbcc6ad686bd55fb9a7456943aefe5ad27f87f94be5321caa"),
-        ("s-to-p", "1.3", "2.2", ("--r", "0.95"), "1", (),
+        ("analytic", "s-to-p", "1.3", "2.2", ("--r", "0.95"), "1", (),
          "39e3a6c7342ec323a0d7ff3c87d95f3ad4e09551e4eeee4d152e8043a3a12850"),
-        ("s-to-p", "3.141592653589793", "0.7", ("--t", "0.3"), "1", ("--postselected",),
+        ("analytic", "s-to-p", "3.141592653589793", "0.7", ("--t", "0.3"), "1", ("--postselected",),
          "884a46832ff13653f362cabf17ed5b7a78083203e0c79669a1ad8942bc4ad607"),
+        ("oracle", "p-to-c", "1.1", "0.4", ("--r", "0.3"), "1.5", (),
+         "ce026be6c21334f6219781bee83792b53063648f9c50433bcc61fe50db61573f"),
+        ("oracle", "p-to-c", "1.5707963267948966", "3.141592653589793", ("--r", "0.6"), "1e-4", (),
+         "b7ffce975d30c7b0f10237898a3b7ec8cf3b772bbf583c35ffe9178ed3364bf1"),
+        ("oracle", "c-to-p", "2.0", "5.5", ("--r", "0.8"), "0.7", (),
+         "ed960fd041b4145aa07b4b86bdcc0fc48af7dd39504d29301c971aa2d3f64eb2"),
+        ("oracle", "p-to-s", "0.0", "0.0", ("--r", "0.5"), "1", (),
+         "c7ef9c913d56ce1fecc1c0bfaaff65792698ae82c940a42921d089a06fe3787e"),
+        ("oracle", "p-to-s", "2.9", "6.0", ("--t", "0.99"), "1", (),
+         "53bc261b75bd4add3f14e512c93cb56fab9c8eca50076319c936a6735fb9463c"),
+        ("oracle", "s-to-p", "1.3", "2.2", ("--r", "0.95"), "1", (),
+         "cd8fb145f862d7fd36c5bdc32275c7038383825d47a465a1c4c0d4a73a800e8d"),
+        ("oracle", "s-to-p", "3.141592653589793", "0.7", ("--t", "0.3"), "1", ("--postselected",),
+         "4f60b214c7af410c5c2650db93da7701538a24a9cffb7f0d3a7807cb5c666265"),
     ])
-    def test_analytic_record_matches_pinned_digest(self, direction, theta, phi, channel, alpha,
-                                                   post, digest, capsys):
-        assert run("teleport", "--engine", "analytic", "--direction", direction, "--theta", theta,
+    def test_analytic_record_matches_pinned_digest(self, engine, direction, theta, phi, channel,
+                                                   alpha, post, digest, capsys):
+        assert run("teleport", "--engine", engine, "--direction", direction, "--theta", theta,
                    "--phi", phi, *channel, "--alpha", alpha, *post) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

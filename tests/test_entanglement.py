@@ -16,12 +16,12 @@ class TestNumericNegativity:
     def test_bell_pair(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / math.sqrt(2)
-        rho = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.qubit_mode()), v).density()
+        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
         assert ent.negativity_numeric(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_product_state(self):
-        rho = fk.tensor(fk.basis_ket(fk.qubit_mode(), 0),
-                        fk.coherent_ket(0.7, 16)).density()
+        rho = oracles.pure(np.kron(np.eye(2)[0], fk.coherent_ket(0.7, 16)),
+                           fk.qubit_mode(), fk.fock_mode(16))
         assert ent.negativity_numeric(rho) < 1e-12
 
     def test_split_side_is_irrelevant_here(self):
@@ -53,8 +53,7 @@ class TestCoherentChannel:
     def test_pure_point_matches_schmidt_oracle(self):
         dim = 24
         params = ch.ChannelParams(t=1.0, alpha=1.0)
-        psi = ch.hybrid_pc_initial(1.0, dim)
-        oracle = oracles.schmidt_negativity(psi.amplitudes, 3, dim)
+        oracle = oracles.schmidt_negativity(oracles.hybrid_pc_ket(1.0, dim), 3, dim)
         num = ent.negativity_numeric(ch.rho_pc_analytic(params, dim))
         assert num == pytest.approx(oracle, abs=1e-12)
         assert num == pytest.approx(math.sqrt(1.0 - math.exp(-4.0)), abs=1e-9)

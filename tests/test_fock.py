@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hybrid_teleport import channels as ch
 from hybrid_teleport import fock as fk
 
 
@@ -22,8 +24,8 @@ def random_state(dim: int, seed: int) -> np.ndarray:
 class TestCoherent:
     def test_vacuum_case(self):
         ket = fk.coherent_ket(0.0, 8)
-        assert ket.amplitudes[0] == 1.0
-        assert np.all(ket.amplitudes[1:] == 0.0)
+        assert ket[0] == 1.0
+        assert np.all(ket[1:] == 0.0)
 
     def test_overlap_of_opposite_amplitudes(self):
         # <a|-a> = exp(-2 a^2)
@@ -44,7 +46,7 @@ class TestCoherent:
         ket = fk.coherent_ket(1.3, 24)
         ref = oracles.coherent_amps(1.3, 24)
         ref = ref / np.linalg.norm(ref)
-        assert np.max(np.abs(ket.amplitudes - ref)) < 1e-14
+        assert np.max(np.abs(ket - ref)) < 1e-14
 
     def test_default_dim_rule(self):
         for alpha in (0.1, 0.5, 1.0, 2.0, 3.0):
@@ -63,6 +65,23 @@ class TestCoherent:
         if alpha < 0.0:
             ref[1::2] *= -1.0
         assert np.array_equal(fk._coherent_amplitudes(alpha, dim), ref)
+
+    # sha256 of the amplitude bytes: the channels, the c->p readout and its targets start from them
+    @pytest.mark.parametrize("alpha, dim, digest", [
+        (0.0, 8, "6f530519c9b447b4e9100226699ca3bab488a5560a735ceeb278bcbf531e9ab9"),
+        (1e-3, 16, "ff8e0130faa7716627667fc014f30f0fbd6e937db9ee06707f78e288515417e6"),
+        (-0.54, 16, "9222228cf90a20fc7d7dfb46f2f7f4a0c9350d0864da7b4d0af4a80ef39e3242"),
+        (2.0, 36, "729a530180b58d621ffbd499f716cdc922946556edc1bb9233685cdb920bdd02"),
+        (-10.0, 292, "51d86fe91fd93bc06283e8ebc8b0cf136629fe78cc68e2b1bf3fbbd4e9208214"),
+    ])
+    def test_ket_is_a_read_only_complex_array_with_pinned_bytes(self, alpha, dim, digest):
+        # complex, not float: a float ket moves oracle last bits through the readout einsums
+        ket = fk.coherent_ket(alpha, dim)
+        assert ket.dtype == complex and ket.shape == (dim,)
+        assert not ket.flags.writeable
+        with pytest.raises(ValueError):
+            ket[0] = 1.0
+        assert hashlib.sha256(ket.tobytes()).hexdigest() == digest
 
     def test_half_log_factorials_read_only(self):
         table = fk._half_log_factorials(16)
@@ -106,10 +125,10 @@ class TestCoherent:
 class TestCat:
     def test_even_has_even_support(self):
         ket = oracles.cat_ket(1.0, +1, 32)
-        assert np.max(np.abs(ket.amplitudes[1::2])) < 1e-14
+        assert np.max(np.abs(ket[1::2])) < 1e-14
 
     def test_odd_normalized(self):
-        assert oracles.cat_ket(1.0, -1, 32).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(oracles.cat_ket(1.0, -1, 32)) == pytest.approx(1.0, abs=1e-12)
 
     def test_parity_sectors_orthogonal(self):
         even = oracles.cat_ket(1.0, +1, 32)
@@ -130,56 +149,43 @@ class TestCat:
 
 
 class TestTensorAndLayout:
-    def test_basis_product_index(self):
-        ket = fk.tensor(fk.basis_ket(fk.polarization_mode(), fk.H_IDX),
-                        fk.basis_ket(fk.fock_mode(8), 0))
-        assert ket.amplitudes[0] == 1.0
-        assert ket.layout.total_dim == 24
-
-    def test_product_of_normalized_is_normalized(self):
-        a = fk.StateVector(fk.layout_of(fk.fock_mode(5)), random_state(5, 1))
-        b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 2))
-        assert fk.tensor(a, b).norm() == pytest.approx(1.0, abs=1e-12)
-
     def test_dims_concatenate(self):
-        t = fk.tensor(fk.basis_ket(fk.polarization_mode(), 0), fk.basis_ket(fk.fock_mode(16), 3))
-        assert t.layout.dims == (3, 16)
-        assert t.layout.total_dim == 48
-
-    def test_mixed_types_rejected(self):
-        psi = fk.basis_ket(fk.qubit_mode(), 0)
-        with pytest.raises(TypeError):
-            fk.tensor(psi, psi.density())
+        # the initial states' layouts join the polarization mode and the field mode
+        pc = ch.hybrid_pc_initial(1.0, 16)
+        assert pc.layout.dims == (3, 16)
+        assert pc.layout.total_dim == 48
+        assert ch.hybrid_ps_initial().layout == fk.layout_of(fk.polarization_mode(),
+                                                             fk.qubit_mode())
 
     def test_permute_roundtrip(self):
-        psi = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.fock_mode(3)), random_state(6, 3))
-        back = oracles.permute_modes(oracles.permute_modes(psi, (1, 0)), (1, 0))
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) == 0.0
-        assert back.layout == psi.layout
+        rho = oracles.pure(random_state(6, 3), fk.qubit_mode(), fk.fock_mode(3))
+        back = oracles.permute_modes(oracles.permute_modes(rho, (1, 0)), (1, 0))
+        assert np.max(np.abs(back.matrix - rho.matrix)) == 0.0
+        assert back.layout == rho.layout
 
     def test_permute_density_consistent_with_states(self):
-        a = fk.StateVector(fk.layout_of(fk.fock_mode(3)), random_state(3, 12))
-        b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 13))
-        swapped = oracles.permute_modes(fk.tensor(a, b), (1, 0))
-        direct = fk.tensor(b, a)
-        assert np.max(np.abs(swapped.amplitudes - direct.amplitudes)) < 1e-15
-        rho = oracles.permute_modes(fk.tensor(a, b).density(), (1, 0))
-        assert np.max(np.abs(rho.matrix - direct.density().matrix)) < 1e-15
+        a = random_state(3, 12)
+        b = random_state(2, 13)
+        rho = oracles.permute_modes(oracles.pure(np.kron(a, b), fk.fock_mode(3), fk.qubit_mode()),
+                                    (1, 0))
+        direct = oracles.pure(np.kron(b, a), fk.qubit_mode(), fk.fock_mode(3))
+        assert np.max(np.abs(rho.matrix - direct.matrix)) < 1e-15
+        assert rho.layout == direct.layout
 
 
 class TestPartialTrace:
     def test_product_state_reduces_pure(self):
-        a = fk.StateVector(fk.layout_of(fk.fock_mode(4)), random_state(4, 4))
-        b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 5))
-        rho = fk.tensor(a, b).density()
+        a = random_state(4, 4)
+        b = random_state(2, 5)
+        rho = oracles.pure(np.kron(a, b), fk.fock_mode(4), fk.qubit_mode())
         red = oracles.partial_trace(rho, {0})
         assert oracles.purity(red) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(red.matrix - a.density().matrix)) < 1e-12
+        assert np.max(np.abs(red.matrix - np.outer(a, a.conj()))) < 1e-12
 
     def test_bell_pair_reduces_maximally_mixed(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / math.sqrt(2)
-        rho = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.qubit_mode()), v).density()
+        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
         red = oracles.partial_trace(rho, {1})
         assert np.max(np.abs(red.matrix - np.eye(2) / 2)) < 1e-14
 
@@ -198,7 +204,7 @@ class TestPartialTrace:
         assert oracles.trace(red) == pytest.approx(total, abs=1e-12 * abs(total))
 
     def test_invalid_index(self):
-        rho = fk.basis_ket(fk.qubit_mode(), 0).density()
+        rho = oracles.pure(np.eye(2)[0], fk.qubit_mode())
         with pytest.raises(ValueError):
             oracles.partial_trace(rho, {3})
         with pytest.raises(ValueError):
@@ -207,16 +213,16 @@ class TestPartialTrace:
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self):
-        a = fk.StateVector(fk.layout_of(fk.fock_mode(3)), random_state(3, 6))
-        b = fk.StateVector(fk.layout_of(fk.qubit_mode()), random_state(2, 7))
-        rho = fk.tensor(a, b).density()
+        a = random_state(3, 6)
+        b = random_state(2, 7)
+        rho = oracles.pure(np.kron(a, b), fk.fock_mode(3), fk.qubit_mode())
         ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 1))
         assert ev[0] > -1e-12
 
     def test_bell_pair_minimum_eigenvalue(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / math.sqrt(2)
-        rho = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.qubit_mode()), v).density()
+        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
         ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 1))
         assert ev[0] == pytest.approx(-0.5, abs=1e-14)
 
@@ -284,14 +290,14 @@ class TestBeamSplitter:
     def test_coherent_convention(self, beta):
         dim = 32
         u = fk.beam_splitter_50_50(dim)
-        plus = fk.coherent_ket(beta, dim).amplitudes
-        minus = fk.coherent_ket(-beta, dim).amplitudes
-        vac = fk.coherent_ket(0.0, dim).amplitudes
+        plus = fk.coherent_ket(beta, dim)
+        minus = fk.coherent_ket(-beta, dim)
+        vac = fk.coherent_ket(0.0, dim)
         out = u @ np.kron(plus, plus)
-        target = np.kron(fk.coherent_ket(math.sqrt(2) * beta, dim).amplitudes, vac)
+        target = np.kron(fk.coherent_ket(math.sqrt(2) * beta, dim), vac)
         assert abs(np.vdot(target, out)) == pytest.approx(1.0, abs=1e-8)
         out2 = u @ np.kron(plus, minus)
-        target2 = np.kron(vac, fk.coherent_ket(-math.sqrt(2) * beta, dim).amplitudes)
+        target2 = np.kron(vac, fk.coherent_ket(-math.sqrt(2) * beta, dim))
         assert abs(np.vdot(target2, out2)) == pytest.approx(1.0, abs=1e-8)
 
     def test_conserves_total_photon_number(self):
@@ -328,8 +334,8 @@ class TestBeamSplitter:
 
     def test_parity_operator_flips_amplitude(self):
         par = fk.parity_operator(24)
-        plus = fk.coherent_ket(0.9, 24).amplitudes
-        minus = fk.coherent_ket(-0.9, 24).amplitudes
+        plus = fk.coherent_ket(0.9, 24)
+        minus = fk.coherent_ket(-0.9, 24)
         assert np.max(np.abs(par @ plus - minus)) < 1e-14
 
 
@@ -350,21 +356,14 @@ class TestDensityOperator:
         assert np.max(np.abs((vecs * w) @ vecs.conj().T - rho.matrix)) < 1e-14
 
     def test_compares_and_hashes_by_identity(self):
-        rho = fk.basis_ket(fk.qubit_mode(), 1).density()
+        rho = oracles.pure(np.eye(2)[1], fk.qubit_mode())
         twin = fk.DensityOperator(rho.layout, rho.matrix)
         assert np.array_equal(rho.matrix, twin.matrix)
         assert rho == rho and rho != twin
         assert hash(rho) != hash(twin) and len({rho, twin, rho}) == 2
 
-    def test_state_vectors_compare_and_hash_by_identity(self):
-        ket = fk.basis_ket(fk.qubit_mode(), 0)
-        twin = fk.basis_ket(fk.qubit_mode(), 0)
-        assert np.array_equal(ket.amplitudes, twin.amplitudes)
-        assert ket == ket and ket != twin
-        assert hash(ket) != hash(twin) and len({ket, twin, ket}) == 2
-
     def test_ensemble_drops_numerically_zero_weights(self):
-        rho = fk.basis_ket(fk.fock_mode(5), 2).density()
+        rho = oracles.pure(np.eye(5)[2], fk.fock_mode(5))
         w, vecs = oracles.ensemble(rho)
         assert w.shape == (1,) and vecs.shape == (5, 1)
         assert abs(vecs[2, 0]) == pytest.approx(1.0, abs=1e-15)
@@ -372,29 +371,30 @@ class TestDensityOperator:
 
 class TestFidelity:
     def test_self(self):
-        psi = fk.StateVector(fk.layout_of(fk.fock_mode(6)), random_state(6, 10))
-        assert oracles.fidelity_pure(psi, psi.density()) == pytest.approx(1.0, abs=1e-14)
+        psi = random_state(6, 10)
+        assert oracles.fidelity_pure(psi, oracles.pure(psi, fk.fock_mode(6))) == pytest.approx(
+            1.0, abs=1e-14)
 
     def test_orthogonal(self):
-        a = fk.basis_ket(fk.fock_mode(4), 0)
-        b = fk.basis_ket(fk.fock_mode(4), 2)
-        assert oracles.fidelity_pure(a, b.density()) == 0.0
+        a = np.eye(4, dtype=complex)[0]
+        b = oracles.pure(np.eye(4)[2], fk.fock_mode(4))
+        assert oracles.fidelity_pure(a, b) == 0.0
 
     def test_maximally_mixed(self):
-        psi = fk.basis_ket(fk.fock_mode(5), 1)
-        rho = fk.DensityOperator(psi.layout, np.eye(5, dtype=complex) / 5)
+        psi = np.eye(5, dtype=complex)[1]
+        rho = fk.DensityOperator(fk.layout_of(fk.fock_mode(5)), np.eye(5, dtype=complex) / 5)
         assert oracles.fidelity_pure(psi, rho) == pytest.approx(0.2, abs=1e-15)
 
     def test_layout_mismatch(self):
-        psi = fk.basis_ket(fk.fock_mode(4), 0)
-        rho = fk.basis_ket(fk.fock_mode(5), 0).density()
+        psi = np.eye(4, dtype=complex)[0]
+        rho = oracles.pure(np.eye(5)[0], fk.fock_mode(5))
         with pytest.raises(fk.LayoutError):
             oracles.fidelity_pure(psi, rho)
 
     @pytest.mark.parametrize("value", [math.nan, complex(0.5, math.nan)])
     def test_non_finite_is_rejected_not_clamped(self, value):
-        psi = fk.basis_ket(fk.qubit_mode(), 0)
-        rho = fk.DensityOperator(psi.layout, np.diag([value, 0.0]))
+        psi = np.eye(2, dtype=complex)[0]
+        rho = fk.DensityOperator(fk.layout_of(fk.qubit_mode()), np.diag([value, 0.0]))
         with pytest.raises(ValueError, match="outside"):
             oracles.fidelity_pure(psi, rho)
 
@@ -405,8 +405,7 @@ def test_density_operators_validate(seed):
     rng = np.random.default_rng(seed)
     dims = (2, 3)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    psi = fk.StateVector(fk.layout_of(fk.qubit_mode(), fk.polarization_mode()), v / np.linalg.norm(v))
-    rho = psi.density()
+    rho = oracles.pure(v / np.linalg.norm(v), fk.qubit_mode(), fk.polarization_mode())
     oracles.validate(rho)
     for keep in ({0}, {1}):
         oracles.validate(oracles.partial_trace(rho, keep))
@@ -418,8 +417,9 @@ def test_tensor_then_trace_recovers_factors(seed):
     rng = np.random.default_rng(seed)
     va = rng.normal(size=4) + 1j * rng.normal(size=4)
     vb = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = fk.StateVector(fk.layout_of(fk.fock_mode(4)), va / np.linalg.norm(va)).density()
-    b = fk.StateVector(fk.layout_of(fk.qubit_mode()), vb / np.linalg.norm(vb)).density()
-    joint = fk.tensor(a, b)
+    a = oracles.pure(va / np.linalg.norm(va), fk.fock_mode(4))
+    b = oracles.pure(vb / np.linalg.norm(vb), fk.qubit_mode())
+    joint = fk.DensityOperator(fk.layout_of(fk.fock_mode(4), fk.qubit_mode()),
+                               np.kron(a.matrix, b.matrix))
     assert fk.trace_distance(oracles.partial_trace(joint, {0}), a) < 1e-12
     assert fk.trace_distance(oracles.partial_trace(joint, {1}), b) < 1e-12

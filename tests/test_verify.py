@@ -145,7 +145,7 @@ def test_single_rail_checks_do_not_depend_on_the_amplitude(r):
     # those checks read must be bit for bit the same at every amplitude
     angles = vf._angle_grid(N_THETA, N_PHI)
     terms = tp._bloch_terms(*zip(*angles))
-    initial = hybrid_ps_initial().density()
+    initial = hybrid_ps_initial()
     spec = av.QuadratureSpec()
     single_rail = [(d, post) for d in tp.Direction if not d.coherent
                    for post in ((False, True) if d.onto_polarization else (False,))]
