@@ -699,6 +699,16 @@ class TestVerifyCommand:
         assert "ALL CHECKS PASSED" in text
         assert "phase seconds: channel " in text
 
+    def test_quick_report_matches_pinned_digest(self, tmp_path):
+        # every check and audit value, tolerance and location, bar the wall times
+        out = tmp_path / "report.json"
+        assert run("verify", "--quick", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        del report["timings"], report["elapsed_seconds"]
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1a4af1fa518f57915fe47f66626dea88bd44ea43cea898b89af7715949c3f1cd")
+
     def test_failing_checks_give_nonzero_exit(self, tmp_path):
         # a deliberately coarse quadrature cannot meet the 1e-8 agreement
         # tolerance, which must surface as a failing exit status
