@@ -22,21 +22,14 @@ from .entanglement import (
 )
 from .fock import (
     DensityOperator,
-    LayoutError,
-    ModeKind,
-    ModeLayout,
     TruncationError,
     beam_splitter_50_50,
     coherent_ket,
     coherent_tail_mass,
     default_fock_dim,
-    fock_mode,
     hermitian_eigenvalues,
-    layout_of,
     parity_operator,
     partial_transpose,
-    polarization_mode,
-    qubit_mode,
     trace_distance,
 )
 from .averages import (
@@ -75,21 +68,14 @@ __all__ = [
     "negativity_pc_closed",
     "negativity_ps_analytic",
     "DensityOperator",
-    "LayoutError",
-    "ModeKind",
-    "ModeLayout",
     "TruncationError",
     "beam_splitter_50_50",
     "coherent_ket",
     "coherent_tail_mass",
     "default_fock_dim",
-    "fock_mode",
     "hermitian_eigenvalues",
-    "layout_of",
     "parity_operator",
     "partial_transpose",
-    "polarization_mode",
-    "qubit_mode",
     "trace_distance",
     "QuadratureSpec",
     "avg_fidelity",

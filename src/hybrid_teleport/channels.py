@@ -21,13 +21,8 @@ from .fock import (
     V_IDX,
     VAC_IDX,
     DensityOperator,
-    ModeKind,
     coherent_ket,
     default_fock_dim,
-    fock_mode,
-    layout_of,
-    polarization_mode,
-    qubit_mode,
 )
 
 ALPHA_MAX = math.sqrt(sys.float_info.max / 2)  # largest alpha whose 2 alpha^2 is finite
@@ -81,8 +76,10 @@ class ChannelParams:
         return _each(lambda x: math.sqrt(max(0.0, x)), 1.0 - self.t * self.t)
 
 
-def _loss_runs(kind: ModeKind, t: float):
+def _loss_runs(mode: int, dim: int, t: float):
     """Row run, column run and values of each photon-loss Kraus operator of one mode, in order.
+
+    Mode 0 is the polarization mode and mode 1 the field mode, Fock(dim).
 
     The family is complete, sum K^dag K = identity. Every operator is one run
     on one diagonal, K = sum_i v_i |r_i><c_i| with consecutive rows r and
@@ -92,15 +89,15 @@ def _loss_runs(kind: ModeKind, t: float):
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must be in (0, 1], got {t!r}")
-    if kind.label == "polarization":
+    if mode == 0:
         # the photon survives with amplitude t or escapes to the vacuum level
         lost = math.sqrt(1.0 - t * t)
         runs = [(0, 0, [t, t, 1.0]), (VAC_IDX, H_IDX, [lost]), (VAC_IDX, V_IDX, [lost])]
     else:
-        # fock and qubit modes share the bosonic ladder (a qubit is Fock(2))
+        # the bosonic ladder of the field mode (a single-rail qubit is Fock(2))
         eta = t * t
         runs = [(0, k, [math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-                        for n in range(k, kind.dim)]) for k in range(kind.dim)]
+                        for n in range(k, dim)]) for k in range(dim)]
     for row, col, values in runs:
         while values and not values[-1]:
             values.pop()
@@ -110,49 +107,48 @@ def _loss_runs(kind: ModeKind, t: float):
 
 
 def evolve(rho: DensityOperator, t: float) -> DensityOperator:
-    """Apply photon loss with decay t to every mode of a density operator.
+    """Apply photon loss with decay t to both modes of a channel.
 
     Each loss operator is one diagonal run (:func:`_loss_runs`), so
     K x K^dag is the slice x[c, c] scaled by v on the ket side and by v* on
     the bra side, written into rows and columns r. Each mode's family is
     applied that way to that mode's ket and bra axes, broadcast over the
-    other modes, and accumulated in Kraus order. That is O(d^3) per Fock(d)
+    other mode, and accumulated in Kraus order. That is O(d^3) per Fock(d)
     mode instead of the O(d^4) of the products K x K^dag, and bit for bit
     equal to them: they round the same products and add only exact zeros
     besides.
     """
-    dims = rho.layout.dims
-    n = len(dims)
+    dims = rho.dims
     full = rho.matrix.reshape(dims + dims)
-    for mode, kind in enumerate(rho.layout.modes):
-        axes = (mode, n + mode)
+    for mode, dim in enumerate(dims):
+        axes = (mode, 2 + mode)
         x = np.moveaxis(full, axes, (-2, -1))
         out = np.zeros_like(x)
-        for rows, cols, v in _loss_runs(kind, t):
+        for rows, cols, v in _loss_runs(mode, dim, t):
             out[..., rows, rows] += (v[:, None] * x[..., cols, cols]) * v.conj()
         full = np.moveaxis(out, (-2, -1), axes)
-    return DensityOperator(rho.layout, full.reshape(rho.matrix.shape))
+    return DensityOperator(full.reshape(rho.matrix.shape))
 
 
-def _hybrid_initial(mode: ModeKind, ket_h: np.ndarray, ket_v: np.ndarray) -> DensityOperator:
-    """The pure state of (|H>|ket_h> + |V>|ket_v>), normalized, on polarization x mode."""
+def _hybrid_initial(ket_h: np.ndarray, ket_v: np.ndarray) -> DensityOperator:
+    """The pure state of (|H>|ket_h> + |V>|ket_v>), normalized, on polarization x Fock(d)."""
     rows = np.eye(3, dtype=complex)
     v = np.kron(rows[H_IDX], ket_h) + np.kron(rows[V_IDX], ket_v)
     v = v / np.linalg.norm(v)
-    return DensityOperator(layout_of(polarization_mode(), mode), np.outer(v, v.conj()))
+    return DensityOperator(np.outer(v, v.conj()))
 
 
 def hybrid_pc_initial(alpha: float, dim: int | None = None) -> DensityOperator:
     """(|H>|a> + |V>|-a>)/sqrt(2) on polarization x Fock(dim), as a pure density operator."""
     if dim is None:
         dim = default_fock_dim(alpha)
-    return _hybrid_initial(fock_mode(dim), coherent_ket(alpha, dim), coherent_ket(-alpha, dim))
+    return _hybrid_initial(coherent_ket(alpha, dim), coherent_ket(-alpha, dim))
 
 
 def hybrid_ps_initial() -> DensityOperator:
-    """(|H>|0> + |V>|1>)/sqrt(2) on polarization x qubit, as a pure density operator."""
+    """(|H>|0> + |V>|1>)/sqrt(2) on polarization x Fock(2), as a pure density operator."""
     rows = np.eye(2, dtype=complex)
-    return _hybrid_initial(qubit_mode(), rows[0], rows[1])
+    return _hybrid_initial(rows[0], rows[1])
 
 
 def _pol_dyad(i: int, j: int) -> np.ndarray:
@@ -185,7 +181,7 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
     mat[VAC_IDX, :, VAC_IDX] = 0.5 * ((1 - t2) * dy_pp + (1 - t2) * dy_mm)
     mat[H_IDX, :, V_IDX] = 0.5 * (t2 * q * dy_pm)
     mat[V_IDX, :, H_IDX] = 0.5 * (t2 * q * dy_pm.conj().T)
-    return DensityOperator(layout_of(polarization_mode(), fock_mode(dim)), mat.reshape(3 * dim, -1))
+    return DensityOperator(mat.reshape(3 * dim, -1))
 
 
 def rho_ps_analytic(params: ChannelParams) -> DensityOperator:
@@ -210,4 +206,4 @@ def rho_ps_analytic(params: ChannelParams) -> DensityOperator:
         + t ** 3 * (np.kron(_pol_dyad(H_IDX, V_IDX), dy01)
                     + np.kron(_pol_dyad(V_IDX, H_IDX), dy01.conj().T))
     )
-    return DensityOperator(layout_of(polarization_mode(), qubit_mode()), mat)
+    return DensityOperator(mat)

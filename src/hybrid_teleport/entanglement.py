@@ -9,12 +9,12 @@ from .fock import DensityOperator, hermitian_eigenvalues, partial_transpose
 
 
 def negativity_numeric(rho: DensityOperator) -> float:
-    """Twice the absolute sum of negative eigenvalues of the partial transpose on mode 1.
+    """Twice the absolute sum of negative eigenvalues of the partial transpose.
 
-    The spectrum of a two-mode partial transpose does not depend on which mode
-    is transposed.
+    The field mode is transposed; the spectrum of a two-mode partial transpose
+    does not depend on which mode is.
     """
-    ev = hermitian_eigenvalues(partial_transpose(rho, 1))
+    ev = hermitian_eigenvalues(partial_transpose(rho))
     return float(-2.0 * ev[ev < 0].sum())
 
 

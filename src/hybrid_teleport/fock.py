@@ -1,17 +1,17 @@
 """Dense complex linear algebra over truncated Fock spaces and small optical modes.
 
-Pure states and operators are plain numpy arrays. Only channels, the
-:class:`DensityOperator`, are tagged with a :class:`ModeLayout` that records
-their tensor factors, so multi-mode reshapes such as the partial transpose stay
-explicit. Every value is immutable after construction and every operation is a
-pure function, so everything here is safe to evaluate concurrently.
+Pure states and operators are plain numpy arrays. Only channels carry a type,
+the :class:`DensityOperator` on polarization x Fock(d), whose shape fixes its
+two tensor factors, so reshapes such as the partial transpose stay explicit.
+Every value is immutable after construction and every operation is a pure
+function, so everything here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,100 +25,31 @@ class TruncationError(ValueError):
     """Fock-space cutoff too small for the requested coherent amplitude."""
 
 
-class LayoutError(ValueError):
-    """Operands tagged with incompatible mode layouts."""
-
-
-@dataclass(frozen=True)
-class ModeKind:
-    """One tensor factor of a composite Hilbert space.
-
-    ``label`` is one of ``"polarization"`` (basis {|H>, |V>, |vac>}, always
-    3-dimensional), ``"fock"`` (number basis |0>..|dim-1>) or ``"qubit"``
-    (basis {|0>, |1>}, always 2-dimensional).
-    """
-
-    label: str
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.label == "polarization":
-            if self.dim != 3:
-                raise ValueError("polarization mode is exactly 3-dimensional")
-        elif self.label == "qubit":
-            if self.dim != 2:
-                raise ValueError("qubit mode is exactly 2-dimensional")
-        elif self.label == "fock":
-            if self.dim < 2:
-                raise ValueError("fock mode needs dim >= 2")
-        else:
-            raise ValueError(f"unknown mode kind {self.label!r}")
-
-
-def polarization_mode() -> ModeKind:
-    return ModeKind("polarization", 3)
-
-
-def fock_mode(dim: int) -> ModeKind:
-    return ModeKind("fock", int(dim))
-
-
-def qubit_mode() -> ModeKind:
-    return ModeKind("qubit", 2)
-
-
-@dataclass(frozen=True)
-class ModeLayout:
-    """Ordered tensor factors of a composite space."""
-
-    modes: tuple[ModeKind, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
-            raise ValueError("layout needs at least one mode")
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.dim for m in self.modes)
-
-    @cached_property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-
-def layout_of(*modes: ModeKind) -> ModeLayout:
-    return ModeLayout(tuple(modes))
-
-
-def _check_same_layout(a, b) -> None:
-    if a.layout != b.layout:
-        raise LayoutError(f"layout mismatch: {a.layout} vs {b.layout}")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Dense Hermitian PSD operator tagged with its layout.
+    """A channel: a dense Hermitian PSD operator on polarization x Fock(d).
 
-    The matrix is a private read-only copy, so values derived from it once,
-    such as the teleport readout maps, stay valid for the operator's lifetime.
-    Operators compare and hash by identity, so such values can be keyed by
-    operator.
+    The matrix is (3d, 3d) with d >= 2, indexed by (polarization level,
+    photon number); its shape fixes both tensor factors. It is a private
+    read-only copy, so values derived from it once, such as the teleport
+    readout maps, stay valid for the operator's lifetime. Operators compare
+    and hash by identity, so such values can be keyed by operator.
     """
 
-    layout: ModeLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
-        d = self.layout.total_dim
-        if mat.shape != (d, d):
-            raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {d}")
+        side = mat.shape[0] if mat.ndim == 2 else 0
+        if mat.shape != (side, side) or side % 3 or side < 6:
+            raise ValueError(f"matrix shape {mat.shape} is not (3d, 3d) with d >= 2")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """(3, d): the polarization mode's and the field mode's dimensions."""
+        return 3, len(self.matrix) // 3
 
 
 # Cephes lgam: log(sqrt(2 pi)) and the Stirling correction coefficients.
@@ -159,6 +90,8 @@ def _half_log_factorials(dim: int) -> np.ndarray:
 
 def _coherent_amplitudes(amplitude: float, dim: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_n = e^{-a^2/2} a^n / sqrt(n!)."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"coherent amplitude must be finite, got {amplitude!r}")
     n = np.arange(dim)
     if amplitude == 0.0:
         c = np.zeros(dim)
@@ -204,27 +137,23 @@ def default_fock_dim(alpha: float) -> int:
     return d + (d % 2)
 
 
-def partial_transpose(rho: DensityOperator, mode: int) -> np.ndarray:
-    """Transpose one tensor factor; returns a plain (Hermitian) matrix."""
-    n = len(rho.layout)
-    if not 0 <= mode < n:
-        raise ValueError(f"mode index {mode} out of range")
-    dims = rho.layout.dims
-    full = rho.matrix.reshape(dims + dims)
-    swapped = np.swapaxes(full, mode, n + mode)
-    d = rho.layout.total_dim
-    return np.ascontiguousarray(swapped.reshape(d, d))
+def partial_transpose(rho: DensityOperator) -> np.ndarray:
+    """Transpose the field mode; returns a plain (Hermitian) matrix."""
+    dims = rho.dims
+    swapped = np.swapaxes(rho.matrix.reshape(dims + dims), 1, 3)
+    return np.ascontiguousarray(swapped.reshape(rho.matrix.shape))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of the symmetrized (M + M^dag)/2.
 
-    Raises ValueError when M is not Hermitian within 1e-10.
+    Raises ValueError when M is not Hermitian within 1e-10; a NaN or infinite
+    entry makes the defect NaN or infinite, so it fails too.
     """
     m = np.asarray(m, dtype=complex)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > 1e-10:
-        raise ValueError(f"matrix not Hermitian within 1e-10: defect {defect:.3e}")
+    if not defect <= 1e-10:  # NaN fails too
+        raise ValueError(f"matrix not finite and Hermitian within 1e-10: defect {defect:.3e}")
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
@@ -314,7 +243,9 @@ def _overlap_fidelity(amplitudes: np.ndarray, matrix: np.ndarray) -> float:
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||a - b||_1 for Hermitian a, b.
 
-    Raises ValueError when a - b is not Hermitian within 1e-10.
+    Raises ValueError when the two differ in ``dims``, or when a - b is not
+    finite and Hermitian within 1e-10.
     """
-    _check_same_layout(a, b)
+    if a.dims != b.dims:
+        raise ValueError(f"dims differ: {a.dims} vs {b.dims}")
     return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(a.matrix - b.matrix))))

@@ -247,7 +247,7 @@ def _readout_maps(channel: DensityOperator, direction: Direction,
     """
     entry = _READOUT_MAPS.get(channel, {}).get((direction, beta))
     if entry is None:
-        dims = channel.layout.dims
+        dims = channel.dims
         # the channel mode measured jointly with the input, and the input levels
         if direction is Direction.C_TO_P:
             measured, basis = 1, _cat_parts(beta, dims[1])[0]
@@ -343,11 +343,11 @@ def _pipeline(direction: Direction, inp: BlochInput, params: ChannelParams,
     a, b = inp.a, inp.b
     x, y = a + b, a - b
     if direction is Direction.C_TO_P:
-        _, (even, odd) = _cat_parts(beta, channel.layout.dims[1])
+        _, (even, odd) = _cat_parts(beta, channel.dims[1])
         norm = math.sqrt(abs(x) ** 2 * even + abs(y) ** 2 * odd)
         x, y = x / norm, y / norm
     cx, cy = x.conjugate(), y.conjugate()
-    kept = channel.layout.dims[0 if direction.onto_polarization else 1]
+    kept = channel.dims[0 if direction.onto_polarization else 1]
     maps = _readout_maps(channel, direction, beta)[0]
     stack = (np.array((x * cx, x * cy, y * cx, y * cy)) @ maps).reshape(-1, kept, kept)
     stack.setflags(write=False)

@@ -4,8 +4,8 @@ Everything here is deliberately written from first principles (explicit index
 loops, quadratic formulas, SVD, dense quadrature, scipy integration, dense
 operators on the whole space) and never calls back into the code paths it
 validates. The helpers at the end are test-only conveniences on amplitude
-arrays and the library's density operators that the library itself does not
-need.
+arrays and matrices, each given its tensor factors' dims where it needs them,
+that the library itself does not need.
 """
 
 from __future__ import annotations
@@ -194,14 +194,14 @@ def beam_splitter_edge_row(photons: int, first_arm: bool = True) -> np.ndarray:
                      for n1 in range(photons + 1)])
 
 
-def damping_kraus_dense(kind, t: float) -> list[np.ndarray]:
-    """Photon-loss Kraus family of one mode, entry by entry into dense operators.
+def damping_kraus_dense(mode: int, dim: int, t: float) -> list[np.ndarray]:
+    """Photon-loss Kraus family of one channel mode, entry by entry into dense operators.
 
-    Polarization keeps H and V with amplitude t and sends each to the vacuum
-    level with sqrt(1 - t^2); Fock and qubit modes take the amplitude-damping
-    ladder with eta = t^2. All-zero operators are dropped.
+    Mode 0, polarization, keeps H and V with amplitude t and sends each to the
+    vacuum level with sqrt(1 - t^2); mode 1, Fock(dim), takes the
+    amplitude-damping ladder with eta = t^2. All-zero operators are dropped.
     """
-    if kind.label == "polarization":
+    if mode == 0:
         k0 = np.diag([t, t, 1.0]).astype(complex)
         k1 = np.zeros((3, 3), dtype=complex)
         k1[fk.VAC_IDX, fk.H_IDX] = math.sqrt(1.0 - t * t)
@@ -209,7 +209,7 @@ def damping_kraus_dense(kind, t: float) -> list[np.ndarray]:
         k2[fk.VAC_IDX, fk.V_IDX] = math.sqrt(1.0 - t * t)
         ops = [k0, k1, k2]
     else:
-        d = kind.dim
+        d = dim
         eta = t * t
         ops = []
         for k in range(d):
@@ -220,23 +220,22 @@ def damping_kraus_dense(kind, t: float) -> list[np.ndarray]:
     return [k for k in ops if np.any(k)]
 
 
-def evolve_dense(rho, t: float):
-    """Photon loss on every mode, each Kraus operator embedded in the whole space with kron.
+def evolve_dense(mat: np.ndarray, dims: tuple[int, int], t: float) -> np.ndarray:
+    """Photon loss on both channel modes, each Kraus operator embedded with kron.
 
-    It takes the families of :func:`damping_kraus_dense` and checks how
-    ``channels.evolve`` applies them.
+    ``mat`` is a matrix on polarization x Fock(dims[1]). It takes the families
+    of :func:`damping_kraus_dense` and checks how ``channels.evolve`` applies
+    them.
     """
     def embed(op, dims, mode):
         left = np.eye(math.prod(dims[:mode]))
         right = np.eye(math.prod(dims[mode + 1:]))
         return np.kron(np.kron(left, op), right)
 
-    mat = rho.matrix
-    dims = rho.layout.dims
-    for mode, kind in enumerate(rho.layout.modes):
-        kraus = (embed(k, dims, mode) for k in damping_kraus_dense(kind, t))
+    for mode, dim in enumerate(dims):
+        kraus = (embed(k, dims, mode) for k in damping_kraus_dense(mode, dim, t))
         mat = sum(k @ mat @ k.conj().T for k in kraus)
-    return fk.DensityOperator(rho.layout, mat)
+    return mat
 
 
 def diagonal_run(op: np.ndarray) -> tuple[slice, slice, np.ndarray]:
@@ -252,8 +251,8 @@ def diagonal_run(op: np.ndarray) -> tuple[slice, slice, np.ndarray]:
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1), op[rows, cols]
 
 
-def rho_pc_kron(params, dim: int):
-    """The closed-form polarization/coherent channel as a sum of four dense Kronecker products."""
+def rho_pc_kron(params, dim: int) -> np.ndarray:
+    """The closed-form polarization/coherent channel's matrix as a sum of four dense krons."""
     def dyad(i, j):
         m = np.zeros((3, 3), dtype=complex)
         m[i, j] = 1.0
@@ -272,15 +271,17 @@ def rho_pc_kron(params, dim: int):
         + np.kron(t2 * dyad(v, v) + (1 - t2) * dyad(vac, vac), dy_mm)
         + t2 * q * (np.kron(dyad(h, v), dy_pm) + np.kron(dyad(v, h), dy_pm.conj().T))
     )
-    return fk.DensityOperator(fk.layout_of(fk.polarization_mode(), fk.fock_mode(dim)), mat)
+    return mat
 
 
 def ensemble(rho) -> tuple[np.ndarray, np.ndarray]:
     """Spectral ensemble (weights, eigenvectors as columns) of the symmetrized matrix.
 
-    Weights at or below 1e-13 are dropped as numerically zero.
+    Takes a channel or a bare matrix. Weights at or below 1e-13 are dropped as
+    numerically zero.
     """
-    w, v = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
+    m = _matrix(rho)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
     sel = w > 1e-13
     return w[sel], v[:, sel]
 
@@ -292,19 +293,19 @@ def _label_maps(channel, direction):
     and the kept mode's reduced state.
     """
     if direction is tp.Direction.C_TO_P:
-        measured, rows = 1, parity_readout_dense(channel.layout.dims[1])
+        measured, rows = 1, parity_readout_dense(channel.dims[1])
     elif direction is tp.Direction.S_TO_P:
         measured, rows = 1, tp._SINGLE_PHOTON_BRAS
     else:
         measured, rows = 0, tp._BELL_BRAS
     w, vecs = ensemble(channel)
-    chi = np.moveaxis(vecs.reshape(channel.layout.dims + (-1,)), (measured, 2), (0, 1))
+    chi = np.moveaxis(vecs.reshape(channel.dims + (-1,)), (measured, 2), (0, 1))
     chi = (chi * np.sqrt(w)[:, None]).reshape(len(chi), -1)
     maps = {}
     for label, _, _ in tp._OUTCOMES[direction]:
         block = rows[label].reshape(-1, rows[label].shape[-1] // len(chi), len(chi)) @ chi
         maps[label] = np.moveaxis(block, 1, 0).reshape(block.shape[1], -1)
-    return maps, partial_trace(channel, {1 - measured})
+    return maps, partial_trace(channel.matrix, channel.dims, {1 - measured})
 
 
 def measure_per_label(channel, direction, input_amplitudes):
@@ -320,7 +321,7 @@ def measure_per_label(channel, direction, input_amplitudes):
     stack of corrected, unnormalized branches.
     """
     maps, marginal = _label_maps(channel, direction)
-    kept_dim = marginal.layout.dims[0]
+    kept_dim = len(marginal)
     branches = []
     for label, correction, _ in tp._OUTCOMES[direction]:
         collapsed = (input_amplitudes @ maps[label]).reshape(-1, kept_dim)
@@ -342,10 +343,10 @@ def remainder_choi(channel, direction, basis):
     kron(<e_y|e_x>, marginal) - G^T conj(G) with G = [G_0 | G_1].
     """
     maps, marginal = _label_maps(channel, direction)
-    kept = marginal.layout.dims[0]
+    kept = len(marginal)
     g = np.concatenate([(basis @ m).reshape(2, -1, kept) for m in maps.values()], axis=1)
     g = np.concatenate(g, axis=-1)
-    return np.kron(basis @ basis.conj().T, marginal.matrix) - g.T @ g.conj()
+    return np.kron(basis @ basis.conj().T, marginal) - g.T @ g.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +358,21 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-def pure(ket, *modes):
-    """The pure density operator |ket><ket| on the layout of ``modes``."""
+def pure(ket) -> np.ndarray:
+    """The pure-state matrix |ket><ket|, complex."""
     ket = np.asarray(ket, dtype=complex)
-    return fk.DensityOperator(fk.layout_of(*modes), np.outer(ket, ket.conj()))
+    return np.outer(ket, ket.conj())
 
 
 def overlap(a, b) -> complex:
     """Inner product <a|b> of two amplitude vectors of one length."""
     if a.shape != b.shape:
-        raise fk.LayoutError(f"amplitude shapes {a.shape} and {b.shape} differ")
+        raise ValueError(f"amplitude shapes {a.shape} and {b.shape} differ")
     return complex(np.vdot(a, b))
 
 
 def _matrix(rho) -> np.ndarray:
-    """The matrix of a density operator, or a bare matrix as it is."""
+    """The matrix of a channel, or a bare matrix as it is."""
     return rho.matrix if isinstance(rho, fk.DensityOperator) else np.asarray(rho)
 
 
@@ -380,11 +381,11 @@ def trace(rho) -> float:
 
 
 def fidelity_pure(psi, rho) -> float:
-    """Overlap <psi|rho|psi> of amplitudes and an operator of their dimension, clamped to [0, 1]."""
-    if psi.shape != (rho.layout.total_dim,):
-        raise fk.LayoutError(f"amplitude shape {psi.shape} does not match layout dim "
-                             f"{rho.layout.total_dim}")
-    return fk._overlap_fidelity(psi, rho.matrix)
+    """Overlap <psi|rho|psi> of amplitudes and a matrix of their dimension, clamped to [0, 1]."""
+    m = _matrix(rho)
+    if m.shape != psi.shape * 2:
+        raise ValueError(f"amplitude shape {psi.shape} does not match matrix shape {m.shape}")
+    return fk._overlap_fidelity(psi, m)
 
 
 def purity(rho) -> float:
@@ -431,37 +432,32 @@ def cat_ket(amplitude: float, sign: int, dim: int):
     return v / np.linalg.norm(v)
 
 
-def partial_trace(rho, keep):
-    """Trace out all modes not listed in ``keep`` (kept modes stay in order)."""
-    n = len(rho.layout)
+def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Trace out of a matrix on ``dims`` all modes not in ``keep`` (kept modes stay in order)."""
+    n = len(dims)
     keep = tuple(sorted({int(k) for k in keep}))
     if not keep:
         raise ValueError("keep must be a nonempty set of mode indices")
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"mode index out of range in keep={keep}")
-    dims = rho.layout.dims
-    tensor_form = rho.matrix.reshape(dims + dims)
+    tensor_form = mat.reshape(dims + dims)
     ket = list(range(n))
     bra = [i if i not in keep else n + i for i in range(n)]
     out = list(keep) + [n + i for i in keep]
     reduced = np.einsum(tensor_form, ket + bra, out)
     d = math.prod(dims[k] for k in keep)
-    layout = fk.ModeLayout(tuple(rho.layout.modes[k] for k in keep))
-    return fk.DensityOperator(layout, reduced.reshape(d, d))
+    return reduced.reshape(d, d)
 
 
-def permute_modes(rho, order):
-    """Reorder a density operator's tensor factors; ``order[i]`` is the old index of new mode i."""
+def permute_modes(mat: np.ndarray, dims: tuple[int, ...], order) -> np.ndarray:
+    """Reorder the tensor factors of a matrix on ``dims``; new mode i is old mode ``order[i]``."""
     order = tuple(int(i) for i in order)
-    n = len(rho.layout)
+    n = len(dims)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = rho.layout.dims
-    new_layout = fk.ModeLayout(tuple(rho.layout.modes[i] for i in order))
-    full = rho.matrix.reshape(dims + dims)
+    full = mat.reshape(dims + dims)
     axes = list(order) + [n + i for i in order]
-    d = rho.layout.total_dim
-    return fk.DensityOperator(new_layout, full.transpose(axes).reshape(d, d))
+    return full.transpose(axes).reshape(mat.shape)
 
 
 @dataclass(frozen=True)

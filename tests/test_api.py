@@ -14,14 +14,18 @@ AUDIT_ONLY = ("negativity_pc_variant", "moment_integral_variant4", "g_functional
 # redundant, since each pipeline returns one array; the next three served only the
 # tests and live on in tests/oracles.py; closed_summary answers for the next three;
 # the last five went with the pure-state type, since states, Bell bras and pipeline
-# outputs are plain arrays and only channels are DensityOperators
+# outputs are plain arrays and only channels are DensityOperators; the last seven
+# were the mode-layout layer, since every channel is polarization x Fock(d) and its
+# matrix's shape fixes what a layout recorded
 REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
            "combined_success_output": teleport, "target_state": teleport,
            "damping_kraus": channels, "fidelity_pure": fock, "partial_trace": fock,
            "per_input_fidelity": teleport, "per_input_success_probability": teleport,
            "branch_probabilities_analytic": teleport,
            "StateVector": fock, "basis_ket": fock, "tensor": fock,
-           "bell_state_polarization": teleport, "postselect_polarization": teleport}
+           "bell_state_polarization": teleport, "postselect_polarization": teleport,
+           "ModeKind": fock, "ModeLayout": fock, "layout_of": fock, "polarization_mode": fock,
+           "fock_mode": fock, "qubit_mode": fock, "LayoutError": fock}
 
 # the arguments each subcommand requires
 REQUIRED = {
@@ -72,11 +76,9 @@ def test_removed_names_are_gone(name):
 
 def test_test_only_methods_are_gone():
     # DensityOperator.trace and DensityOperator.ensemble are tests/oracles.py's trace
-    # and ensemble; ModeLayout.select served only the partial trace and the mode
-    # permutation, which build their layouts directly
+    # and ensemble
     assert not hasattr(fock.DensityOperator, "trace")
     assert not hasattr(fock.DensityOperator, "ensemble")
-    assert not hasattr(fock.ModeLayout, "select")
 
 
 @pytest.mark.parametrize("command", REQUIRED)

@@ -14,22 +14,34 @@ R_GRID = [round(0.05 * i, 2) for i in range(20)]
 
 class TestNumericNegativity:
     def test_bell_pair(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = v[3] = 1 / math.sqrt(2)
-        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
+        # (|H, 0> + |V, 1>)/sqrt2 on polarization x Fock(2)
+        v = np.zeros(6, dtype=complex)
+        v[fk.H_IDX * 2 + 0] = v[fk.V_IDX * 2 + 1] = 1 / math.sqrt(2)
+        rho = fk.DensityOperator(oracles.pure(v))
         assert ent.negativity_numeric(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_product_state(self):
-        rho = oracles.pure(np.kron(np.eye(2)[0], fk.coherent_ket(0.7, 16)),
-                           fk.qubit_mode(), fk.fock_mode(16))
+        rho = fk.DensityOperator(oracles.pure(np.kron(np.eye(3)[fk.H_IDX],
+                                                      fk.coherent_ket(0.7, 16))))
         assert ent.negativity_numeric(rho) < 1e-12
 
     def test_split_side_is_irrelevant_here(self):
         params = ch.ChannelParams.from_r(0.4, 1.0)
         rho = ch.rho_pc_analytic(params, 22)
-        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 0))
+        # the polarization mode transposed, from the reshaped matrix itself
+        pt = rho.matrix.reshape(3, 22, 3, 22).transpose(2, 1, 0, 3).reshape(66, 66)
+        ev = fk.hermitian_eigenvalues(pt)
         a = float(-2.0 * ev[ev < 0].sum())
         assert a == pytest.approx(ent.negativity_numeric(rho), abs=1e-12)
+
+    @pytest.mark.parametrize("channel", [
+        lambda p: ch.rho_ps_analytic(p), lambda p: ch.rho_pc_analytic(p, 16),
+    ], ids=["ps", "pc-16"])
+    def test_rejects_a_channel_with_a_nan_entry(self, channel):
+        m = channel(ch.ChannelParams.from_r(0.6, 1.0)).matrix.copy()
+        m[1, 1] = math.nan
+        with pytest.raises(ValueError, match="not finite and Hermitian"):
+            ent.negativity_numeric(fk.DensityOperator(m))
 
 
 class TestSingleRailChannel:

@@ -34,6 +34,14 @@ class TestCoherent:
         assert oracles.overlap(plus, minus).real == pytest.approx(math.exp(-2.0), abs=1e-12)
         assert abs(oracles.overlap(plus, minus).imag) < 1e-15
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_is_rejected(self, amplitude):
+        # a NaN tail mass compares False with the tail bound and max(0.0, nan) is 0.0
+        with pytest.raises(ValueError, match="must be finite"):
+            fk.coherent_ket(amplitude, 16)
+        with pytest.raises(ValueError, match="must be finite"):
+            fk.coherent_tail_mass(amplitude, 16)
+
     def test_truncation_error(self):
         with pytest.raises(fk.TruncationError):
             fk.coherent_ket(2.0, 8)
@@ -148,46 +156,34 @@ class TestCat:
             oracles.cat_ket(0.0, -1, 16)
 
 
-class TestTensorAndLayout:
-    def test_dims_concatenate(self):
-        # the initial states' layouts join the polarization mode and the field mode
-        pc = ch.hybrid_pc_initial(1.0, 16)
-        assert pc.layout.dims == (3, 16)
-        assert pc.layout.total_dim == 48
-        assert ch.hybrid_ps_initial().layout == fk.layout_of(fk.polarization_mode(),
-                                                             fk.qubit_mode())
-
+class TestPermuteModes:
     def test_permute_roundtrip(self):
-        rho = oracles.pure(random_state(6, 3), fk.qubit_mode(), fk.fock_mode(3))
-        back = oracles.permute_modes(oracles.permute_modes(rho, (1, 0)), (1, 0))
-        assert np.max(np.abs(back.matrix - rho.matrix)) == 0.0
-        assert back.layout == rho.layout
+        rho = oracles.pure(random_state(6, 3))
+        back = oracles.permute_modes(oracles.permute_modes(rho, (2, 3), (1, 0)), (3, 2), (1, 0))
+        assert np.max(np.abs(back - rho)) == 0.0
 
     def test_permute_density_consistent_with_states(self):
         a = random_state(3, 12)
         b = random_state(2, 13)
-        rho = oracles.permute_modes(oracles.pure(np.kron(a, b), fk.fock_mode(3), fk.qubit_mode()),
-                                    (1, 0))
-        direct = oracles.pure(np.kron(b, a), fk.qubit_mode(), fk.fock_mode(3))
-        assert np.max(np.abs(rho.matrix - direct.matrix)) < 1e-15
-        assert rho.layout == direct.layout
+        rho = oracles.permute_modes(oracles.pure(np.kron(a, b)), (3, 2), (1, 0))
+        direct = oracles.pure(np.kron(b, a))
+        assert np.max(np.abs(rho - direct)) < 1e-15
 
 
 class TestPartialTrace:
     def test_product_state_reduces_pure(self):
         a = random_state(4, 4)
         b = random_state(2, 5)
-        rho = oracles.pure(np.kron(a, b), fk.fock_mode(4), fk.qubit_mode())
-        red = oracles.partial_trace(rho, {0})
+        rho = oracles.pure(np.kron(a, b))
+        red = oracles.partial_trace(rho, (4, 2), {0})
         assert oracles.purity(red) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(red.matrix - np.outer(a, a.conj()))) < 1e-12
+        assert np.max(np.abs(red - np.outer(a, a.conj()))) < 1e-12
 
     def test_bell_pair_reduces_maximally_mixed(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / math.sqrt(2)
-        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
-        red = oracles.partial_trace(rho, {1})
-        assert np.max(np.abs(red.matrix - np.eye(2) / 2)) < 1e-14
+        red = oracles.partial_trace(oracles.pure(v), (2, 2), {1})
+        assert np.max(np.abs(red - np.eye(2) / 2)) < 1e-14
 
     @pytest.mark.parametrize("keep", [{0}, {1}, {0, 1}, {1, 2}, {0, 2}])
     def test_matches_brute_force_and_preserves_trace(self, keep):
@@ -196,44 +192,50 @@ class TestPartialTrace:
         d = int(np.prod(dims))
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = m @ m.conj().T
-        rho = fk.DensityOperator(fk.layout_of(fk.qubit_mode(), fk.polarization_mode(), fk.qubit_mode()), m)
-        red = oracles.partial_trace(rho, keep)
+        red = oracles.partial_trace(m, dims, keep)
         ref = oracles.brute_partial_trace(m, dims, keep)
-        assert np.max(np.abs(red.matrix - ref)) < 1e-10
-        total = oracles.trace(rho)
+        assert np.max(np.abs(red - ref)) < 1e-10
+        total = oracles.trace(m)
         assert oracles.trace(red) == pytest.approx(total, abs=1e-12 * abs(total))
 
     def test_invalid_index(self):
-        rho = oracles.pure(np.eye(2)[0], fk.qubit_mode())
+        rho = oracles.pure(np.eye(2)[0])
         with pytest.raises(ValueError):
-            oracles.partial_trace(rho, {3})
+            oracles.partial_trace(rho, (2,), {3})
         with pytest.raises(ValueError):
-            oracles.partial_trace(rho, set())
+            oracles.partial_trace(rho, (2,), set())
 
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self):
         a = random_state(3, 6)
         b = random_state(2, 7)
-        rho = oracles.pure(np.kron(a, b), fk.fock_mode(3), fk.qubit_mode())
-        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 1))
+        rho = fk.DensityOperator(oracles.pure(np.kron(a, b)))
+        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho))
         assert ev[0] > -1e-12
 
     def test_bell_pair_minimum_eigenvalue(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = v[3] = 1 / math.sqrt(2)
-        rho = oracles.pure(v, fk.qubit_mode(), fk.qubit_mode())
-        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho, 1))
+        # (|H, 0> + |V, 1>)/sqrt2 on polarization x Fock(2)
+        v = np.zeros(6, dtype=complex)
+        v[fk.H_IDX * 2 + 0] = v[fk.V_IDX * 2 + 1] = 1 / math.sqrt(2)
+        rho = fk.DensityOperator(oracles.pure(v))
+        ev = fk.hermitian_eigenvalues(fk.partial_transpose(rho))
         assert ev[0] == pytest.approx(-0.5, abs=1e-14)
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         m = m + m.conj().T
-        rho = fk.DensityOperator(fk.layout_of(fk.polarization_mode(), fk.fock_mode(4)), m)
-        once = fk.partial_transpose(rho, 1)
-        twice = fk.partial_transpose(fk.DensityOperator(rho.layout, once), 1)
+        rho = fk.DensityOperator(m)
+        once = fk.partial_transpose(rho)
+        twice = fk.partial_transpose(fk.DensityOperator(once))
         assert np.array_equal(twice, rho.matrix)
+
+    def test_transposes_the_field_mode(self):
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        pt = fk.partial_transpose(fk.DensityOperator(m)).reshape(3, 4, 3, 4)
+        assert np.array_equal(pt, m.reshape(3, 4, 3, 4).transpose(0, 3, 2, 1))
 
 
 class TestEigenvalues:
@@ -262,13 +264,40 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             fk.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_a_non_finite_entry(self, value, entry):
+        m = np.eye(3, dtype=complex)
+        m[entry] = value
+        with pytest.raises(ValueError, match="not finite and Hermitian"):
+            fk.hermitian_eigenvalues(m)
+
     def test_trace_distance_rejects_a_non_hermitian_difference(self):
-        layout = fk.layout_of(fk.qubit_mode())
-        rho = fk.DensityOperator(layout, np.eye(2) / 2)
+        rho = fk.DensityOperator(np.eye(6) / 6)
+        m = np.eye(6) / 6
+        m[0, 1] = 1e-9
         with pytest.raises(ValueError):
-            fk.trace_distance(fk.DensityOperator(layout, [[0.5, 1e-9], [0.0, 0.5]]), rho)
-        assert fk.trace_distance(fk.DensityOperator(layout, [[0.5, 1e-11], [0.0, 0.5]]),
-                                 rho) == pytest.approx(5e-12, abs=1e-20)
+            fk.trace_distance(fk.DensityOperator(m), rho)
+        m[0, 1] = 1e-11
+        assert fk.trace_distance(fk.DensityOperator(m), rho) == pytest.approx(5e-12, abs=1e-20)
+
+    @pytest.mark.parametrize("channel", [
+        lambda p: ch.rho_ps_analytic(p), lambda p: ch.rho_pc_analytic(p, 16),
+    ], ids=["ps", "pc-16"])
+    def test_trace_distance_rejects_a_channel_with_a_nan_entry(self, channel):
+        # a NaN entry makes the Hermiticity defect NaN, which compares False with
+        # its bound; unchecked, the distance reads 0.0 at d = 2
+        rho = channel(ch.ChannelParams.from_r(0.6, 1.0))
+        m = rho.matrix.copy()
+        m[1, 1] = math.nan
+        with pytest.raises(ValueError, match="not finite and Hermitian"):
+            fk.trace_distance(rho, fk.DensityOperator(m))
+
+    def test_trace_distance_rejects_mismatched_dims(self):
+        params = ch.ChannelParams.from_r(0.6, 1.0)
+        with pytest.raises(ValueError, match="dims differ"):
+            fk.trace_distance(ch.rho_ps_analytic(params), ch.rho_pc_analytic(params, 16))
 
 
 class TestBeamSplitter:
@@ -341,29 +370,41 @@ class TestBeamSplitter:
 
 class TestDensityOperator:
     def test_matrix_is_a_read_only_copy(self):
-        source = np.eye(2, dtype=complex) / 2
-        rho = fk.DensityOperator(fk.layout_of(fk.qubit_mode()), source)
+        source = np.eye(6, dtype=complex) / 2
+        rho = fk.DensityOperator(source)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
         source[0, 0] = 1.0
         assert rho.matrix[0, 0] == 0.5
 
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 3), (6, 7), (6,)],
+                             ids=["5x5", "3x3", "6x7", "1-d"])
+    def test_rejects_a_shape_that_is_not_polarization_times_fock(self, shape):
+        with pytest.raises(ValueError, match="is not"):
+            fk.DensityOperator(np.zeros(shape))
+
+    def test_dims_are_polarization_then_field(self):
+        params = ch.ChannelParams.from_r(0.6, 1.0)
+        for rho, dim in ((ch.hybrid_pc_initial(1.0, 16), 16), (ch.hybrid_ps_initial(), 2),
+                         (ch.rho_pc_analytic(params, 22), 22), (ch.rho_ps_analytic(params), 2)):
+            assert rho.dims == (3, dim)
+            assert ch.evolve(rho, 0.8).dims == (3, dim)
+
     def test_ensemble_reassembles_the_state(self):
         v = random_state(6, 3)
-        rho = fk.DensityOperator(fk.layout_of(fk.fock_mode(6)),
-                                 0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(6) / 6)
+        rho = 0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(6) / 6
         w, vecs = oracles.ensemble(rho)
-        assert np.max(np.abs((vecs * w) @ vecs.conj().T - rho.matrix)) < 1e-14
+        assert np.max(np.abs((vecs * w) @ vecs.conj().T - rho)) < 1e-14
 
     def test_compares_and_hashes_by_identity(self):
-        rho = oracles.pure(np.eye(2)[1], fk.qubit_mode())
-        twin = fk.DensityOperator(rho.layout, rho.matrix)
+        rho = fk.DensityOperator(oracles.pure(np.eye(6)[1]))
+        twin = fk.DensityOperator(rho.matrix)
         assert np.array_equal(rho.matrix, twin.matrix)
         assert rho == rho and rho != twin
         assert hash(rho) != hash(twin) and len({rho, twin, rho}) == 2
 
     def test_ensemble_drops_numerically_zero_weights(self):
-        rho = oracles.pure(np.eye(5)[2], fk.fock_mode(5))
+        rho = oracles.pure(np.eye(5)[2])
         w, vecs = oracles.ensemble(rho)
         assert w.shape == (1,) and vecs.shape == (5, 1)
         assert abs(vecs[2, 0]) == pytest.approx(1.0, abs=1e-15)
@@ -372,29 +413,28 @@ class TestDensityOperator:
 class TestFidelity:
     def test_self(self):
         psi = random_state(6, 10)
-        assert oracles.fidelity_pure(psi, oracles.pure(psi, fk.fock_mode(6))) == pytest.approx(
-            1.0, abs=1e-14)
+        assert oracles.fidelity_pure(psi, oracles.pure(psi)) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal(self):
         a = np.eye(4, dtype=complex)[0]
-        b = oracles.pure(np.eye(4)[2], fk.fock_mode(4))
+        b = oracles.pure(np.eye(4)[2])
         assert oracles.fidelity_pure(a, b) == 0.0
 
     def test_maximally_mixed(self):
         psi = np.eye(5, dtype=complex)[1]
-        rho = fk.DensityOperator(fk.layout_of(fk.fock_mode(5)), np.eye(5, dtype=complex) / 5)
+        rho = np.eye(5, dtype=complex) / 5
         assert oracles.fidelity_pure(psi, rho) == pytest.approx(0.2, abs=1e-15)
 
-    def test_layout_mismatch(self):
+    def test_shape_mismatch(self):
         psi = np.eye(4, dtype=complex)[0]
-        rho = oracles.pure(np.eye(5)[0], fk.fock_mode(5))
-        with pytest.raises(fk.LayoutError):
+        rho = oracles.pure(np.eye(5)[0])
+        with pytest.raises(ValueError, match="does not match"):
             oracles.fidelity_pure(psi, rho)
 
     @pytest.mark.parametrize("value", [math.nan, complex(0.5, math.nan)])
     def test_non_finite_is_rejected_not_clamped(self, value):
         psi = np.eye(2, dtype=complex)[0]
-        rho = fk.DensityOperator(fk.layout_of(fk.qubit_mode()), np.diag([value, 0.0]))
+        rho = np.diag([value, 0.0])
         with pytest.raises(ValueError, match="outside"):
             oracles.fidelity_pure(psi, rho)
 
@@ -405,10 +445,10 @@ def test_density_operators_validate(seed):
     rng = np.random.default_rng(seed)
     dims = (2, 3)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    rho = oracles.pure(v / np.linalg.norm(v), fk.qubit_mode(), fk.polarization_mode())
+    rho = oracles.pure(v / np.linalg.norm(v))
     oracles.validate(rho)
     for keep in ({0}, {1}):
-        oracles.validate(oracles.partial_trace(rho, keep))
+        oracles.validate(oracles.partial_trace(rho, dims, keep))
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,9 +457,12 @@ def test_tensor_then_trace_recovers_factors(seed):
     rng = np.random.default_rng(seed)
     va = rng.normal(size=4) + 1j * rng.normal(size=4)
     vb = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = oracles.pure(va / np.linalg.norm(va), fk.fock_mode(4))
-    b = oracles.pure(vb / np.linalg.norm(vb), fk.qubit_mode())
-    joint = fk.DensityOperator(fk.layout_of(fk.fock_mode(4), fk.qubit_mode()),
-                               np.kron(a.matrix, b.matrix))
-    assert fk.trace_distance(oracles.partial_trace(joint, {0}), a) < 1e-12
-    assert fk.trace_distance(oracles.partial_trace(joint, {1}), b) < 1e-12
+    a = oracles.pure(va / np.linalg.norm(va))
+    b = oracles.pure(vb / np.linalg.norm(vb))
+    joint = np.kron(a, b)
+
+    def trace_distance(x, y):
+        return 0.5 * np.sum(np.abs(fk.hermitian_eigenvalues(x - y)))
+
+    assert trace_distance(oracles.partial_trace(joint, (4, 2), {0}), a) < 1e-12
+    assert trace_distance(oracles.partial_trace(joint, (4, 2), {1}), b) < 1e-12

@@ -572,7 +572,7 @@ class TestReadoutMaps:
     def test_fresh_copy_gives_the_bits_of_the_warm_channel(self):
         warm = self.channel()
         tp.teleport_c_to_p(EQUATOR, self.PARAMS, channel=warm)
-        copy = fk.DensityOperator(warm.layout, warm.matrix)
+        copy = fk.DensityOperator(warm.matrix)
         assert copy not in tp._READOUT_MAPS
         self.same_bits(tp.teleport_c_to_p(TILTED, self.PARAMS, channel=warm),
                        tp.teleport_c_to_p(TILTED, self.PARAMS, channel=copy))
@@ -592,7 +592,7 @@ class TestReadoutMaps:
             maps = tp._READOUT_MAPS[channel]
             beta = self.PARAMS.t * self.PARAMS.alpha
             assert set(maps) == {(tp.Direction.P_TO_C, 0.0), (tp.Direction.C_TO_P, beta)}
-            dim = channel.layout.dims[1]
+            dim = channel.dims[1]
             # one row per coefficient product, then (outcomes, kept, kept) flattened
             bell, parity = maps[tp.Direction.P_TO_C, 0.0][0], maps[tp.Direction.C_TO_P, beta][0]
             assert bell.shape == (4, len(tp._OUTCOMES[tp.Direction.P_TO_C]) * dim * dim)
