@@ -709,6 +709,16 @@ class TestVerifyCommand:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1a4af1fa518f57915fe47f66626dea88bd44ea43cea898b89af7715949c3f1cd")
 
+    def test_full_report_matches_pinned_digest(self, tmp_path):
+        # the default battery the benchmark runs, pinned the same way
+        out = tmp_path / "report.json"
+        assert run("verify", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        del report["timings"], report["elapsed_seconds"]
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ec6d8a08c1a4216982cebbeebfe47eafdd9cb2b35d02de2608f472109e577f8d")
+
     def test_failing_checks_give_nonzero_exit(self, tmp_path):
         # a deliberately coarse quadrature cannot meet the 1e-8 agreement
         # tolerance, which must surface as a failing exit status
