@@ -151,7 +151,8 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     entry makes the defect NaN or infinite, so it fails too.
     """
     m = np.asarray(m, dtype=complex)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check below fails
+        defect = float(np.max(np.abs(m - m.conj().T)))
     if not defect <= 1e-10:  # NaN fails too
         raise ValueError(f"matrix not finite and Hermitian within 1e-10: defect {defect:.3e}")
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -176,16 +177,17 @@ def beam_splitter_edge_rows(dim: int) -> np.ndarray:
     return table
 
 
-def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """One photon-number sector of the balanced beam splitter on Fock(dim) x Fock(dim).
+@lru_cache(maxsize=8)
+def beam_splitter_50_50(dim: int) -> np.ndarray:
+    """Balanced beam-splitter unitary on Fock(dim) x Fock(dim), as a dense matrix.
 
-    Returns ``(states, block)``: the flattened indices n1 * dim + n2 of the
-    states (n1, photons - n1) inside the cut, in ascending n1, and the
-    unitary block on them. The generator (pi/4)(a1^dag a2 - a1 a2^dag)
-    conserves N = n1 + n2 and is a real tridiagonal block on each sector,
-    with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)); it is exponentiated
-    through an eigendecomposition of its Hermitian form, so the block is
-    unitary to roundoff (Campos, Saleh & Teich, PRA 40, 1371, 1989).
+    Coherent inputs transform as |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>;
+    in particular |b, b> -> |sqrt(2) b, 0> and |b, -b> -> |0, -sqrt(2) b>.
+    The generator (pi/4)(a1^dag a2 - a1 a2^dag) conserves N = n1 + n2 and is a
+    real tridiagonal block on each sector, the states (n1, N - n1) inside the
+    cut, with off-diagonal (pi/4) sqrt((n1 + 1)(N - n1)); each block is
+    exponentiated through an eigendecomposition of its Hermitian form, so it
+    is unitary to roundoff (Campos, Saleh & Teich, PRA 40, 1371, 1989).
     Sectors with N < dim are exact, and their two edge rows, (N, 0) last and
     (0, N) first, are overwritten with the exact binomial rows of
     :func:`beam_splitter_edge_rows`, which the parity readout reads; those
@@ -194,34 +196,18 @@ def beam_splitter_sector(dim: int, photons: int) -> tuple[np.ndarray, np.ndarray
     """
     if dim < 2:
         raise ValueError("fock mode needs dim >= 2")
-    if not 0 <= photons <= 2 * dim - 2:
-        raise ValueError(f"photon number {photons} outside 0..{2 * dim - 2} for dim {dim}")
-    n1 = np.arange(max(0, photons - dim + 1), min(photons, dim - 1) + 1)
-    off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (photons - n1[:-1]))
-    generator = np.diag(off, k=-1) - np.diag(off, k=1)
-    w, v = np.linalg.eigh(1j * generator)
-    block = (v * np.exp(-1j * w)) @ v.conj().T
-    if photons < dim:
-        row = beam_splitter_edge_rows(dim)[photons, :photons + 1]
-        block[-1] = row
-        block[0] = row * (-1.0) ** n1
-    return n1 * dim + (photons - n1), block
-
-
-@lru_cache(maxsize=8)
-def beam_splitter_50_50(dim: int) -> np.ndarray:
-    """Balanced beam-splitter unitary on Fock(dim) x Fock(dim), as a dense matrix.
-
-    Block-diagonal in the total photon number; each block is
-    :func:`beam_splitter_sector`. Coherent inputs transform as
-    |g1, g2> -> |(g1+g2)/sqrt(2), (g2-g1)/sqrt(2)>; in particular
-    |b, b> -> |sqrt(2) b, 0> and |b, -b> -> |0, -sqrt(2) b>.
-    """
-    if dim < 2:
-        raise ValueError("fock mode needs dim >= 2")
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for total in range(2 * dim - 1):
-        states, block = beam_splitter_sector(dim, total)
+    for photons in range(2 * dim - 1):
+        n1 = np.arange(max(0, photons - dim + 1), min(photons, dim - 1) + 1)
+        off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (photons - n1[:-1]))
+        generator = np.diag(off, k=-1) - np.diag(off, k=1)
+        w, v = np.linalg.eigh(1j * generator)
+        block = (v * np.exp(-1j * w)) @ v.conj().T
+        if photons < dim:
+            row = beam_splitter_edge_rows(dim)[photons, :photons + 1]
+            block[-1] = row
+            block[0] = row * (-1.0) ** n1
+        states = n1 * dim + (photons - n1)
         u[np.ix_(states, states)] = block
     u.setflags(write=False)
     return u

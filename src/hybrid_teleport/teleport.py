@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -156,32 +155,15 @@ _SINGLE_PHOTON_BRAS = {
 }
 
 
-@lru_cache(maxsize=8)
-def _parity_readout(dim: int) -> MappingProxyType:
-    """Beam-splitter rows each parity outcome keeps, stored per photon-number sector.
-
-    Every outcome leaves at least one arm empty, so it keeps rows (N, 0) or
-    (0, N) with N < dim, and each such row lives on its own sector N, the
-    states (n_first, N - n_first). Each outcome maps to ``(photons, rows)``:
-    the sector numbers N and the read-only (len(photons), dim) rows over
-    n_first, zero beyond N, taken from the exact binomial rows of
-    :func:`beam_splitter_edge_rows`. That is 2 dim^2 numbers in all, with no
-    eigensolver and no (dim, dim^2) row array.
-    """
-    if dim % 2 != 0:
-        raise ValueError("parity readout needs an even truncation dimension")
-    first = beam_splitter_edge_rows(dim)  # rows (N, 0)
-    second = first * (-1.0) ** np.arange(dim)  # rows (0, N)
-    second.setflags(write=False)
-    photons = np.arange(dim)
-    photons.setflags(write=False)
-    return MappingProxyType({
-        "first_even": (photons[2::2], first[2::2]),  # n_first = 2, 4, ..., n_second = 0
-        "first_odd": (photons[1::2], first[1::2]),  # n_first = 1, 3, ..., n_second = 0
-        "second_even": (photons[2::2], second[2::2]),  # n_first = 0, n_second = 2, 4, ...
-        "second_odd": (photons[1::2], second[1::2]),  # n_first = 0, n_second = 1, 3, ...
-        "no_click": (photons[:1], first[:1]),
-    })
+# the sectors N of beam_splitter_edge_rows each c->p outcome keeps, in _OUTCOMES
+# order: every outcome leaves one arm empty, so it keeps rows (N, 0) or (0, N)
+_PARITY_SECTORS = {
+    "first_even": slice(2, None, 2),  # n_first = 2, 4, ..., n_second = 0
+    "first_odd": slice(1, None, 2),  # n_first = 1, 3, ..., n_second = 0
+    "second_even": slice(2, None, 2),  # n_first = 0, n_second = 2, 4, ...
+    "second_odd": slice(1, None, 2),  # n_first = 0, n_second = 1, 3, ...
+    "no_click": slice(0, 1),
+}
 
 
 def _collapsed_rows(direction: Direction, label: str, basis: np.ndarray, dim: int) -> np.ndarray:
@@ -190,17 +172,23 @@ def _collapsed_rows(direction: Direction, label: str, basis: np.ndarray, dim: in
     a[x, r, m] = sum_i basis[x, i] row_r[i, m] over (input level, row,
     measured level), for the input levels e_0, e_1 as the rows of ``basis``
     and a measured mode of dimension ``dim``. The Bell and single-photon bras
-    are dense over (input, measured). A parity row r of sector N_r lives on
-    the states (N_r - m, m), so its collapse is basis[x, N_r - m]
-    row_r[N_r - m] on m <= N_r and zero above: O(dim^2) numbers, never a
-    (rows, dim, dim) block.
+    are dense over (input, measured). A parity row r lives on its own sector
+    N_r < dim, the states (N_r - m, m); it is the exact binomial row (N_r, 0)
+    of :func:`beam_splitter_edge_rows`, or (0, N_r), the same row times
+    (-1)^n_first. Its collapse is basis[x, N_r - m] row_r[N_r - m] on
+    m <= N_r and zero above: O(dim^2) numbers, never a (rows, dim, dim) block.
     """
     if direction is Direction.C_TO_P:
-        photons, rows = _parity_readout(dim)[label]
-        n_first = photons[:, None] - np.arange(dim)  # N - m, negative off the sector
+        if dim % 2 != 0:
+            raise ValueError("parity readout needs an even truncation dimension")
+        if label.startswith("second"):  # (-1)^n_first on the input side: exact sign flips
+            basis = np.where(np.arange(dim) % 2, -basis, basis)
+        sectors = _PARITY_SECTORS[label]
+        n_first = np.arange(dim)[sectors, None] - np.arange(dim)  # N - m, negative off the sector
         inside = n_first >= 0
         n_first = np.where(inside, n_first, 0)
-        return np.where(inside, basis[:, n_first] * np.take_along_axis(rows, n_first, axis=1), 0.0)
+        rows = np.take_along_axis(beam_splitter_edge_rows(dim)[sectors], n_first, axis=1)
+        return np.where(inside, basis[:, n_first] * rows, 0.0)
     bras = _SINGLE_PHOTON_BRAS if direction is Direction.S_TO_P else _BELL_BRAS
     return np.einsum("xi,rim->xrm", basis, bras[label].reshape(-1, basis.shape[1], dim))
 

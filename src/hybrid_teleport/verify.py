@@ -72,6 +72,14 @@ def _worst(name: str, tol: float, deviations) -> dict:
     return entry
 
 
+def _or_nan(measure, *operators) -> float:
+    """``measure(*operators)``, or NaN where its spectral guard raises: a NaN fails its check."""
+    try:
+        return measure(*operators)
+    except ValueError:
+        return math.nan
+
+
 def _audit(name: str, description: str, measured: dict) -> dict:
     return {"name": name, "description": description, "measured": measured}
 
@@ -89,15 +97,16 @@ def _channel_checks(r_grid, oracle_alphas) -> list[dict]:
         initial = hybrid_pc_initial(alpha, dim)
         for r in r_grid:
             params = ChannelParams.from_r(r, alpha)
-            pc.append((trace_distance(evolve(initial, params.t), rho_pc_analytic(params, dim)),
-                       {"r": r, "alpha": alpha}))
+            pc.append((_or_nan(trace_distance, evolve(initial, params.t),
+                               rho_pc_analytic(params, dim)), {"r": r, "alpha": alpha}))
     ps_initial = hybrid_ps_initial()
     for r in r_grid:
         params = ChannelParams.from_r(r, 1.0)
-        ps.append((trace_distance(evolve(ps_initial, params.t), rho_ps_analytic(params)), {"r": r}))
+        ps.append((_or_nan(trace_distance, evolve(ps_initial, params.t), rho_ps_analytic(params)),
+                   {"r": r}))
     # semigroup: two loss steps compose into one with the product decay
     rho = rho_pc_analytic(ChannelParams(t=1.0, alpha=1.0), 22)
-    semigroup = [(trace_distance(evolve(evolve(rho, t1), t2), evolve(rho, t1 * t2)), None)
+    semigroup = [(_or_nan(trace_distance, evolve(evolve(rho, t1), t2), evolve(rho, t1 * t2)), None)
                  for t1, t2 in ((0.9, 0.8), (0.7, 0.95), (0.6, 0.6))]
     return [
         _worst("channel_pc_kraus_vs_closed", 1e-9, pc),
@@ -107,7 +116,7 @@ def _channel_checks(r_grid, oracle_alphas) -> list[dict]:
 
 
 def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
-    ps = [(abs(entanglement.negativity_numeric(rho_ps_analytic(params))
+    ps = [(abs(_or_nan(entanglement.negativity_numeric, rho_ps_analytic(params))
                - entanglement.negativity_ps_analytic(params.t)), None)
           for params in (ChannelParams.from_r(r, 1.0) for r in r_grid)]
     pc, ratios = [], []
@@ -115,12 +124,13 @@ def _negativity_checks(r_grid, oracle_alphas) -> tuple[list[dict], list[dict]]:
         dim = default_fock_dim(alpha)
         for r in r_grid:
             params = ChannelParams.from_r(r, alpha)
-            num = entanglement.negativity_numeric(rho_pc_analytic(params, dim))
+            num = _or_nan(entanglement.negativity_numeric, rho_pc_analytic(params, dim))
             pc.append((abs(num - entanglement.negativity_pc_closed(params)),
                        {"r": r, "alpha": alpha}))
             if num > 1e-6:
                 ratios.append(audits.negativity_pc_variant(params) / num)
-    schmidt = [(abs(entanglement.negativity_numeric(rho_pc_analytic(ChannelParams(1.0, 1.0), 24))
+    schmidt = [(abs(_or_nan(entanglement.negativity_numeric,
+                            rho_pc_analytic(ChannelParams(1.0, 1.0), 24))
                     - math.sqrt(1.0 - math.exp(-4.0))), None)]
     checks = [
         _worst("negativity_ps_numeric_vs_quartic", 1e-12, ps),

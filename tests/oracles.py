@@ -449,17 +449,6 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     return reduced.reshape(d, d)
 
 
-def permute_modes(mat: np.ndarray, dims: tuple[int, ...], order) -> np.ndarray:
-    """Reorder the tensor factors of a matrix on ``dims``; new mode i is old mode ``order[i]``."""
-    order = tuple(int(i) for i in order)
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    full = mat.reshape(dims + dims)
-    axes = list(order) + [n + i for i in order]
-    return full.transpose(axes).reshape(mat.shape)
-
-
 @dataclass(frozen=True)
 class DecayFactors:
     """The two scalar factors every downstream closed form depends on."""

@@ -25,7 +25,8 @@ REMOVED = {"TeleportOutcome": teleport, "success_probability": teleport,
            "StateVector": fock, "basis_ket": fock, "tensor": fock,
            "bell_state_polarization": teleport, "postselect_polarization": teleport,
            "ModeKind": fock, "ModeLayout": fock, "layout_of": fock, "polarization_mode": fock,
-           "fock_mode": fock, "qubit_mode": fock, "LayoutError": fock}
+           "fock_mode": fock, "qubit_mode": fock, "LayoutError": fock,
+           "beam_splitter_sector": fock}
 
 # the arguments each subcommand requires
 REQUIRED = {

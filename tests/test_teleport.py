@@ -114,40 +114,42 @@ class TestParityProjectors:
 
 class TestParityReadout:
     @staticmethod
-    def dense_rows(photons, rows, dim):
-        """Sector rows scattered back over flattened (n_first, n_second): row r on (n1, N_r - n1)."""
-        dense = np.zeros((len(photons), dim * dim), dtype=rows.dtype)
-        for r, total in enumerate(photons):
-            n1 = np.arange(total + 1)
-            dense[r, n1 * dim + total - n1] = rows[r, :total + 1]
-        return dense
+    def rows(label, dim):
+        """An outcome's readout rows over (row, n_first, n_second): its collapse on the identity."""
+        return tp._collapsed_rows(tp.Direction.C_TO_P, label, np.eye(dim), dim).transpose(1, 0, 2)
 
     @pytest.mark.parametrize("dim", [4, 8, 18, 22, 36])
     def test_rows_equal_the_dense_beam_splitter_rows(self, dim):
-        readout = tp._parity_readout(dim)
         dense = oracles.parity_readout_dense(dim)
-        assert list(readout) == list(dense)
-        for label, (photons, rows) in readout.items():
-            assert rows.shape == (len(photons), dim)
-            assert np.array_equal(self.dense_rows(photons, rows, dim), dense[label])
-            assert not rows.flags.writeable and not photons.flags.writeable
+        assert list(tp._PARITY_SECTORS) == list(dense)
+        for label, expected in dense.items():
+            rows = self.rows(label, dim)
+            assert rows.shape == (len(expected), dim, dim)
+            assert np.array_equal(rows.reshape(len(expected), -1), expected)
+        assert not fk.beam_splitter_edge_rows(dim).flags.writeable
 
     @pytest.mark.parametrize("dim", [4, 36, 166])
     def test_rows_are_the_binomial_rows_bit_for_bit(self, dim):
         # pins the sign convention: (N, 0) positive, (0, N) alternating in n_first
-        for label, (photons, rows) in tp._parity_readout(dim).items():
-            for total, row in zip(photons, rows):
-                ref = oracles.beam_splitter_edge_row(int(total), not label.startswith("second"))
-                assert np.array_equal(row[:total + 1], ref), (label, total)
-                assert not row[total + 1:].any()
+        for label, states in oracles.parity_outcome_states(dim).items():
+            rows = self.rows(label, dim)
+            assert len(rows) == len(states)
+            for row, (n1, n2) in zip(rows, states):
+                total = n1 + n2
+                first = np.arange(total + 1)
+                ref = oracles.beam_splitter_edge_row(total, not label.startswith("second"))
+                assert np.array_equal(row[first, total - first], ref), (label, total)
+                assert np.count_nonzero(row) == total + 1
 
     def test_large_cut_rows_are_orthonormal_on_their_own_sectors(self):
         # d = 60 without the 207 MB dense unitary: 2d - 1 rows, two per sector N > 0
         dim = 60
+        photons = np.add.outer(np.arange(dim), np.arange(dim))
         sectors = {}
-        for photons, rows in tp._parity_readout.__wrapped__(dim).values():
-            for total, row in zip(photons, rows):
-                sectors.setdefault(int(total), []).append(row)
+        for label, states in oracles.parity_outcome_states(dim).items():
+            for row, (n1, n2) in zip(self.rows(label, dim), states):
+                assert not row[photons != n1 + n2].any()
+                sectors.setdefault(n1 + n2, []).append(row.ravel())
         assert sorted(sectors) == list(range(dim))
         assert sum(map(len, sectors.values())) == 2 * dim - 1
         for total, rows in sectors.items():
@@ -156,8 +158,8 @@ class TestParityReadout:
             assert np.max(np.abs(gram - np.eye(len(rows)))) < 1e-12
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            tp._parity_readout(9)
+        with pytest.raises(ValueError, match="even truncation dimension"):
+            tp._collapsed_rows(tp.Direction.C_TO_P, "first_even", np.eye(9), 9)
 
 
 def traced_peak_bytes(run) -> int:
@@ -185,7 +187,6 @@ class TestPeakAllocation:
         dim = fk.default_fock_dim(2.0)
         assert dim == 36
         channel = ch.evolve(ch.hybrid_pc_initial(2.0, dim), params.t)
-        tp._parity_readout.cache_clear()
         fk.beam_splitter_edge_rows.cache_clear()
         peak = traced_peak_bytes(lambda: tp.teleport_c_to_p(TILTED, params, channel=channel))
         assert peak < self.LIMIT
@@ -197,7 +198,6 @@ class TestPeakAllocation:
         dim = fk.default_fock_dim(7.0)
         assert dim == 166
         channel = ch.evolve(ch.hybrid_pc_initial(7.0, dim), params.t)
-        tp._parity_readout.cache_clear()
         fk.beam_splitter_edge_rows.cache_clear()
 
         def refuse(*args, **kwargs):
@@ -602,8 +602,7 @@ class TestReadoutMaps:
     def test_no_pipeline_diagonalizes_its_channel(self, monkeypatch):
         params = ch.ChannelParams.from_r(0.5, 1.0)
         dim = fk.default_fock_dim(1.0)
-        tp._parity_readout.cache_clear()  # the readout is built under the patch too
-        fk.beam_splitter_edge_rows.cache_clear()
+        fk.beam_splitter_edge_rows.cache_clear()  # the readout is built under the patch too
 
         def refuse(*args, **kwargs):
             raise AssertionError("a pipeline diagonalized a matrix")

@@ -8,6 +8,7 @@ from pathlib import Path
 from hybrid_teleport import cli
 from hybrid_teleport import teleport as tp
 from hybrid_teleport import verify as vf
+from hybrid_teleport.fock import DensityOperator
 
 PINNED = Path(__file__).resolve().parents[1] / "benchmarks" / "verify_battery.json"
 
@@ -88,6 +89,36 @@ def test_a_nan_pipeline_fidelity_fails_its_check_where_it_arose(monkeypatch):
     # the third input of the first channel: theta = 2 pi / 3, phi = 0
     assert check["worst_at"] == {"r": 0.0, "alpha": 0.5, "theta": 2 * math.pi / 3, "phi": 0.0,
                                  "direction": "p->c"}
+
+
+def with_a_nan_entry(make):
+    """``make`` with one NaN on the diagonal of the channel it returns."""
+    def nan_channel(*args, **kwargs):
+        m = make(*args, **kwargs).matrix.copy()
+        m[1, 1] = math.nan
+        return DensityOperator(m)
+    return nan_channel
+
+
+def test_a_nan_channel_fails_its_channel_check_where_it_arose(monkeypatch):
+    # the Kraus-evolved single-rail channel is NaN at every r; the spectral guard's
+    # ValueError becomes a NaN deviation at the first r instead of ending the battery
+    evolve, nan_evolve = vf.evolve, with_a_nan_entry(vf.evolve)
+    monkeypatch.setattr(vf, "evolve", lambda rho, t: (
+        nan_evolve if rho.dims == (3, 2) else evolve)(rho, t))
+    checks = {c["name"]: c for c in vf._channel_checks((0.0, 0.6), (1.0,))}
+    check = checks["channel_ps_kraus_vs_closed"]
+    assert math.isnan(check["max_abs_deviation"]) and not check["pass"]
+    assert check["worst_at"] == {"r": 0.0}
+    assert checks["channel_pc_kraus_vs_closed"]["pass"]
+
+
+def test_a_nan_channel_fails_its_negativity_check(monkeypatch):
+    monkeypatch.setattr(vf, "rho_ps_analytic", with_a_nan_entry(vf.rho_ps_analytic))
+    checks, _ = vf._negativity_checks((0.0, 0.6), (1.0,))
+    check = next(c for c in checks if c["name"] == "negativity_ps_numeric_vs_quartic")
+    assert math.isnan(check["max_abs_deviation"]) and not check["pass"]
+    assert all(c["pass"] for c in checks if c is not check)
 
 
 def test_negativity_audit_reads_null_when_no_point_is_entangled_enough():
