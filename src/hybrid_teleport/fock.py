@@ -197,6 +197,7 @@ def beam_splitter_50_50(dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError("fock mode needs dim >= 2")
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    edge_rows = beam_splitter_edge_rows(dim)
     for photons in range(2 * dim - 1):
         n1 = np.arange(max(0, photons - dim + 1), min(photons, dim - 1) + 1)
         off = (np.pi / 4) * np.sqrt((n1[:-1] + 1.0) * (photons - n1[:-1]))
@@ -204,7 +205,7 @@ def beam_splitter_50_50(dim: int) -> np.ndarray:
         w, v = np.linalg.eigh(1j * generator)
         block = (v * np.exp(-1j * w)) @ v.conj().T
         if photons < dim:
-            row = beam_splitter_edge_rows(dim)[photons, :photons + 1]
+            row = edge_rows[photons, :photons + 1]
             block[-1] = row
             block[0] = row * (-1.0) ** n1
         states = n1 * dim + (photons - n1)
