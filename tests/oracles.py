@@ -274,6 +274,25 @@ def rho_pc_kron(params, dim: int) -> np.ndarray:
     return mat
 
 
+def rho_ps_kron(params) -> np.ndarray:
+    """The closed-form polarization/single-rail channel's matrix as a sum of four dense krons."""
+    def dyad(n, i, j):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    h, v, vac = fk.H_IDX, fk.V_IDX, fk.VAC_IDX
+    t = params.t
+    t2 = t * t
+    dy0, dy1, dy01 = dyad(2, 0, 0), dyad(2, 1, 1), dyad(2, 0, 1)
+    mat = 0.5 * (
+        np.kron(t2 * dyad(3, h, h) + (1 - t2) * dyad(3, vac, vac), dy0)
+        + np.kron(t2 * dyad(3, v, v) + (1 - t2) * dyad(3, vac, vac), t2 * dy1 + (1 - t2) * dy0)
+        + t ** 3 * (np.kron(dyad(3, h, v), dy01) + np.kron(dyad(3, v, h), dy01.conj().T))
+    )
+    return mat
+
+
 def ensemble(rho) -> tuple[np.ndarray, np.ndarray]:
     """Spectral ensemble (weights, eigenvectors as columns) of the symmetrized matrix.
 

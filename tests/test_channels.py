@@ -268,6 +268,11 @@ class TestClosedFormChannels:
                 assert np.array_equal(ch.rho_pc_analytic(params, dim).matrix,
                                       oracles.rho_pc_kron(params, dim))
 
+    def test_ps_blocks_equal_the_kron_sum(self):
+        for t in (1e-8, 1e-4, 0.05, 0.3, 0.6, 0.8, 0.95, 0.999, 1.0):
+            params = ch.ChannelParams(t=t, alpha=1.0)
+            assert np.array_equal(ch.rho_ps_analytic(params).matrix, oracles.rho_ps_kron(params))
+
     def test_ps_pure_at_no_loss(self):
         rho = ch.rho_ps_analytic(ch.ChannelParams(t=1.0, alpha=1.0))
         assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-14)
