@@ -132,9 +132,9 @@ def evolve(rho: DensityOperator, t: float) -> DensityOperator:
 
 def _hybrid_initial(ket_h: np.ndarray, ket_v: np.ndarray) -> DensityOperator:
     """The pure state of (|H>|ket_h> + |V>|ket_v>), normalized, on polarization x Fock(d)."""
-    rows = np.eye(3, dtype=complex)
-    v = np.kron(rows[H_IDX], ket_h) + np.kron(rows[V_IDX], ket_v)
-    v = v / np.linalg.norm(v)
+    v = np.zeros((3, len(ket_h)), dtype=complex)
+    v[H_IDX], v[V_IDX] = ket_h, ket_v
+    v = v.reshape(-1) / np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()))
 
 
@@ -151,10 +151,20 @@ def hybrid_ps_initial() -> DensityOperator:
     return _hybrid_initial(rows[0], rows[1])
 
 
-def _pol_dyad(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, j] = 1.0
-    return m
+def _from_blocks(hh: np.ndarray, vv: np.ndarray, vac: np.ndarray,
+                 hv: np.ndarray) -> DensityOperator:
+    """The channel (|H><H| hh + |V><V| vv + |vac><vac| vac + |H><V| hv + h.c.) / 2.
+
+    Each argument is a (d, d) block on Fock(d); every other block is zero.
+    """
+    dim = len(hh)
+    mat = np.zeros((3, dim, 3, dim), dtype=complex)
+    mat[H_IDX, :, H_IDX] = 0.5 * hh
+    mat[V_IDX, :, V_IDX] = 0.5 * vv
+    mat[VAC_IDX, :, VAC_IDX] = 0.5 * vac
+    mat[H_IDX, :, V_IDX] = 0.5 * hv
+    mat[V_IDX, :, H_IDX] = 0.5 * hv.conj().T
+    return DensityOperator(mat.reshape(3 * dim, -1))
 
 
 def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOperator:
@@ -174,14 +184,8 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
     dy_mm = np.outer(minus, minus.conj())
     dy_pm = np.outer(plus, minus.conj())
     t2 = t * t
-    # the five nonzero (polarization, polarization) blocks, each on Fock x Fock
-    mat = np.zeros((3, dim, 3, dim), dtype=complex)
-    mat[H_IDX, :, H_IDX] = 0.5 * (t2 * dy_pp)
-    mat[V_IDX, :, V_IDX] = 0.5 * (t2 * dy_mm)
-    mat[VAC_IDX, :, VAC_IDX] = 0.5 * ((1 - t2) * dy_pp + (1 - t2) * dy_mm)
-    mat[H_IDX, :, V_IDX] = 0.5 * (t2 * q * dy_pm)
-    mat[V_IDX, :, H_IDX] = 0.5 * (t2 * q * dy_pm.conj().T)
-    return DensityOperator(mat.reshape(3 * dim, -1))
+    return _from_blocks(t2 * dy_pp, t2 * dy_mm, (1 - t2) * dy_pp + (1 - t2) * dy_mm,
+                        t2 * q * dy_pm)
 
 
 def rho_ps_analytic(params: ChannelParams) -> DensityOperator:
@@ -193,17 +197,7 @@ def rho_ps_analytic(params: ChannelParams) -> DensityOperator:
     """
     t = params.t
     t2 = t * t
-    dy0 = np.zeros((2, 2), dtype=complex)
-    dy0[0, 0] = 1.0
-    dy1 = np.zeros((2, 2), dtype=complex)
-    dy1[1, 1] = 1.0
-    dy01 = np.zeros((2, 2), dtype=complex)
-    dy01[0, 1] = 1.0
-    mat = 0.5 * (
-        np.kron(t2 * _pol_dyad(H_IDX, H_IDX) + (1 - t2) * _pol_dyad(VAC_IDX, VAC_IDX), dy0)
-        + np.kron(t2 * _pol_dyad(V_IDX, V_IDX) + (1 - t2) * _pol_dyad(VAC_IDX, VAC_IDX),
-                  t2 * dy1 + (1 - t2) * dy0)
-        + t ** 3 * (np.kron(_pol_dyad(H_IDX, V_IDX), dy01)
-                    + np.kron(_pol_dyad(V_IDX, H_IDX), dy01.conj().T))
-    )
-    return DensityOperator(mat)
+    zero = np.diag([1.0, 0.0])  # the rail's |0><0|
+    lost = np.diag([1 - t2, t2])  # its photon after loss, t^2 |1><1| + (1 - t^2) |0><0|
+    return _from_blocks(t2 * zero, t2 * lost, (1 - t2) * zero + (1 - t2) * lost,
+                        t ** 3 * np.eye(2, k=1))

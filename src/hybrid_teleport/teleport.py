@@ -145,7 +145,7 @@ _BELL_BRAS = {label: (np.array(ket, dtype=complex) / math.sqrt(2)).conj() for la
     ("bell_psi_minus", (0, 1, 0, -1, 0, 0, 0, 0, 0)),
 )}
 # a lost photon: input H or V with the channel's polarization vacuum, two rows
-_BELL_BRAS["photon_loss"] = np.kron(np.eye(3)[[H_IDX, V_IDX]], np.eye(3)[VAC_IDX])
+_BELL_BRAS["photon_loss"] = np.eye(9)[[3 * H_IDX + VAC_IDX, 3 * V_IDX + VAC_IDX]]
 # single-photon Bell bras (|10> +/- |01>)/sqrt2 over (input, channel), flattened,
 # and the patterns they leave unresolved, |00> and |11>
 _SINGLE_PHOTON_BRAS = {
