@@ -147,16 +147,11 @@ def hybrid_pc_initial(alpha: float, dim: int | None = None) -> DensityOperator:
 
 def hybrid_ps_initial() -> DensityOperator:
     """(|H>|0> + |V>|1>)/sqrt(2) on polarization x Fock(2), as a pure density operator."""
-    rows = np.eye(2, dtype=complex)
-    return _hybrid_initial(rows[0], rows[1])
+    return _hybrid_initial(*np.eye(2, dtype=complex))
 
 
-def _from_blocks(hh: np.ndarray, vv: np.ndarray, vac: np.ndarray,
-                 hv: np.ndarray) -> DensityOperator:
-    """The channel (|H><H| hh + |V><V| vv + |vac><vac| vac + |H><V| hv + h.c.) / 2.
-
-    Each argument is a (d, d) block on Fock(d); every other block is zero.
-    """
+def _from_blocks(hh, vv, vac, hv) -> DensityOperator:
+    """The channel (|H><H| hh + |V><V| vv + |vac><vac| vac + |H><V| hv + h.c.) / 2, blocks (d, d)."""
     dim = len(hh)
     mat = np.zeros((3, dim, 3, dim), dtype=complex)
     mat[H_IDX, :, H_IDX] = 0.5 * hh
@@ -177,7 +172,6 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
     if dim is None:
         dim = default_fock_dim(params.alpha)
     t, alpha = params.t, params.alpha
-    q = params.coherence_factor
     plus = coherent_ket(t * alpha, dim)
     minus = coherent_ket(-t * alpha, dim)
     dy_pp = np.outer(plus, plus.conj())
@@ -185,7 +179,7 @@ def rho_pc_analytic(params: ChannelParams, dim: int | None = None) -> DensityOpe
     dy_pm = np.outer(plus, minus.conj())
     t2 = t * t
     return _from_blocks(t2 * dy_pp, t2 * dy_mm, (1 - t2) * dy_pp + (1 - t2) * dy_mm,
-                        t2 * q * dy_pm)
+                        t2 * params.coherence_factor * dy_pm)
 
 
 def rho_ps_analytic(params: ChannelParams) -> DensityOperator:
