@@ -525,8 +525,8 @@ def pipeline_summary(
     Returns the ``stack``, its traces as ``probabilities``, the ``outcomes`` as
     :func:`closed_summary` lists them, the success mixture (postselected when
     asked) as the read-only (k, k) ``output`` on the kept mode, and its
-    ``success_probability`` and ``fidelity`` to the target; a zero success
-    probability raises ValueError.
+    ``success_probability`` and ``fidelity`` to the target; a success
+    probability that is not positive, NaN included, raises ValueError.
     """
     check_postselection(direction, postselected)
     if direction.coherent:
@@ -541,9 +541,10 @@ def pipeline_summary(
     listed = probs.tolist()
     wins = _SUCCESS[direction]
     prob = sum(listed[i] for i in wins)
-    if prob <= 0.0:
-        raise ValueError(f"{direction.value} has zero success probability at t = {params.t:g}, "
-                         f"alpha = {params.alpha:g}; its output state is undefined")
+    if not prob > 0.0:  # NaN fails too
+        raise ValueError(f"{direction.value} has {'zero' if prob == 0.0 else prob} success "
+                         f"probability at t = {params.t:g}, alpha = {params.alpha:g}; its output "
+                         f"state is undefined")
     output = np.take(stack, wins, axis=0).sum(axis=0) / prob
     if postselected:
         # the photon-arrival filter, then the gadget's Bell measurement

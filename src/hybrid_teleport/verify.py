@@ -180,9 +180,14 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
                 inp = BlochInput(theta, phi)
                 for d in directions:
                     chan = chan_pc if d.coherent else chan_ps
-                    summary = teleport.pipeline_summary(d, inp, params, channel=chan)
-                    f_closed, p_closed = closed[d, False]
                     at = {"r": r, "alpha": alpha, "theta": theta, "phi": phi, "direction": d.value}
+                    try:
+                        summary = teleport.pipeline_summary(d, inp, params, channel=chan)
+                    except ValueError:  # no output to score, as from a NaN channel: fail here
+                        fidelity[d].append((math.nan, at))
+                        probability[d].append((math.nan, at))
+                        continue
+                    f_closed, p_closed = closed[d, False]
                     fidelity[d].append((abs(summary["fidelity"] - f_closed[i]), at))
                     probability[d].append((abs(summary["success_probability"] - p_closed[i]), at))
                     probs = summary["probabilities"].tolist()
@@ -206,16 +211,19 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
 
             # vacuum removal and the success-modulation constant, once per (r, alpha)
             inp = BlochInput(math.pi / 2, 0.0)
-            projected = teleport.pipeline_summary(Direction.C_TO_P, inp, params, channel=chan_pc,
-                                                  postselected=True)["output"]
+            try:
+                projected = teleport.pipeline_summary(Direction.C_TO_P, inp, params,
+                                                      channel=chan_pc, postselected=True)["output"]
+                prob = teleport.pipeline_summary(Direction.P_TO_C, inp, params,
+                                                 channel=chan_pc)["success_probability"]
+                # coherence weight of the c->p output, read off the pipeline fidelity
+                f_pipe = teleport.pipeline_summary(Direction.C_TO_P, inp, params,
+                                                   channel=chan_pc)["fidelity"]
+            except ValueError:  # no output to score: all three read NaN
+                projected, prob, f_pipe = np.full((3, 3), math.nan), math.nan, math.nan
             vacuum.append((float(projected[VAC_IDX, VAC_IDX].real), None))
-            prob = teleport.pipeline_summary(Direction.P_TO_C, inp, params,
-                                             channel=chan_pc)["success_probability"]
             measured_a = 2.0 * prob / params.t**2 - 1.0  # u = 1 at this input
             fitted_mod.append((alpha, measured_a, math.exp(-2.0 * alpha * alpha)))
-            # coherence weight of the c->p output, read off the pipeline fidelity
-            f_pipe = teleport.pipeline_summary(Direction.C_TO_P, inp, params,
-                                               channel=chan_pc)["fidelity"]
             q = params.coherence_factor
             p2 = 0.25  # |a|^2 |b|^2 at the equator
             weight = (f_pipe / params.t**2 - 0.5) / (q * p2)
@@ -224,8 +232,8 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             # remainder's Choi matrix per (channel, direction)
             for d in directions:
                 choi = teleport._remainder_choi(d, params, chan_pc if d.coherent else chan_ps)
-                hermiticity = float(np.abs(choi - choi.conj().T).max())
-                valid.append((max(hermiticity, -float(np.linalg.eigvalsh(choi)[0])), None))
+                valid.append((float(np.abs(choi - choi.conj().T).max()), None))
+                valid.append((-float(np.min(_or_nan(np.linalg.eigvalsh, choi))), None))
             # carry only each check's worst pair so far into the next channel; as the
             # first largest pair, it leaves every check entry unchanged
             for pairs in (*fidelity.values(), *probability.values(), branch_sum, valid,

@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from hybrid_teleport import cli
 from hybrid_teleport import teleport as tp
 from hybrid_teleport import verify as vf
@@ -111,6 +113,32 @@ def test_a_nan_channel_fails_its_channel_check_where_it_arose(monkeypatch):
     assert math.isnan(check["max_abs_deviation"]) and not check["pass"]
     assert check["worst_at"] == {"r": 0.0}
     assert checks["channel_pc_kraus_vs_closed"]["pass"]
+
+
+@pytest.mark.parametrize("single_rail", [True, False], ids=["single-rail", "coherent"])
+def test_a_nan_channel_fails_the_pipeline_checks_of_its_directions(monkeypatch, single_rail):
+    # the directions that read the NaN channel fail at its first input instead of ending
+    # the battery in a traceback; the other directions' checks are those of a clean run
+    clean = {c["name"]: c for c in vf._pipeline_checks((0.6,), (1.0,), 2, 2)[0]}
+    evolve, nan_evolve = vf.evolve, with_a_nan_entry(vf.evolve)
+    monkeypatch.setattr(vf, "evolve", lambda rho, t: (
+        nan_evolve if (rho.dims == (3, 2)) == single_rail else evolve)(rho, t))
+    checks = {c["name"]: c for c in vf._pipeline_checks((0.6,), (1.0,), 2, 2)[0]}
+    for d in tp.Direction:
+        for quantity in ("fidelity", "probability"):
+            check = checks[f"pipeline_vs_closed_{quantity}_{d.value}"]
+            if d.coherent == single_rail:
+                assert check == clean[check["name"]]
+            else:
+                assert math.isnan(check["max_abs_deviation"]) and not check["pass"]
+                assert check["worst_at"] == {"r": 0.6, "alpha": 1.0, "theta": math.pi / 3,
+                                             "phi": 0.0, "direction": d.value}
+    assert math.isnan(checks["pipeline_outputs_valid_density"]["max_abs_deviation"])
+    vacuum = checks["postselect_removes_vacuum"]  # read on the coherent channel only
+    if single_rail:
+        assert vacuum == clean["postselect_removes_vacuum"]
+    else:
+        assert math.isnan(vacuum["max_abs_deviation"]) and not vacuum["pass"]
 
 
 def test_a_nan_channel_fails_its_negativity_check(monkeypatch):
