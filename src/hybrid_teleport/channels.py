@@ -159,6 +159,7 @@ def _from_blocks(hh, vv, vac, hv) -> DensityOperator:
     mat[VAC_IDX, :, VAC_IDX] = 0.5 * vac
     mat[H_IDX, :, V_IDX] = 0.5 * hv
     mat[V_IDX, :, H_IDX] = 0.5 * hv.conj().T
+    del hh, vv, vac, hv  # not held while DensityOperator copies mat: at d = 292 that is 5.5 MB
     return DensityOperator(mat.reshape(3 * dim, -1))
 
 

@@ -186,6 +186,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
                     except ValueError:  # no output to score, as from a NaN channel: fail here
                         fidelity[d].append((math.nan, at))
                         probability[d].append((math.nan, at))
+                        variant_dev.get(d, []).append(math.nan)  # and its audit reads NaN
                         continue
                     f_closed, p_closed = closed[d, False]
                     fidelity[d].append((abs(summary["fidelity"] - f_closed[i]), at))

@@ -123,7 +123,8 @@ def test_a_nan_channel_fails_the_pipeline_checks_of_its_directions(monkeypatch, 
     evolve, nan_evolve = vf.evolve, with_a_nan_entry(vf.evolve)
     monkeypatch.setattr(vf, "evolve", lambda rho, t: (
         nan_evolve if (rho.dims == (3, 2)) == single_rail else evolve)(rho, t))
-    checks = {c["name"]: c for c in vf._pipeline_checks((0.6,), (1.0,), 2, 2)[0]}
+    checks, ledger = vf._pipeline_checks((0.6,), (1.0,), 2, 2)
+    checks = {c["name"]: c for c in checks}
     for d in tp.Direction:
         for quantity in ("fidelity", "probability"):
             check = checks[f"pipeline_vs_closed_{quantity}_{d.value}"]
@@ -139,6 +140,9 @@ def test_a_nan_channel_fails_the_pipeline_checks_of_its_directions(monkeypatch, 
         assert vacuum == clean["postselect_removes_vacuum"]
     else:
         assert math.isnan(vacuum["max_abs_deviation"]) and not vacuum["pass"]
+        # and the coherent audits read NaN rather than a clean deviation
+        assert all(math.isnan(audit["measured"]["variant_max_deviation"]) for audit in ledger
+                   if "variant_max_deviation" in audit["measured"])
 
 
 def test_a_nan_channel_fails_its_negativity_check(monkeypatch):
