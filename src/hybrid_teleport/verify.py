@@ -251,7 +251,7 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
         _worst("pipeline_postselected_vs_closed", 1e-10, postselected),
         _worst("postselect_removes_vacuum", 1e-14, vacuum),
     ]
-    mod_residual = max(abs(m - qs) for _, m, qs in fitted_mod)
+    mod_residual = float(np.max([abs(m - qs) for _, m, qs in fitted_mod]))  # NaN wins
     ledger = [
         _audit(
             "pc_success_modulation_constant",
@@ -266,13 +266,13 @@ def _pipeline_checks(pipeline_r, oracle_alphas, n_theta, n_phi) -> tuple[list[di
             "weight of the coherence term in the c->p output fidelity, read off the "
             "pipeline; the weight-1 closed-form variant deviates by the measured amount",
             {"fitted_weight": float(np.mean(fitted_weight)),
-             "variant_max_deviation": max(variant_dev[Direction.C_TO_P], default=0.0)},
+             "variant_max_deviation": float(np.max(variant_dev[Direction.C_TO_P], initial=0.0))},
         ),
         _audit(
             "pc_per_input_conjugation",
             "p->c per-input fidelity variant with swapped conjugations in the "
             "coherence term; agrees with the pipeline only at phi in {0, pi}",
-            {"variant_max_deviation": max(variant_dev[Direction.P_TO_C], default=0.0)},
+            {"variant_max_deviation": float(np.max(variant_dev[Direction.P_TO_C], initial=0.0))},
         ),
     ]
     return checks, ledger

@@ -117,13 +117,14 @@ def test_a_nan_channel_fails_its_channel_check_where_it_arose(monkeypatch):
 
 @pytest.mark.parametrize("single_rail", [True, False], ids=["single-rail", "coherent"])
 def test_a_nan_channel_fails_the_pipeline_checks_of_its_directions(monkeypatch, single_rail):
-    # the directions that read the NaN channel fail at its first input instead of ending
-    # the battery in a traceback; the other directions' checks are those of a clean run
-    clean = {c["name"]: c for c in vf._pipeline_checks((0.6,), (1.0,), 2, 2)[0]}
+    # the channel at r = 0.6, after a clean one at r = 0, holds a NaN: the directions that
+    # read it fail at its first input instead of ending the battery in a traceback, and
+    # the other directions' checks are those of a clean run
+    clean = {c["name"]: c for c in vf._pipeline_checks((0.0, 0.6), (1.0,), 2, 2)[0]}
     evolve, nan_evolve = vf.evolve, with_a_nan_entry(vf.evolve)
     monkeypatch.setattr(vf, "evolve", lambda rho, t: (
-        nan_evolve if (rho.dims == (3, 2)) == single_rail else evolve)(rho, t))
-    checks, ledger = vf._pipeline_checks((0.6,), (1.0,), 2, 2)
+        nan_evolve if t < 1.0 and (rho.dims == (3, 2)) == single_rail else evolve)(rho, t))
+    checks, ledger = vf._pipeline_checks((0.0, 0.6), (1.0,), 2, 2)
     checks = {c["name"]: c for c in checks}
     for d in tp.Direction:
         for quantity in ("fidelity", "probability"):
@@ -140,9 +141,10 @@ def test_a_nan_channel_fails_the_pipeline_checks_of_its_directions(monkeypatch, 
         assert vacuum == clean["postselect_removes_vacuum"]
     else:
         assert math.isnan(vacuum["max_abs_deviation"]) and not vacuum["pass"]
-        # and the coherent audits read NaN rather than a clean deviation
-        assert all(math.isnan(audit["measured"]["variant_max_deviation"]) for audit in ledger
-                   if "variant_max_deviation" in audit["measured"])
+        # the coherent audits read NaN too, though their first entries are clean
+        measured = [audit["measured"] for audit in ledger]
+        assert math.isnan(measured[0]["max_fit_residual"])
+        assert all(math.isnan(m["variant_max_deviation"]) for m in measured[1:3])
 
 
 def test_a_nan_channel_fails_its_negativity_check(monkeypatch):
